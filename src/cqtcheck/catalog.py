@@ -46,7 +46,8 @@ def make_lorentz_beta_minus(value=None) -> lorentz.LorentzDatum:
 
 
 def make_lorentz_user(path: str, value=None) -> lorentz.LorentzDatum:
-    doc = dsl.parse_presentation(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        doc = dsl.parse_presentation(fh.read())
     if "X" not in doc.mats:
         raise ForbiddenParameter(f"{path}: a user Lorentz datum needs mat X")
     x = doc.mats["X"].matrix

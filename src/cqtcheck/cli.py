@@ -12,7 +12,7 @@ a document in the text format of the dsl module.  ``--eval t=<expr>``
 specializes the whole run at an exact numeric value of t; witnesses and
 matrix entries are always printed as canonical exact strings, never as
 floats.  Exit status: 0 when every non-skipped check passes, 1 when some
-check fails, 2 on parse or datum errors.
+check fails, 2 on parse, datum or file errors.
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ def main(argv=None) -> int:
         return 2
     except CqtError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     return 2
 

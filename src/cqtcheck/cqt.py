@@ -137,10 +137,7 @@ def eval_hom(p: Presentation, c: CandidateR, beta: str) -> FunctionalHom:
         block = c.block(a, beta)
         for i in range(da):
             for j in range(da):
-                values[(a, i, j)] = Tensor(
-                    (db,), (db,),
-                    [block.entry((k, i), (j, l))
-                     for k in range(db) for l in range(db)])
+                values[(a, i, j)] = block.slice_legs((0,), (3,), {1: i, 2: j})
     return FunctionalHom(db, values, label=f"eval:{beta}")
 
 
@@ -151,25 +148,24 @@ def check_relations_preserved(h: FunctionalHom, p: Presentation):
         w = rel.matrix
         sdims = p.word_dims(rel.source_word)
         tdims = p.word_dims(rel.target_word)
+        rows, cols = {}, {}
+        for k, coef in sorted(w.nz.items()):
+            i, j = divmod(k, w.ncols)
+            rows.setdefault(i, []).append((j, coef))
+            cols.setdefault(j, []).append((i, coef))
         defect_witness = None
         for i in range(w.nrows):
             im = unflatten(tdims, i)
             for j in range(w.ncols):
                 jm = unflatten(sdims, j)
                 lhs = {}
-                for k in range(w.ncols):
-                    coef = w.entries[i * w.ncols + k]
-                    if coef.num:
-                        km = unflatten(sdims, k)
-                        word = tuple(zip(rel.source_word, km, jm))
-                        lhs[word] = lhs.get(word, Scalar.from_int(0)) + coef
+                for k, coef in rows.get(i, ()):
+                    word = tuple(zip(rel.source_word, unflatten(sdims, k), jm))
+                    lhs[word] = lhs.get(word, Scalar.from_int(0)) + coef
                 rhs = {}
-                for k in range(w.nrows):
-                    coef = w.entries[k * w.ncols + j]
-                    if coef.num:
-                        km = unflatten(tdims, k)
-                        word = tuple(zip(rel.target_word, im, km))
-                        rhs[word] = rhs.get(word, Scalar.from_int(0)) + coef
+                for k, coef in cols.get(j, ()):
+                    word = tuple(zip(rel.target_word, im, unflatten(tdims, k)))
+                    rhs[word] = rhs.get(word, Scalar.from_int(0)) + coef
                 defect = h.value_free(lhs) - h.value_free(rhs)
                 if defect_witness is None:
                     fz = defect.first_nonzero()

@@ -237,12 +237,10 @@ class _Parser:
             if self.peek().text == ";":
                 self.next()
         self.expect("punct", "}")
-        from .scalars import ZERO
-        flat = [ZERO] * (nrows * ncols)
-        for (r, c), v in entries.items():
-            flat[(r - 1) * ncols + (c - 1)] = v
+        flat = {(r - 1) * ncols + (c - 1): v for (r, c), v in entries.items()}
         self.mats[name] = MatDef(name, source, target,
-                                 Tensor(tdims or (), sdims or (), flat), entries)
+                                 Tensor.from_nonzero(tdims or (), sdims or (), flat),
+                                 entries)
 
     def stmt_rel(self):
         self.next()

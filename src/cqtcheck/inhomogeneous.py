@@ -37,7 +37,7 @@ from .errors import (AbstractLambdaMode, AxiomViolation, MissingRep,
 from .lorentz import LorentzDatum, W, WB, candidate_L
 from .presentation import CandidateR
 from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
-from .tensor import Tensor, flip, kron, pad_with_identity
+from .tensor import Tensor, flatten, flip, kron, pad_with_identity
 
 LAM = "Lam"
 
@@ -98,59 +98,22 @@ def pauli_V() -> Tensor:
     ])
 
 
-def _g_compose(N: int, g1: Tensor, g2: Tensor) -> Tensor:
-    """G of a two-letter word from the homomorphism law on f."""
-    d1 = g1.cod[1]
-    d2 = g2.cod[1]
-    out = Tensor.zeros((N, d1, d2), (d1, d2, N))
-    ent = out.entries
-    ncols = out.ncols
-    for i in range(N):
-        for C in range(d1):
-            for D in range(d1):
-                for k in range(N):
-                    a = g1.entry((i, C), (D, k))
-                    if not a.num:
-                        continue
-                    for Cp in range(d2):
-                        for Dp in range(d2):
-                            for j in range(N):
-                                b = g2.entry((k, Cp), (Dp, j))
-                                if b.num:
-                                    r = (i * d1 + C) * d2 + Cp
-                                    c = (D * d2 + Dp) * N + j
-                                    ent[r * ncols + c] = ent[r * ncols + c] + a * b
-    return out
+def _g_compose(g1: Tensor, g2: Tensor) -> Tensor:
+    """G of a two-letter word from the homomorphism law on f.
+
+    G[(i,C,C'),(D,D',j)] = sum_k g1[(i,C),(D,k)] g2[(k,C'),(D',j)]: one
+    matmul over k between leg-permuted factors.
+    """
+    chain = g1.slice_legs((0, 1, 2), (3,)) @ g2.slice_legs((0,), (1, 2, 3))
+    return chain.slice_legs((0, 1, 3), (2, 4, 5))
 
 
-def _h_compose(N: int, g1: Tensor, h1: Tensor, h2: Tensor) -> Tensor:
+def _h_compose(g1: Tensor, h1: Tensor, h2: Tensor) -> Tensor:
     """H of a two-letter word: eta(xy) = f(x)eta(y) + eta(x)counit(y)."""
-    d1 = g1.cod[1]
     d2 = h2.cod[1]
-    out = Tensor.zeros((N, d1, d2), (d1, d2))
-    ent = out.entries
-    ncols = out.ncols
-    for i in range(N):
-        for C in range(d1):
-            for D in range(d1):
-                for k in range(N):
-                    a = g1.entry((i, C), (D, k))
-                    if not a.num:
-                        continue
-                    for Cp in range(d2):
-                        for Dp in range(d2):
-                            b = h2.entry((k, Cp), (Dp,))
-                            if b.num:
-                                r = (i * d1 + C) * d2 + Cp
-                                c = D * d2 + Dp
-                                ent[r * ncols + c] = ent[r * ncols + c] + a * b
-                h = h1.entry((i, C), (D,))
-                if h.num:
-                    for Cp in range(d2):
-                        r = (i * d1 + C) * d2 + Cp
-                        c = D * d2 + Cp
-                        ent[r * ncols + c] = ent[r * ncols + c] + h
-    return out
+    chain = g1.slice_legs((0, 1, 2), (3,)) @ h2.slice_legs((0,), (1, 2))
+    return (chain.slice_legs((0, 1, 3), (2, 4))
+            + pad_with_identity(h1, (), (d2,)))
 
 
 def build_G(d: InhomDatum, word) -> Tensor:
@@ -158,7 +121,7 @@ def build_G(d: InhomDatum, word) -> Tensor:
     out = None
     for name in word:
         g = d.rep(name).G
-        out = g if out is None else _g_compose(d.N, out, g)
+        out = g if out is None else _g_compose(out, g)
     if out is None:
         return Tensor.identity((d.N,)).with_legs((d.N, 1), (1, d.N))
     return out
@@ -173,8 +136,8 @@ def build_H(d: InhomDatum, word) -> Tensor:
         if outg is None:
             outg, outh = e.G, e.H
         else:
-            outh = _h_compose(d.N, outg, outh, e.H)
-            outg = _g_compose(d.N, outg, e.G)
+            outh = _h_compose(outg, outh, e.H)
+            outg = _g_compose(outg, e.G)
     if outh is None:
         return Tensor.zeros((d.N, 1), (1,))
     return outh
@@ -186,24 +149,15 @@ def build_N(d: InhomDatum, name: str) -> Tensor:
     dv = e.G.cod[1]
     N = d.N
     P = N + 1
-    out = Tensor.zeros((P, dv), (dv, P))
-    ent = out.entries
-    ncols = out.ncols
-    for x in range(N):
-        for l in range(dv):
-            r = x * dv + l
-            for C in range(dv):
-                for y in range(N):
-                    v = e.G.entry((x, l), (C, y))
-                    if v.num:
-                        ent[r * ncols + C * P + y] = v
-                v = e.H.entry((x, l), (C,))
-                if v.num:
-                    ent[r * ncols + C * P + N] = v
+    legs = (P, dv, dv, P)
+    nz = {}
+    for (x, l, C, y), v in e.G.items():
+        nz[flatten(legs, (x, l, C, y))] = v
+    for (x, l, C), v in e.H.items():
+        nz[flatten(legs, (x, l, C, N))] = v
     for l in range(dv):
-        r = N * dv + l
-        ent[r * ncols + l * P + N] = ONE
-    return out
+        nz[flatten(legs, (N, l, l, N))] = ONE
+    return Tensor.from_nonzero((P, dv), (dv, P), nz)
 
 
 def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
@@ -234,7 +188,7 @@ def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
         W: RepEntry(G_w, zero_h),
         WB: RepEntry(G_wb, zero_h),
     }
-    G_wwb = _g_compose(N, G_w, G_wb)
+    G_wwb = _g_compose(G_w, G_wb)
     R = (pad_with_identity(Vinv, (N,), ()) @ G_wwb
          @ pad_with_identity(V, (), (N,))).with_legs((N, N), (N, N))
     Z = Tensor.zeros((N, N), (N,))
@@ -293,45 +247,32 @@ def _validate_ingestion(d: InhomDatum):
 def build_RP(d: InhomDatum) -> Tensor:
     N = d.N
     P = N + 1
-    out = Tensor.zeros((P, P), (P, P))
-    ent = out.entries
-    ncols = out.ncols
+    legs = (P, P, P, P)
     RZ = d.R @ d.Z
     RT = (d.R - Tensor.identity((N, N))) @ d.T
+    nz = {}
+    for multi, v in d.R.items():
+        nz[flatten(legs, multi)] = v
+    for (a, b, c), v in d.Z.items():
+        nz[flatten(legs, (a, b, c, N))] = v
+    for (a, b, c), v in RZ.items():
+        nz[flatten(legs, (a, b, N, c))] = -v
+    for (a, b), v in RT.items():
+        nz[flatten(legs, (a, b, N, N))] = v
     for a in range(N):
-        for b in range(N):
-            r = a * P + b
-            for c in range(N):
-                for e in range(N):
-                    v = d.R.entry((a, b), (c, e))
-                    if v.num:
-                        ent[r * ncols + c * P + e] = v
-                v = d.Z.entry((a, b), (c,))
-                if v.num:
-                    ent[r * ncols + c * P + N] = v
-                v = -RZ.entry((a, b), (c,))
-                if v.num:
-                    ent[r * ncols + N * P + c] = v
-            v = RT.entry((a, b), ())
-            if v.num:
-                ent[r * ncols + N * P + N] = v
-    for a in range(N):
-        ent[(a * P + N) * ncols + N * P + a] = ONE   # v+ -> +v identity
-        ent[(N * P + a) * ncols + a * P + N] = ONE   # +v -> v+ identity
-    ent[(N * P + N) * ncols + N * P + N] = ONE
-    return out
+        nz[flatten(legs, (a, N, N, a))] = ONE   # v+ -> +v identity
+        nz[flatten(legs, (N, a, a, N))] = ONE   # +v -> v+ identity
+    nz[flatten(legs, (N, N, N, N))] = ONE
+    return Tensor.from_nonzero((P, P), (P, P), nz)
 
 
 def build_mP(d: InhomDatum, m: Tensor) -> Tensor:
+    """An invariant column m placed in the (vv, ++) corner block."""
     N = d.N
     P = N + 1
-    out = Tensor.zeros((P, P), (P, P))
-    for a in range(N):
-        for b in range(N):
-            v = m.entry((a, b), ())
-            if v.num:
-                out.entries[(a * P + b) * out.ncols + N * P + N] = v
-    return out
+    legs = (P, P, P, P)
+    return Tensor.from_nonzero((P, P), (P, P), {
+        flatten(legs, (a, b, N, N)): v for (a, b), v in m.items()})
 
 
 def build_RQ(d: InhomDatum, m: Tensor = None, c: Scalar = None) -> Tensor:
@@ -348,93 +289,53 @@ def build_m0(d: InhomDatum) -> Tensor:
     return d.m0
 
 
+def _delta_row(dim: int) -> Tensor:
+    """delta_AB as a row with legs () x (dim, dim)."""
+    return Tensor.identity((dim,)).slice_legs((), (0, 1))
+
+
+def _contract_twice(G: Tensor, col: Tensor) -> Tensor:
+    """sum_{C,a,b} G[(j,A),(C,b)] G[(i,C),(B,a)] col[(a,b)] at [(i,j),(A,B)].
+
+    G has legs (N, d) x (d, N) and col legs (N, N) x ().
+    """
+    inner = G.slice_legs((0, 1, 2), (3,)) @ col.slice_legs((0,), (1,))
+    outer = G @ inner.slice_legs((1, 3), (0, 2))      # [(j,A),(i,B)]
+    return outer.slice_legs((2, 0), (1, 3))
+
+
 def compute_F_tilde(d: InhomDatum) -> Tensor:
-    """The N^3 x N array of twist obstructions evaluated on the vector rep."""
+    """The N^3 x N array of twist obstructions evaluated on the vector rep.
+
+    F[(i,j,k),m'] = sum_{m,n} (R-1)[(i,j),(m,n)] bracket[(m,n),(k,m')] with
+    bracket = sum_a Z[(n,k),a] Z[(m,a),m'] - sum_s Z[(m,n),s] Z[(s,k),m']
+              + T[m,n] delta_km' - sum R[(n,k),(c,b)] R[(m,c),(m',a)] T[a,b].
+    """
     N = d.N
+    Z, T = d.Z, d.T
     Rm1 = d.R - Tensor.identity((N, N))
-    out = Tensor.zeros((N, N, N), (N,))
-    ent = out.entries
-    bracket = {}
-    for m in range(N):
-        for n in range(N):
-            for k in range(N):
-                for m2 in range(N):
-                    acc = ZERO
-                    for a in range(N):
-                        z1 = d.Z.entry((n, k), (a,))
-                        if z1.num:
-                            acc = acc + z1 * d.Z.entry((m, a), (m2,))
-                    for s in range(N):
-                        z1 = d.Z.entry((m, n), (s,))
-                        if z1.num:
-                            acc = acc - z1 * d.Z.entry((s, k), (m2,))
-                    if k == m2:
-                        acc = acc + d.T.entry((m, n), ())
-                    for cdx in range(N):
-                        for b in range(N):
-                            r1 = d.R.entry((n, k), (cdx, b))
-                            if not r1.num:
-                                continue
-                            for a in range(N):
-                                r2 = d.R.entry((m, cdx), (m2, a))
-                                if r2.num:
-                                    acc = acc - r1 * r2 * d.T.entry((a, b), ())
-                    bracket[(m, n, k, m2)] = acc
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for m2 in range(N):
-                    acc = ZERO
-                    for m in range(N):
-                        for n in range(N):
-                            r = Rm1.entry((i, j), (m, n))
-                            if r.num:
-                                acc = acc + r * bracket[(m, n, k, m2)]
-                    ent[((i * N + j) * N + k) * N + m2] = acc
-    return out
+    zz_first = (Z @ Z.slice_legs((1,), (0, 2))).slice_legs((2, 0), (1, 3))
+    zz_second = Z @ Z.slice_legs((0,), (1, 2))
+    bracket = (zz_first - zz_second + kron(T, _delta_row(N))
+               - _contract_twice(d.R, T))
+    return (Rm1 @ bracket).slice_legs((0, 1, 2), (3,))
 
 
 def tau_on_rep(d: InhomDatum, name: str) -> Tensor:
-    """The twist obstruction evaluated on the matrix entries of one rep."""
+    """The twist obstruction evaluated on the matrix entries of one rep.
+
+    tau[(i,j),(A,B)] = sum_{m,n} (R-1)[(i,j),(m,n)] term[(m,n),(A,B)] with
+    term = sum_C H[(n,A),C] H[(m,C),B] - sum_s Z[(m,n),s] H[(s,A),B]
+           + T[m,n] delta_AB - sum G[(n,A),(C,b)] G[(m,C),(B,a)] T[a,b].
+    """
     N = d.N
     e = d.rep(name)
     dv = e.G.cod[1]
     Rm1 = d.R - Tensor.identity((N, N))
-    out = Tensor.zeros((N, N), (dv, dv))
-    ent = out.entries
-    for i in range(N):
-        for j in range(N):
-            for A in range(dv):
-                for B in range(dv):
-                    acc = ZERO
-                    for m in range(N):
-                        for n in range(N):
-                            r = Rm1.entry((i, j), (m, n))
-                            if not r.num:
-                                continue
-                            term = ZERO
-                            for C in range(dv):
-                                h1 = e.H.entry((n, A), (C,))
-                                if h1.num:
-                                    term = term + h1 * e.H.entry((m, C), (B,))
-                            for s in range(N):
-                                z = d.Z.entry((m, n), (s,))
-                                if z.num:
-                                    term = term - z * e.H.entry((s, A), (B,))
-                            if A == B:
-                                term = term + d.T.entry((m, n), ())
-                            for C in range(dv):
-                                for b in range(N):
-                                    g1 = e.G.entry((n, A), (C, b))
-                                    if not g1.num:
-                                        continue
-                                    for a in range(N):
-                                        g2 = e.G.entry((m, C), (B, a))
-                                        if g2.num:
-                                            term = term - g1 * g2 * d.T.entry((a, b), ())
-                            acc = acc + r * term
-                    ent[(i * N + j) * out.ncols + A * dv + B] = acc
-    return out
+    hh = (e.H @ e.H.slice_legs((1,), (0, 2))).slice_legs((2, 0), (1, 3))
+    zh = d.Z @ e.H.slice_legs((0,), (1, 2))
+    term = hh - zh + kron(d.T, _delta_row(dv)) - _contract_twice(e.G, d.T)
+    return Rm1 @ term
 
 
 def antisymmetrizer3(d: InhomDatum) -> Tensor:
@@ -477,29 +378,8 @@ def counit_invariance_defect(d: InhomDatum, name: str, m: Tensor) -> Tensor:
     Vanishing means sum_{a,b,C} G[(j,A),(C,b)] G[(i,C),(B,a)] m_ab equals
     m_ij delta_AB for all i, j, A, B.
     """
-    N = d.N
     e = d.rep(name)
-    dv = e.G.cod[1]
-    out = Tensor.zeros((N, N), (dv, dv))
-    ent = out.entries
-    for i in range(N):
-        for j in range(N):
-            for A in range(dv):
-                for B in range(dv):
-                    acc = ZERO
-                    for C in range(dv):
-                        for b in range(N):
-                            g1 = e.G.entry((j, A), (C, b))
-                            if not g1.num:
-                                continue
-                            for a in range(N):
-                                g2 = e.G.entry((i, C), (B, a))
-                                if g2.num:
-                                    acc = acc + g1 * g2 * m.entry((a, b), ())
-                    if A == B:
-                        acc = acc - m.entry((i, j), ())
-                    ent[(i * N + j) * out.ncols + A * dv + B] = acc
-    return out
+    return _contract_twice(e.G, m) - kron(m, _delta_row(e.G.cod[1]))
 
 
 # ---------------------------------------------------------------------------

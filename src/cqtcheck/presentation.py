@@ -108,15 +108,13 @@ def conj_relation(p: Presentation, r: Relation, mode: ConjMode) -> Relation:
     tdims = p.word_dims(r.target_word)
     sdims = p.word_dims(r.source_word)
     m = r.matrix
-    nr, nc = m.nrows, m.ncols
-    out = [None] * (nr * nc)
-    for i in range(nr):
-        ri = _rev_flat(tdims, i)
-        for j in range(nc):
-            rj = _rev_flat(sdims, j)
-            out[ri * nc + rj] = m.entries[i * nc + j].conjugate(mode)
+    out = {}
+    for k, v in m.nz.items():
+        i, j = divmod(k, m.ncols)
+        out[_rev_flat(tdims, i) * m.ncols + _rev_flat(sdims, j)] = v.conjugate(mode)
     name = r.name[:-1] if r.name.endswith("~") else r.name + "~"
-    return Relation(name, Tensor(tuple(reversed(tdims)), tuple(reversed(sdims)), out),
+    return Relation(name, Tensor.from_nonzero(tuple(reversed(tdims)),
+                                              tuple(reversed(sdims)), out),
                     src, tgt)
 
 
@@ -245,10 +243,10 @@ class Saturation:
         if key not in self.spans:
             span = SpanBasis(t.nrows * t.ncols)
             if src == dst:
-                span.add(Tensor.identity(self.presentation.word_dims(src)).entries)
+                span.add(Tensor.identity(self.presentation.word_dims(src)))
             self.spans[key] = span
             self.elements[key] = []
-        if self.spans[key].add(t.entries):
+        if self.spans[key].add(t):
             self.elements[key].append(t)
             return True
         return False
@@ -269,20 +267,17 @@ class Saturation:
                 return t == Tensor.identity(self.presentation.word_dims(src)) \
                     or _is_scalar_multiple_of_identity(t)
             return t.is_zero()
-        return span.contains(t.entries)
+        return span.contains(t)
 
 
 def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
     if t.nrows != t.ncols:
         return False
-    c = t.entries[0]
     n = t.nrows
-    for i in range(n):
-        for j in range(n):
-            v = t.entries[i * n + j]
-            if (i == j and v != c) or (i != j and v.num):
-                return False
-    return True
+    c = t.nz.get(0)
+    if c is None:
+        return t.is_zero()
+    return len(t.nz) == n and all(t.nz.get(k * n + k) == c for k in range(n))
 
 
 def saturate(p: Presentation, depth: int = 3, max_len: int = 4,

@@ -1,18 +1,27 @@
-"""Leg-typed dense matrices over the exact scalar field.
+"""Leg-typed sparse matrices over the exact scalar field.
 
-A Tensor is a linear map between tensor products of small complex spaces,
-stored densely in row-major order.  Multi-indices flatten with the leftmost
-leg slowest; this is the single index convention of the whole package, and
-every pairing convention from the literature is translated to it exactly once
-at the point where the relevant matrix is built.
+A Tensor is a linear map between tensor products of small complex spaces.
+Only its nonzero entries are stored, in a dict from flat row-major index to
+Scalar; zeros are never stored, so every arithmetic operation costs time in
+proportion to the nonzero entries it touches.  Multi-indices flatten with
+the leftmost leg slowest, and the flat index of entry (row, col) is
+row * ncols + col, i.e. the flattening over the cod legs followed by the dom
+legs.  This is the single index convention of the whole package, and every
+pairing convention from the literature is translated to it exactly once at
+the point where the relevant matrix is built.
 
 Kronecker products follow (a (x) b)[(i,j),(k,l)] = a[i,k] * b[j,l], so the
 mixed-product law (a (x) b)(c (x) d) = ac (x) bd holds on the nose.  Equality
 compares flattened shapes and entries; leg lists are bookkeeping and may
 differ between equal tensors.
 
-All values are immutable after construction; matrix products skip zero
-entries, which makes the permutation-heavy checks in this package cheap.
+Re-indexing goes through one primitive, `Tensor.slice_legs`: it permutes
+legs between and within cod and dom, restricts legs to leading index
+ranges and fixes legs at single indices.  Builders assemble their nonzero
+entries in a dict and construct through `Tensor.from_nonzero`.  The dense
+`entries` list is a read-only view built on demand, for display and tests.
+
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,41 +31,63 @@ from math import prod
 from .errors import NotInvertible, ShapeError
 from .scalars import ONE, ZERO, ConjMode, Scalar
 
+
 def _as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     return ZERO + x  # reuses Scalar coercion rules
 
 
+def _size(dims) -> int:
+    return prod(dims) if dims else 1
+
+
 class Tensor:
-    __slots__ = ("cod", "dom", "entries", "nrows", "ncols")
+    __slots__ = ("cod", "dom", "nz", "nrows", "ncols")
 
     def __init__(self, cod, dom, entries):
+        """Build from a dense row-major list of Scalars."""
         self.cod = tuple(cod)
         self.dom = tuple(dom)
-        self.nrows = prod(self.cod) if self.cod else 1
-        self.ncols = prod(self.dom) if self.dom else 1
+        self.nrows = _size(self.cod)
+        self.ncols = _size(self.dom)
         if len(entries) != self.nrows * self.ncols:
             raise ShapeError(
                 f"{len(entries)} entries for shape {self.nrows}x{self.ncols}"
             )
-        self.entries = entries
+        self.nz = {k: v for k, v in enumerate(entries) if v.num}
+
+    @classmethod
+    def _raw(cls, cod, dom, nrows, ncols, nz) -> "Tensor":
+        """Trusted constructor: tuple legs and a zero-free nz dict."""
+        t = object.__new__(cls)
+        t.cod = cod
+        t.dom = dom
+        t.nrows = nrows
+        t.ncols = ncols
+        t.nz = nz
+        return t
 
     # -- constructors --------------------------------------------------------
 
+    @classmethod
+    def from_nonzero(cls, cod, dom, nz) -> "Tensor":
+        """Build from {flat index: Scalar}; zero values are dropped."""
+        cod, dom = tuple(cod), tuple(dom)
+        n = _size(cod) * _size(dom)
+        nz = {k: v for k, v in nz.items() if v.num}
+        if nz and (min(nz) < 0 or max(nz) >= n):
+            raise ShapeError(f"flat index outside {n} entries")
+        return cls._raw(cod, dom, _size(cod), _size(dom), nz)
+
     @staticmethod
     def zeros(cod, dom) -> "Tensor":
-        n = (prod(cod) if cod else 1) * (prod(dom) if dom else 1)
-        return Tensor(cod, dom, [ZERO] * n)
+        return Tensor.from_nonzero(cod, dom, {})
 
     @staticmethod
     def identity(dims) -> "Tensor":
-        dims = tuple(dims)
-        n = prod(dims) if dims else 1
-        entries = [ZERO] * (n * n)
-        for k in range(n):
-            entries[k * n + k] = ONE
-        return Tensor(dims, dims, entries)
+        n = _size(dims)
+        return Tensor.from_nonzero(dims, dims, {k * n + k: ONE for k in range(n)})
 
     @staticmethod
     def from_rows(rows, cod=None, dom=None) -> "Tensor":
@@ -78,21 +109,95 @@ class Tensor:
 
     # -- indexing -------------------------------------------------------------
 
+    @property
+    def entries(self) -> list:
+        """Dense row-major view, rebuilt on every access."""
+        out = [ZERO] * (self.nrows * self.ncols)
+        for k, v in self.nz.items():
+            out[k] = v
+        return out
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.ncols + j]
+        return self.nz.get(i * self.ncols + j, ZERO)
 
     def entry(self, row_multi, col_multi) -> Scalar:
-        return self.entries[
-            flatten(self.cod, row_multi) * self.ncols + flatten(self.dom, col_multi)
-        ]
+        return self.nz.get(
+            flatten(self.cod, row_multi) * self.ncols + flatten(self.dom, col_multi),
+            ZERO)
+
+    def items(self):
+        """(multi-index over the cod then dom legs, value) per nonzero entry."""
+        legs = self.cod + self.dom
+        for k, v in self.nz.items():
+            yield unflatten(legs, k), v
 
     def with_legs(self, cod, dom) -> "Tensor":
         """Relabel legs without touching entries; flat shape must agree."""
-        t = Tensor(cod, dom, self.entries)
-        if t.nrows != self.nrows or t.ncols != self.ncols:
+        cod, dom = tuple(cod), tuple(dom)
+        if _size(cod) != self.nrows or _size(dom) != self.ncols:
             raise ShapeError("leg relabeling changes flat shape")
-        return t
+        return Tensor._raw(cod, dom, self.nrows, self.ncols, self.nz)
+
+    def slice_legs(self, cod, dom, fix=()) -> "Tensor":
+        """Re-index: a tensor whose legs are chosen legs of self.
+
+        The legs of self are numbered 0, 1, ... across cod then dom.  Each
+        item of `cod` and `dom` names the leg of self that becomes the next
+        new leg, either as a leg number (all its indices) or as a pair
+        (leg, stop) keeping only the indices below stop.  `fix` maps each
+        remaining leg to the single index it is held at.  Every leg of self
+        is used exactly once; entries outside the kept ranges are dropped.
+
+            t.slice_legs((1, 0), (3, 2))           swap within both sides
+            t.slice_legs((0,), (3,), {1: a, 2: b})  the (a, b) slice
+        """
+        cod, dom = tuple(cod), tuple(dom)
+        legs = self.cod + self.dom
+        strides = [0] * len(legs)
+        acc = 1
+        for k in range(len(legs) - 1, -1, -1):
+            strides[k] = acc
+            acc *= legs[k]
+        kept = []
+        for spec in cod + dom:
+            leg, stop = spec if isinstance(spec, tuple) else (spec, None)
+            if not 0 <= leg < len(legs):
+                raise ShapeError(f"no leg {leg} among {len(legs)}")
+            stop = legs[leg] if stop is None else stop
+            if not 0 <= stop <= legs[leg]:
+                raise ShapeError(f"range {stop} exceeds leg {leg} of {legs[leg]}")
+            kept.append((leg, stop))
+        fix = dict(fix)
+        used = sorted([leg for leg, _ in kept] + list(fix))
+        if used != list(range(len(legs))):
+            raise ShapeError(f"legs {used} do not cover {len(legs)} legs once")
+        for leg, at in fix.items():
+            if not 0 <= at < legs[leg]:
+                raise ShapeError(f"index {at} out of range for leg {legs[leg]}")
+        new_cod = tuple(stop for _, stop in kept[:len(cod)])
+        new_dom = tuple(stop for _, stop in kept[len(cod):])
+        plan = []
+        acc = 1
+        for leg, stop in reversed(kept):
+            plan.append((strides[leg], legs[leg], stop, acc))
+            acc *= stop
+        held = [(strides[leg], legs[leg], at) for leg, at in fix.items()]
+        out = {}
+        for f, v in self.nz.items():
+            for stride, d, at in held:
+                if f // stride % d != at:
+                    break
+            else:
+                g = 0
+                for stride, d, stop, weight in plan:
+                    x = f // stride % d
+                    if x >= stop:
+                        break
+                    g += x * weight
+                else:
+                    out[g] = v
+        return Tensor._raw(new_cod, new_dom, _size(new_cod), _size(new_dom), out)
 
     # -- linear structure ------------------------------------------------------
 
@@ -102,22 +207,47 @@ class Tensor:
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
 
+    def _like(self, nz) -> "Tensor":
+        return Tensor._raw(self.cod, self.dom, self.nrows, self.ncols, nz)
+
     def __add__(self, other):
         self._require_same_shape(other)
-        return Tensor(self.cod, self.dom,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        out = dict(self.nz)
+        for k, b in other.nz.items():
+            a = out.get(k)
+            if a is None:
+                out[k] = b
+            else:
+                s = a + b
+                if s.num:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._like(out)
 
     def __sub__(self, other):
         self._require_same_shape(other)
-        return Tensor(self.cod, self.dom,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        out = dict(self.nz)
+        for k, b in other.nz.items():
+            a = out.get(k)
+            if a is None:
+                out[k] = -b
+            elif a == b:
+                del out[k]
+            else:
+                out[k] = a - b
+        return self._like(out)
 
     def __neg__(self):
-        return Tensor(self.cod, self.dom, [-a for a in self.entries])
+        return self._like({k: -a for k, a in self.nz.items()})
 
     def __mul__(self, s):
         s = _as_scalar(s)
-        return Tensor(self.cod, self.dom, [a * s for a in self.entries])
+        if not s.num:
+            return self._like({})
+        if s is ONE:
+            return self
+        return self._like({k: a * s for k, a in self.nz.items()})
 
     __rmul__ = __mul__
 
@@ -127,49 +257,66 @@ class Tensor:
             raise ShapeError(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
-        n, m, k = self.nrows, other.ncols, self.ncols
-        a, b = self.entries, other.entries
-        out = [ZERO] * (n * m)
-        for i in range(n):
-            arow = i * k
-            orow = i * m
-            for p in range(k):
-                x = a[arow + p]
-                if not x.num:
-                    continue
-                brow = p * m
-                for j in range(m):
-                    y = b[brow + j]
-                    if y.num:
-                        out[orow + j] = out[orow + j] + x * y
-        return Tensor(self.cod, other.dom, out)
+        k, m = self.ncols, other.ncols
+        brows = {}
+        for f, y in other.nz.items():
+            p, j = divmod(f, m)
+            row = brows.get(p)
+            if row is None:
+                brows[p] = [(j, y)]
+            else:
+                row.append((j, y))
+        # ascending flat order on the left: each output entry sums its
+        # terms in ascending inner index, so the exact arithmetic (and its
+        # cost) does not depend on the order entries were inserted in
+        a = self.nz
+        out = {}
+        get = out.get
+        for f in sorted(a):
+            i, p = divmod(f, k)
+            brow = brows.get(p)
+            if brow is None:
+                continue
+            x = a[f]
+            base = i * m
+            for j, y in brow:
+                v = x if y is ONE else (y if x is ONE else x * y)
+                cur = get(base + j)
+                out[base + j] = v if cur is None else cur + v
+        return Tensor._raw(self.cod, other.dom, self.nrows, m,
+                           {f: v for f, v in out.items() if v.num})
 
     def transpose(self) -> "Tensor":
-        out = [ZERO] * (self.nrows * self.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out[j * self.nrows + i] = self.entries[i * self.ncols + j]
-        return Tensor(self.dom, self.cod, out)
+        n, m = self.nrows, self.ncols
+        out = {}
+        for k, v in self.nz.items():
+            i, j = divmod(k, m)
+            out[j * n + i] = v
+        return Tensor._raw(self.dom, self.cod, m, n, out)
 
     def conjugate(self, mode: ConjMode) -> "Tensor":
-        return Tensor(self.cod, self.dom,
-                      [a.conjugate(mode) for a in self.entries])
+        return self._like({k: a.conjugate(mode) for k, a in self.nz.items()})
 
     def subs(self, value) -> "Tensor":
-        return Tensor(self.cod, self.dom, [a.subs(value) for a in self.entries])
+        out = {}
+        for k, a in self.nz.items():
+            b = a.subs(value)
+            if b.num:
+                out[k] = b
+        return self._like(out)
 
     # -- predicates -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not a.num for a in self.entries)
+        return not self.nz
 
     def first_nonzero(self):
         """((row multi-index, col multi-index), entry) of the first nonzero."""
-        for k, a in enumerate(self.entries):
-            if a.num:
-                i, j = divmod(k, self.ncols)
-                return (unflatten(self.cod, i), unflatten(self.dom, j)), a
-        return None
+        if not self.nz:
+            return None
+        k = min(self.nz)
+        i, j = divmod(k, self.ncols)
+        return (unflatten(self.cod, i), unflatten(self.dom, j)), self.nz[k]
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -177,62 +324,48 @@ class Tensor:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.nz == other.nz
         )
 
     def key(self):
         """Hashable identity for deduplication."""
-        return (self.nrows, self.ncols, tuple(self.entries))
+        flat = sorted(self.nz)
+        return (self.nrows, self.ncols, tuple(flat),
+                tuple(self.nz[k] for k in flat))
 
     # -- inversion and nullspaces -------------------------------------------------
+
+    def _row_dicts(self):
+        """Fresh mutable {col: value} dicts, one per row."""
+        rows = [{} for _ in range(self.nrows)]
+        for f, v in self.nz.items():
+            i, j = divmod(f, self.ncols)
+            rows[i][j] = v
+        return rows
 
     def inverse(self) -> "Tensor":
         if self.nrows != self.ncols:
             raise ShapeError("inverse of a non-square tensor")
         n = self.nrows
-        aug = [list(self.entries[i * n:(i + 1) * n]) + [ZERO] * n for i in range(n)]
-        for i in range(n):
-            aug[i][n + i] = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col].num), None)
-            if piv is None:
-                null = self.nullspace()
-                raise NotInvertible(
-                    f"singular {n}x{n} tensor", witness=null[0] if null else None
-                )
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col].num:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = []
-        for r in range(n):
-            out.extend(aug[r][n:])
-        return Tensor(self.dom, self.cod, out)
+        aug = self._row_dicts()
+        for i, row in enumerate(aug):
+            row[n + i] = ONE
+        if len(_reduce(aug, n)) < n:
+            null = self.nullspace()
+            raise NotInvertible(
+                f"singular {n}x{n} tensor", witness=null[0] if null else None
+            )
+        out = {}
+        for r, row in enumerate(aug):
+            for c, v in row.items():
+                if c >= n:
+                    out[r * n + c - n] = v
+        return Tensor._raw(self.dom, self.cod, n, n, out)
 
     def rref(self):
-        """Reduced rows and pivot columns of a working copy."""
-        rows = [list(self.entries[i * self.ncols:(i + 1) * self.ncols])
-                for i in range(self.nrows)]
-        pivots = []
-        r = 0
-        for col in range(self.ncols):
-            piv = next((k for k in range(r, self.nrows) if rows[k][col].num), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][col].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            for k in range(self.nrows):
-                if k != r and rows[k][col].num:
-                    f = rows[k][col]
-                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.nrows:
-                break
+        """Reduced rows (sparse {col: value} dicts) and pivot columns."""
+        rows = self._row_dicts()
+        pivots = _reduce(rows, self.ncols)
         return rows, pivots
 
     def rank(self) -> int:
@@ -246,11 +379,12 @@ class Tensor:
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
-            vec = [ZERO] * self.ncols
-            vec[free] = ONE
+            vec = {free: ONE}
             for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][free]
-            basis.append(Tensor(self.dom, (), vec))
+                x = rows[r].get(free)
+                if x is not None:
+                    vec[pc] = -x
+            basis.append(Tensor.from_nonzero(self.dom, (), vec))
         return basis
 
     # -- display -------------------------------------------------------------------
@@ -259,11 +393,58 @@ class Tensor:
         return f"Tensor({list(self.cod)}x{list(self.dom)}, {self.nrows}x{self.ncols})"
 
     def pretty(self) -> str:
-        cells = [[str(self.entries[i * self.ncols + j]) for j in range(self.ncols)]
+        dense = self.entries
+        cells = [[str(dense[i * self.ncols + j]) for j in range(self.ncols)]
                  for i in range(self.nrows)]
         width = max((len(c) for row in cells for c in row), default=1)
         lines = ["[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells]
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Sparse row elimination.
+# ---------------------------------------------------------------------------
+
+def _axpy(target: dict, f: Scalar, row: dict):
+    """target += f * row on sparse rows, dropping cancelled entries."""
+    for c, y in row.items():
+        p = f * y
+        cur = target.get(c)
+        if cur is None:
+            target[c] = p
+        else:
+            s = cur + p
+            if s.num:
+                target[c] = s
+            else:
+                del target[c]
+
+
+def _reduce(rows, ncols: int):
+    """Gauss-Jordan on sparse rows in place, pivoting on columns < ncols.
+
+    Returns the pivot columns; row r of the result carries pivot r.
+    """
+    pivots = []
+    r = 0
+    n = len(rows)
+    for col in range(ncols):
+        if r == n:
+            break
+        piv = next((k for k in range(r, n) if col in rows[k]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inverse()
+        row = rows[r] = {c: x * inv for c, x in rows[r].items()}
+        for k in range(n):
+            if k != r:
+                f = rows[k].get(col)
+                if f is not None:
+                    _axpy(rows[k], -f, row)
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +474,22 @@ def unflatten(dims, flat: int):
 def kron(a: Tensor, b: Tensor) -> Tensor:
     """(a (x) b)[(i,j),(k,l)] = a[i,k] b[j,l]; legs concatenate."""
     nr, nc = a.nrows * b.nrows, a.ncols * b.ncols
-    out = [ZERO] * (nr * nc)
-    for i in range(a.nrows):
-        for k in range(a.ncols):
-            x = a.entries[i * a.ncols + k]
-            if not x.num:
-                continue
-            for j in range(b.nrows):
-                row = (i * b.nrows + j) * nc + k * b.ncols
-                brow = j * b.ncols
-                for l in range(b.ncols):
-                    y = b.entries[brow + l]
-                    if y.num:
-                        out[row + l] = x * y
-    return Tensor(a.cod + b.cod, a.dom + b.dom, out)
+    bn = [(divmod(f, b.ncols), y) for f, y in b.nz.items()]
+    out = {}
+    for f, x in a.nz.items():
+        i, k = divmod(f, a.ncols)
+        r0, c0 = i * b.nrows, k * b.ncols
+        for (j, l), y in bn:
+            out[(r0 + j) * nc + c0 + l] = x * y
+    return Tensor._raw(a.cod + b.cod, a.dom + b.dom, nr, nc, out)
 
 
 def flip(d1: int, d2: int) -> Tensor:
     """The swap map C^d1 (x) C^d2 -> C^d2 (x) C^d1."""
-    out = [ZERO] * (d1 * d2) ** 2
     nc = d1 * d2
-    for x in range(d1):
-        for y in range(d2):
-            out[(y * d1 + x) * nc + (x * d2 + y)] = ONE
-    return Tensor((d2, d1), (d1, d2), out)
-
-
-def embed(op: Tensor, left: int, right: int) -> Tensor:
-    """1_left (x) op (x) 1_right, without adding trivial legs for dim 1."""
-    t = op
-    if left > 1:
-        t = kron(Tensor.identity((left,)), t)
-    if right > 1:
-        t = kron(t, Tensor.identity((right,)))
-    return t
+    return Tensor.from_nonzero((d2, d1), (d1, d2), {
+        (y * d1 + x) * nc + (x * d2 + y): ONE
+        for x in range(d1) for y in range(d2)})
 
 
 def pad_with_identity(t: Tensor, pre_dims, post_dims) -> Tensor:
@@ -334,20 +497,19 @@ def pad_with_identity(t: Tensor, pre_dims, post_dims) -> Tensor:
     pre_dims, post_dims = tuple(pre_dims), tuple(post_dims)
     if not pre_dims and not post_dims:
         return t
-    P = prod(pre_dims) if pre_dims else 1
-    S = prod(post_dims) if post_dims else 1
+    P = _size(pre_dims)
+    S = _size(post_dims)
     nr, nc = t.nrows * P * S, t.ncols * P * S
-    out = [ZERO] * (nr * nc)
-    for i in range(t.nrows):
-        for j in range(t.ncols):
-            v = t.entries[i * t.ncols + j]
-            if not v.num:
-                continue
-            for a in range(P):
-                for b in range(S):
-                    out[((a * t.nrows + i) * S + b) * nc
-                        + (a * t.ncols + j) * S + b] = v
-    return Tensor(pre_dims + t.cod + post_dims, pre_dims + t.dom + post_dims, out)
+    out = {}
+    for f, v in t.nz.items():
+        i, j = divmod(f, t.ncols)
+        for a in range(P):
+            r = (a * t.nrows + i) * S
+            c = (a * t.ncols + j) * S
+            for b in range(S):
+                out[(r + b) * nc + c + b] = v
+    return Tensor._raw(pre_dims + t.cod + post_dims, pre_dims + t.dom + post_dims,
+                       nr, nc, out)
 
 
 def tauconj(a: Tensor, mode: ConjMode) -> Tensor:
@@ -359,55 +521,54 @@ def tauconj(a: Tensor, mode: ConjMode) -> Tensor:
     """
     if len(a.cod) != 2 or len(a.dom) != 2:
         raise ShapeError("tauconj needs two legs on each side")
-    p, q = a.cod
-    r, s = a.dom
-    out = [ZERO] * (a.nrows * a.ncols)
-    for i in range(p):
-        for j in range(q):
-            for k in range(r):
-                for l in range(s):
-                    v = a.entries[(i * q + j) * a.ncols + (k * s + l)]
-                    if v.num:
-                        out[(j * p + i) * a.ncols + (l * r + k)] = v.conjugate(mode)
-    return Tensor((q, p), (s, r), out)
+    return a.slice_legs((1, 0), (3, 2)).conjugate(mode)
 
 
 class SpanBasis:
-    """Incremental exact span of flat vectors, for membership tests."""
+    """Incremental exact span of flat vectors, for membership tests.
+
+    Vectors are Tensors (their flat entries) or dense lists of Scalars;
+    elimination runs on sparse rows.
+    """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows = []  # (pivot index, normalized vector) sorted by pivot
+        self.rows = []  # (pivot index, normalized {index: value}) sorted by pivot
 
-    def _eliminate(self, vec):
-        vec = list(vec)
+    def _sparse(self, vec) -> dict:
+        if isinstance(vec, Tensor):
+            if vec.nrows * vec.ncols != self.length:
+                raise ShapeError("vector length mismatch in span")
+            return dict(vec.nz)
+        if len(vec) != self.length:
+            raise ShapeError("vector length mismatch in span")
+        return {k: x for k, x in enumerate(vec) if x.num}
+
+    def _eliminate(self, vec: dict) -> dict:
         for pivot, row in self.rows:
-            f = vec[pivot]
-            if f.num:
-                vec = [x - f * y if y.num else x for x, y in zip(vec, row)]
+            f = vec.get(pivot)
+            if f is not None:
+                _axpy(vec, -f, row)
         return vec
 
     def add(self, vec) -> bool:
         """Insert a vector; False when it was already in the span."""
-        if len(vec) != self.length:
-            raise ShapeError("vector length mismatch in span")
-        vec = self._eliminate(vec)
-        pivot = next((k for k, x in enumerate(vec) if x.num), None)
-        if pivot is None:
+        vec = self._eliminate(self._sparse(vec))
+        if not vec:
             return False
+        pivot = min(vec)
         inv = vec[pivot].inverse()
-        vec = [x * inv if x.num else x for x in vec]
-        for k, (p, row) in enumerate(self.rows):
-            f = row[pivot]
-            if f.num:
-                self.rows[k] = (p, [x - f * y if y.num else x
-                                    for x, y in zip(row, vec)])
+        vec = {k: x * inv for k, x in vec.items()}
+        for _, row in self.rows:
+            f = row.get(pivot)
+            if f is not None:
+                _axpy(row, -f, vec)
         self.rows.append((pivot, vec))
         self.rows.sort(key=lambda pr: pr[0])
         return True
 
     def contains(self, vec) -> bool:
-        return all(not x.num for x in self._eliminate(vec))
+        return not self._eliminate(self._sparse(vec))
 
     def dim(self) -> int:
         return len(self.rows)

@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 from . import cqt
 from .errors import ShapeError
-from .inhomogeneous import InhomDatum, PoincareCandidate, build_RQ
+from .inhomogeneous import (INTERP_POINTS, InhomDatum, PoincareCandidate,
+                            build_mP, build_RQ)
 from .presentation import FunctionalHom
 from .scalars import ONE, Scalar, ZERO
-from .tensor import SpanBasis, Tensor, flip, kron
-
-INTERP = tuple(Scalar.from_int(k) for k in (0, 1, 2, 3))
+from .tensor import SpanBasis, Tensor, flatten, flip, kron
 
 
 def lam(a: int, b: int):
@@ -98,7 +97,7 @@ def _sample_points(d: InhomDatum, cand: PoincareCandidate, count: int = 4):
         return (cand.c,)
     if _invariant(d) is None:
         return (Scalar.from_int(0),)
-    return INTERP[:count]
+    return INTERP_POINTS[:count]
 
 
 def build_l(d: InhomDatum, cand: PoincareCandidate = None,
@@ -112,12 +111,8 @@ def build_l(d: InhomDatum, cand: PoincareCandidate = None,
     values = {}
     for a in range(N):
         for b in range(N):
-            values[lam(a, b)] = Tensor(
-                (P,), (P,),
-                [rq.entry((j, a), (b, u)) for j in range(P) for u in range(P)])
-        values[y(a)] = Tensor(
-            (P,), (P,),
-            [rq.entry((j, a), (N, u)) for j in range(P) for u in range(P)])
+            values[lam(a, b)] = rq.slice_legs((0,), (3,), {1: a, 2: b})
+        values[y(a)] = rq.slice_legs((0,), (3,), {1: a, 2: N})
     return FunctionalHom(P, values, label="l")
 
 
@@ -125,21 +120,20 @@ def build_X(d: InhomDatum) -> FunctionalHom:
     """The antipode-twisted functional; independent of the invariant."""
     N = d.N
     P = N + 1
+
+    def on_P(block: Tensor, corner) -> Tensor:
+        # the N x N block [i, k] in the vector range, plus corner entries
+        nz = {i * P + k: v for (i, k), v in block.items()}
+        for (i, k), v in corner.items():
+            nz[i * P + k] = v
+        return Tensor.from_nonzero((P,), (P,), nz)
+
     values = {}
     for a in range(N):
         for b in range(N):
-            ent = [ZERO] * (P * P)
-            for i in range(N):
-                for k in range(N):
-                    ent[i * P + k] = d.R.entry((a, k), (i, b))
-            ent[N * P + N] = ONE if a == b else ZERO
-            values[lam(a, b)] = Tensor((P,), (P,), ent)
-        ent = [ZERO] * (P * P)
-        for i in range(N):
-            for k in range(N):
-                ent[i * P + k] = d.Z.entry((a, k), (i,))
-            ent[i * P + N] = ONE if i == a else ZERO
-        values[y(a)] = Tensor((P,), (P,), ent)
+            values[lam(a, b)] = on_P(d.R.slice_legs((2,), (1,), {0: a, 3: b}),
+                                     {(N, N): ONE} if a == b else {})
+        values[y(a)] = on_P(d.Z.slice_legs((2,), (1,), {0: a}), {(a, N): ONE})
     return FunctionalHom(P, values, label="X")
 
 
@@ -185,12 +179,23 @@ class ConvTable:
                 hv = h.values[v] if v is not None else ident
                 acc = acc + kron(hu, hv)
             self.letter_B[letter] = acc
+        self._prefixes = {(): Tensor.identity((h.size, h.size))}
+        for letter, B in self.letter_B.items():
+            self._prefixes[(letter,)] = B
+
+    def _prefix(self, word) -> Tensor:
+        out = self._prefixes.get(word)
+        if out is None:
+            out = self._prefix(word[:-1]) @ self.letter_B[word[-1]]
+            self._prefixes[word] = out
+        return out
 
     def value(self, word) -> Tensor:
-        out = Tensor.identity((self.size, self.size))
-        for letter in word:
-            out = out @ self.letter_B[letter]
-        return out
+        """B(word); products of proper prefixes are cached, words are not."""
+        word = tuple(word)
+        if len(word) <= 1:
+            return self._prefix(word)
+        return self._prefix(word[:-1]) @ self.letter_B[word[-1]]
 
 
 def _words(cop: CoproductTable, max_len: int):
@@ -219,13 +224,11 @@ def _sector(B: Tensor, N: int, first_plus: bool, second_plus: bool) -> Tensor:
     The flags choose, for each slot of the column pair, the translation
     index (True) or the vector range (False).
     """
-    rows = [(x, u) for x in range(N) for u in range(N)]
-    firsts = [N] if first_plus else list(range(N))
-    seconds = [N] if second_plus else list(range(N))
-    cols = [(u, v) for u in firsts for v in seconds]
-    ent = [B.entry(r, c) for r in rows for c in cols]
-    cleg = tuple(d for d, p in ((N, first_plus), (N, second_plus)) if not p)
-    return Tensor((N, N), cleg, ent)
+    cod = ((0, N), (1, N))
+    dom = tuple((leg, N) for leg, plus in ((2, first_plus), (3, second_plus))
+                if not plus)
+    fix = {leg: N for leg, plus in ((2, first_plus), (3, second_plus)) if plus}
+    return B.slice_legs(cod, dom, fix)
 
 
 class _Merge:
@@ -284,8 +287,8 @@ def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2):
             label = _word_label(word) + suffix
             B = conv.value(word)
             lx = lhom.value(word)
-            Lx = Tensor((N,), (N,), [lx[i, j] for i in range(N) for j in range(N)])
-            Mx = Tensor((N,), (), [lx[i, N] for i in range(N)])
+            Lx = lx.slice_legs(((0, N),), ((1, N),))
+            Mx = lx.slice_legs(((0, N),), (), {1: N})
             eps = cop.counit_word(word)
             n = len(word)
             C = F @ B
@@ -337,40 +340,20 @@ def build_K(d: InhomDatum) -> Tensor:
     """
     N = d.N
     P = N + 1
-    out = Tensor.zeros((P, P), (P, P))
-    ent = out.entries
-    ncols = out.ncols
+    legs = (P, P, P, P)
+    nz = {flatten(legs, (a, b, u, v)): val
+          for (u, v, a, b), val in d.R.items()}
     for a in range(N):
-        for b in range(N):
-            r = a * P + b
-            for u in range(N):
-                for v in range(N):
-                    val = d.R.entry((u, v), (a, b))
-                    if val.num:
-                        ent[r * ncols + u * P + v] = val
-    for a in range(N):
-        ent[(a * P + N) * ncols + N * P + a] = ONE
-        ent[(N * P + a) * ncols + a * P + N] = ONE
-    ent[(N * P + N) * ncols + N * P + N] = ONE
-    return out
+        nz[flatten(legs, (a, N, N, a))] = ONE
+        nz[flatten(legs, (N, a, a, N))] = ONE
+    nz[flatten(legs, (N, N, N, N))] = ONE
+    return Tensor.from_nonzero((P, P), (P, P), nz)
 
 
-def build_nP(d: InhomDatum, n: Tensor) -> Tensor:
-    """Row invariant placed in the same corner block as the column case.
-
-    The entries sit at (vector-vector rows, ++ column); the twisted
-    invariance of n is exactly what cancels the extra terms on both sides
-    of the exchange relation.
-    """
-    N = d.N
-    P = N + 1
-    out = Tensor.zeros((P, P), (P, P))
-    for a in range(N):
-        for b in range(N):
-            v = n.entry((a, b), ())
-            if v.num:
-                out.entries[(a * P + b) * out.ncols + N * P + N] = v
-    return out
+# A row invariant n sits in the same corner block as an invariant column;
+# the twisted invariance of n is exactly what cancels the extra terms on
+# both sides of the exchange relation.
+build_nP = build_mP
 
 
 def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None):
@@ -379,7 +362,7 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None):
     conv = ConvTable(build_X(d), cop)
     variants = [("xkx:base", build_K(d))]
     if n is not None:
-        variants.append(("xkx:with-invariant-row", build_K(d) + build_nP(d, n)))
+        variants.append(("xkx:with-invariant-row", build_K(d) + build_mP(d, n)))
     merge = _Merge()
     for word in _words(cop, max_len):
         B = conv.value(word)
@@ -401,6 +384,15 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
     cop = CoproductTable(N)
     points = _sample_points(d, cand, count=3)
     merge = _Merge()
+    # legs of B: (x, y) x (u, v); each pairing is a leg permutation of B on
+    # the vector range, applied to the invariant column
+    vector = ((0, N), (1, N), (2, N), (3, N))
+
+    def pair(B, cod, dom, col, eps):
+        return (B.slice_legs(tuple(vector[leg] for leg in cod),
+                             tuple(vector[leg] for leg in dom)) @ col
+                - col * eps)
+
     for c in points:
         conv = ConvTable(build_l(d, c=c), cop)
         suffix = f" at coefficient {c}" if len(points) > 1 else ""
@@ -409,62 +401,22 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
             eps = cop.counit_word(word)
             label = _word_label(word) + suffix
             if k is not None:
-                ent = []
-                for a in range(N):
-                    for b in range(N):
-                        tot = -k.entry((a, b), ()) * eps
-                        for u in range(N):
-                            for v in range(N):
-                                x = B.entry((b, a), (v, u))
-                                if x.num:
-                                    tot = tot + x * k.entry((u, v), ())
-                        ent.append(tot)
                 merge.feed(f"pairing:column:len{len(word)}", label,
-                           Tensor((N, N), (), ent))
+                           pair(B, (1, 0), (3, 2), k, eps))
             if n is not None:
-                ent = []
-                for u in range(N):
-                    for v in range(N):
-                        tot = -n.entry((u, v), ()) * eps
-                        for a in range(N):
-                            for b in range(N):
-                                x = n.entry((a, b), ())
-                                if x.num:
-                                    tot = tot + x * B.entry((b, a), (v, u))
-                        ent.append(tot)
                 merge.feed(f"pairing:row:len{len(word)}", label,
-                           Tensor((N, N), (), ent))
+                           pair(B, (3, 2), (1, 0), n, eps))
     xconv = ConvTable(build_X(d), cop)
     for word in _words(cop, max_len):
         BX = xconv.value(word)
         eps = cop.counit_word(word)
         label = _word_label(word)
         if k is not None:
-            ent = []
-            for u in range(N):
-                for v in range(N):
-                    tot = -k.entry((u, v), ()) * eps
-                    for a in range(N):
-                        for b in range(N):
-                            x = k.entry((a, b), ())
-                            if x.num:
-                                tot = tot + x * BX.entry((a, b), (u, v))
-                    ent.append(tot)
             merge.feed(f"pairing:column-twisted:len{len(word)}", label,
-                       Tensor((N, N), (), ent))
+                       pair(BX, (2, 3), (0, 1), k, eps))
         if n is not None:
-            ent = []
-            for a in range(N):
-                for b in range(N):
-                    tot = -n.entry((a, b), ()) * eps
-                    for u in range(N):
-                        for v in range(N):
-                            x = BX.entry((a, b), (u, v))
-                            if x.num:
-                                tot = tot + x * n.entry((u, v), ())
-                    ent.append(tot)
             merge.feed(f"pairing:row-twisted:len{len(word)}", label,
-                       Tensor((N, N), (), ent))
+                       pair(BX, (0, 1), (2, 3), n, eps))
     return merge.reports()
 
 
@@ -564,7 +516,7 @@ def letter_span_dim(h: FunctionalHom) -> int:
     """Dimension of the span of letter values; a smallness diagnostic."""
     span = SpanBasis(h.size * h.size)
     for v in h.values.values():
-        span.add(v.entries)
+        span.add(v)
     return span.dim()
 
 

@@ -135,3 +135,21 @@ def test_dispatch_in_process():
     # the python API mirrors the subprocess behavior
     rc = cli.main(["check", "builtin:slq2", "--suite", "classify"])
     assert rc == 0
+
+
+def test_missing_document_exits_2(tmp_path):
+    missing = tmp_path / "nonexistent.qg"
+    out = run_cli(["check", str(missing)])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.strip().splitlines() == [
+        f"error: No such file or directory: {missing}"]
+
+
+def test_lorentz_user_missing_file_exits_2(tmp_path):
+    missing = tmp_path / "nonexistent.qg"
+    out = run_cli(["check", f"builtin:lorentz-user({missing})"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.strip().splitlines() == [
+        f"error: No such file or directory: {missing}"]

@@ -1,0 +1,159 @@
+"""Property tests for the sparse tensor store against its dense view.
+
+Tensors are small, with random legs and mostly-zero Q(i) entries; every
+law is checked exactly.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cqtcheck.scalars import ZERO, Gaussian, Scalar  # noqa: E402
+from cqtcheck.tensor import (Tensor, flip, kron, pad_with_identity,  # noqa: E402
+                             unflatten)
+
+LAWS = settings(max_examples=60, deadline=None, database=None)
+
+dims = st.integers(min_value=1, max_value=3)
+legs = st.lists(dims, min_size=0, max_size=2).map(tuple)
+gaussians = st.builds(Gaussian, st.integers(-2, 2), st.integers(-1, 1))
+scalars = st.one_of(st.just(ZERO), st.just(ZERO),
+                    gaussians.map(Scalar.from_gaussian))
+
+
+def _size(ds):
+    out = 1
+    for d in ds:
+        out *= d
+    return out
+
+
+@st.composite
+def tensors(draw, cod=None, dom=None):
+    cod = draw(legs) if cod is None else cod
+    dom = draw(legs) if dom is None else dom
+    n = _size(cod) * _size(dom)
+    return Tensor(cod, dom, draw(st.lists(scalars, min_size=n, max_size=n)))
+
+
+@st.composite
+def composable(draw):
+    """a, b, c, d with a @ c and b @ d defined."""
+    n1, m1, p1, n2, m2, p2 = (draw(legs) for _ in range(6))
+    return (draw(tensors(n1, m1)), draw(tensors(n2, m2)),
+            draw(tensors(m1, p1)), draw(tensors(m2, p2)))
+
+
+@LAWS
+@given(composable())
+def test_mixed_product_law(abcd):
+    a, b, c, d = abcd
+    assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+
+
+@LAWS
+@given(dims, dims)
+def test_flip_is_an_involution(d1, d2):
+    assert flip(d2, d1) @ flip(d1, d2) == Tensor.identity((d1, d2))
+
+
+@LAWS
+@given(tensors(), legs, legs)
+def test_pad_with_identity_is_kron_with_identities(t, pre, post):
+    padded = pad_with_identity(t, pre, post)
+    expect = kron(Tensor.identity(pre), kron(t, Tensor.identity(post)))
+    assert padded == expect
+    assert (padded.cod, padded.dom) == (expect.cod, expect.dom)
+
+
+@LAWS
+@given(tensors(), st.data())
+def test_matmul_add_sub_match_dense(a, data):
+    b = data.draw(tensors(a.cod, a.dom))
+    c = data.draw(tensors(a.dom, data.draw(legs)))
+    da, db, dc = a.entries, b.entries, c.entries
+    assert (a + b).entries == [x + y for x, y in zip(da, db)]
+    assert (a - b).entries == [x - y for x, y in zip(da, db)]
+    prod = []
+    for i in range(a.nrows):
+        for j in range(c.ncols):
+            acc = ZERO
+            for p in range(a.ncols):
+                acc = acc + da[i * a.ncols + p] * dc[p * c.ncols + j]
+            prod.append(acc)
+    assert (a @ c).entries == prod
+
+
+@LAWS
+@given(tensors(), st.data())
+def test_first_nonzero_of_difference_is_first_dense_difference(a, data):
+    b = data.draw(st.one_of(
+        tensors(a.cod, a.dom),
+        st.just(Tensor(a.cod, a.dom, a.entries)),
+    ))
+    da, db = a.entries, b.entries
+    expect = None
+    for k, (x, y) in enumerate(zip(da, db)):
+        if x != y:
+            i, j = divmod(k, a.ncols)
+            expect = (unflatten(a.cod, i), unflatten(a.dom, j)), x - y
+            break
+    assert (a - b).first_nonzero() == expect
+
+
+@LAWS
+@given(tensors(), st.data())
+def test_equality_key_and_hash_agree_with_dense_view(a, data):
+    same_shape = tensors(a.cod, a.dom)
+    b = data.draw(st.one_of(
+        same_shape,
+        st.just(Tensor(a.cod, a.dom, a.entries)),
+        st.just(a.with_legs((a.nrows,), (a.ncols,))),
+        tensors(),
+    ))
+    dense_equal = ((a.nrows, a.ncols) == (b.nrows, b.ncols)
+                   and a.entries == b.entries)
+    assert (a == b) == dense_equal
+    assert (a.key() == b.key()) == dense_equal
+    if dense_equal:
+        assert hash(a.key()) == hash(b.key())
+
+
+@st.composite
+def slicings(draw):
+    """A tensor and a slice_legs call: kept legs (some ranged) and fixed legs."""
+    t = draw(tensors(draw(st.lists(dims, min_size=1, max_size=3).map(tuple)),
+                     draw(legs)))
+    all_legs = t.cod + t.dom
+    order = draw(st.permutations(range(len(all_legs))))
+    nfix = draw(st.integers(0, len(all_legs)))
+    fix = {leg: draw(st.integers(0, all_legs[leg] - 1)) for leg in order[:nfix]}
+    kept = []
+    for leg in order[nfix:]:
+        stop = draw(st.integers(1, all_legs[leg]))
+        kept.append(leg if stop == all_legs[leg] else (leg, stop))
+    ncod = draw(st.integers(0, len(kept)))
+    return t, tuple(kept[:ncod]), tuple(kept[ncod:]), fix
+
+
+def _leg(spec):
+    return spec if isinstance(spec, int) else spec[0]
+
+
+@LAWS
+@given(slicings())
+def test_slice_legs_agrees_with_entry_lookups(case):
+    t, cod, dom, fix = case
+    s = t.slice_legs(cod, dom, fix)
+    ncod = len(t.cod)
+    for i in range(s.nrows):
+        new_row = unflatten(s.cod, i)
+        for j in range(s.ncols):
+            new_col = unflatten(s.dom, j)
+            old = dict(fix)
+            for spec, x in zip(cod + dom, new_row + new_col):
+                old[_leg(spec)] = x
+            multi = tuple(old[k] for k in range(ncod + len(t.dom)))
+            assert s.entry(new_row, new_col) == t.entry(multi[:ncod],
+                                                        multi[ncod:])
