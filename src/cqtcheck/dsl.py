@@ -23,54 +23,16 @@ Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
                      UnknownGenerator)
 from .presentation import CandidateR, GeneratorSpec, Presentation, Relation
-from .scalars import ConjMode, Scalar, parse_scalar
+from .scalars import SYMBOLS, ConjMode, Scalar, TokenParser
 from .tensor import Tensor, flip, kron, tauconj
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t]+)|(?P<comment>#[^\n]*)|(?P<nl>\n)|(?P<arrow>->)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
-    r"|(?P<punct>[{}\[\]():;,=+\-*/^.])"
-)
 
 _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
              "conj", "var"}
-
-
-@dataclass
-class Token:
-    kind: str   # name | int | punct | arrow | eof
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
 
 
 @dataclass
@@ -94,11 +56,28 @@ class Document:
     params: dict                # name -> Scalar
     param_texts: dict
 
+    def subs(self, value) -> "Document":
+        """The document with t specialized at a constant; texts are kept."""
+        mats = {name: MatDef(name, m.source_word, m.target_word,
+                             m.matrix.subs(value),
+                             {k: v.subs(value) for k, v in m.entries.items()})
+                for name, m in self.mats.items()}
+        cands = {} if self.candidate is None else {
+            k: m.subs(value) for k, m in self.candidate.blocks.items()}
+        tables = {name: (g.subs(value), h.subs(value) if h is not None else None,
+                         gt, ht)
+                  for name, (g, h, gt, ht) in self.tables.items()}
+        return _assemble(
+            self.mode,
+            [self.presentation.generators[n] for n in self.presentation.non_unit()],
+            mats, self.relation_names, cands, dict(self.cand_exprs), tables,
+            {k: v.subs(value) for k, v in self.params.items()},
+            dict(self.param_texts))
 
-class _Parser:
+
+class _Parser(TokenParser):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.mode = ConjMode.REAL
         self.gens = []
         self.mats = {}
@@ -108,27 +87,6 @@ class _Parser:
         self.tables = {}
         self.params = {}
         self.param_texts = {}
-
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, msg: str, expected=()):
-        tok = self.peek()
-        raise ParseError(msg, tok.line, tok.col, expected)
-
-    def expect(self, kind: str, text: str = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {tok.text!r}", (want,))
-        return self.next()
 
     # -- statements ----------------------------------------------------------
 
@@ -227,15 +185,15 @@ class _Parser:
             self.expect("punct", ",")
             c = int(self.expect("int").text)
             self.expect("punct", "=")
-            value = self.scalar_until(";", "}")
+            value = self.scalar_sum()
             if not (1 <= r <= nrows and 1 <= c <= ncols):
                 raise ShapeError(
                     f"mat {name!r}: entry ({r},{c}) outside {nrows}x{ncols}")
             if (r, c) in entries:
                 raise DuplicateName(f"mat {name!r}: entry ({r},{c}) set twice")
             entries[(r, c)] = value
-            if self.peek().text == ";":
-                self.next()
+            if self.peek().text != "}":
+                self.expect("punct", ";")
         self.expect("punct", "}")
         flat = {(r - 1) * ncols + (c - 1): v for (r, c), v in entries.items()}
         self.mats[name] = MatDef(name, source, target,
@@ -301,95 +259,16 @@ class _Parser:
             raise DuplicateName(f"param {name!r}")
         self.expect("punct", "=")
         start = self.pos
-        value = self.scalar_expr_tokens()
+        value = self.scalar_sum()
         self.params[name] = value
         self.param_texts[name] = self._span_text(start, self.pos)
 
     def _span_text(self, start, end):
         return " ".join(t.text for t in self.tokens[start:end])
 
-    # -- scalar expressions on the token stream -----------------------------
-
-    def scalar_until(self, *stop_texts) -> Scalar:
-        start = self.pos
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if depth == 0 and tok.text in stop_texts:
-                break
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            self.next()
-        text = " ".join(t.text for t in self.tokens[start:self.pos])
-        first = self.tokens[start]
-        try:
-            return parse_scalar(text)
-        except ParseError as exc:
-            raise ParseError(str(exc).split(": ", 1)[-1],
-                             first.line, first.col) from None
-
-    def scalar_expr_tokens(self) -> Scalar:
-        return self._scalar_sum()
-
-    def _scalar_sum(self) -> Scalar:
-        v = self._scalar_product()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            w = self._scalar_product()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def _scalar_product(self) -> Scalar:
-        v = self._scalar_unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            w = self._scalar_unary()
-            v = v * w if op == "*" else v / w
-        return v
-
-    def _scalar_unary(self) -> Scalar:
-        if self.peek().text == "-":
-            self.next()
-            return -self._scalar_unary()
-        if self.peek().text == "+":
-            self.next()
-            return self._scalar_unary()
-        return self._scalar_power()
-
-    def _scalar_power(self) -> Scalar:
-        v = self._scalar_atom()
-        while self.peek().text == "^":
-            self.next()
-            neg = False
-            if self.peek().text == "-":
-                neg = True
-                self.next()
-            k = int(self.expect("int").text)
-            v = v ** (-k if neg else k)
-        return v
-
-    def _scalar_atom(self) -> Scalar:
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
-            v = self._scalar_sum()
-            self.expect("punct", ")")
-            return v
-        if tok.kind == "int":
-            self.next()
-            return Scalar.from_int(int(tok.text))
-        if tok.kind == "name" and tok.text in ("i", "t", "q"):
-            self.next()
-            return parse_scalar(tok.text)
-        self.error("expected a scalar atom", ("number", "i", "t", "q", "("))
-
     def _starts_scalar(self, offset=0) -> bool:
         tok = self.tokens[self.pos + offset]
-        return tok.kind == "int" or tok.text in ("i", "t", "q")
+        return tok.kind == "int" or tok.text in SYMBOLS
 
     # -- tensor expressions ---------------------------------------------------
 
@@ -426,11 +305,11 @@ class _Parser:
                 continue
             if self._starts_scalar() or (tok.text == "(" and
                                          self._paren_is_scalar()):
-                s = self._scalar_power() if tok.text != "(" else self._scalar_atom()
+                s = self.scalar_power() if tok.text != "(" else self.scalar_atom()
                 # allow rationals like 1/2 before the '*'
                 while self.peek().text == "/":
                     self.next()
-                    s = s / self._scalar_power()
+                    s = s / self.scalar_power()
                 coeff = s if coeff is None else coeff * s
                 self.expect("punct", "*")
                 continue
@@ -453,7 +332,7 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     return True
-            elif tok.kind == "name" and tok.text not in ("i", "t", "q"):
+            elif tok.kind == "name" and tok.text not in SYMBOLS:
                 return False
             k += 1
 
@@ -511,24 +390,28 @@ class _Parser:
         self.error(f"unknown matrix {tok.text!r}",
                    tuple(sorted(self.mats)) or ("a mat name",))
 
-    # -- assembly ---------------------------------------------------------------
-
     def finish(self) -> Document:
-        p = Presentation(
-            self.gens,
-            [Relation(n, self.mats[n].matrix, self.mats[n].source_word,
-                      self.mats[n].target_word) for n in self.rels],
-        )
-        candidate = None
-        if self.cands:
-            blocks = {}
-            for (a, b), m in self.cands.items():
-                da, db = p.dim(a), p.dim(b)
-                blocks[(a, b)] = m.with_legs((db, da), (da, db))
-            candidate = CandidateR(p, blocks)
-        return Document(self.mode, p, self.mats, list(self.rels), candidate,
-                        self.cand_exprs, self.tables, self.params,
-                        self.param_texts)
+        return _assemble(self.mode, self.gens, self.mats, self.rels,
+                         self.cands, self.cand_exprs, self.tables, self.params,
+                         self.param_texts)
+
+
+def _assemble(mode, gens, mats, rels, cands, cand_exprs, tables, params,
+              param_texts) -> Document:
+    p = Presentation(
+        gens,
+        [Relation(n, mats[n].matrix, mats[n].source_word, mats[n].target_word)
+         for n in rels],
+    )
+    candidate = None
+    if cands:
+        blocks = {}
+        for (a, b), m in cands.items():
+            da, db = p.dim(a), p.dim(b)
+            blocks[(a, b)] = m.with_legs((db, da), (da, db))
+        candidate = CandidateR(p, blocks)
+    return Document(mode, p, mats, list(rels), candidate, cand_exprs, tables,
+                    params, param_texts)
 
 
 def parse_presentation(text: str) -> Document:

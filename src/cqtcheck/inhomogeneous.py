@@ -75,6 +75,13 @@ class InhomDatum:
     def abstract(self) -> bool:
         return self.lorentz is None
 
+    @property
+    def invariant(self):
+        """The invariant column R_Q uses: m0, else the first stored one."""
+        if self.m0 is not None:
+            return self.m0
+        return self.invariants[0] if self.invariants else None
+
     def rep(self, name: str) -> RepEntry:
         try:
             return self.reps[name]
@@ -423,14 +430,12 @@ def check_braid_hexagons(d: InhomDatum, cand: PoincareCandidate = None):
     """
     reports = []
     N = d.N
-    m = None
+    m = d.invariant
     if cand is not None and cand.c is not None:
-        m = (d.m0 if d.m0 is not None else _first_invariant(d))
         if m is not None:
             m = m * cand.c
         points = (None,)
     else:
-        m = d.m0 if d.m0 is not None else _first_invariant(d)
         points = INTERP_POINTS if m is not None else (Scalar.from_int(0),)
 
     def rq_at(c):
@@ -502,10 +507,6 @@ def check_braid_hexagons(d: InhomDatum, cand: PoincareCandidate = None):
     reports.extend(_intertwiner_compat(d, nv_cache))
     reports.sort(key=lambda r: r.check_id)
     return reports
-
-
-def _first_invariant(d: InhomDatum):
-    return d.invariants[0] if d.invariants else None
 
 
 def _intertwiner_compat(d: InhomDatum, nv_cache):
@@ -632,16 +633,18 @@ class PoincareClassification:
         }
 
 
-def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1))):
+def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
     """Existence and star/cotriangularity classification for one datum.
 
     star_samples lists coefficient samples: plain rationals (real) and
     (re, im) pairs; the star test passes exactly for the real ones when the
     datum's invariant is hermitian.  Cotriangularity is tested as: base
     family cotriangular and extended block family involutive at c = 0, with
-    the c-linear obstruction reported alongside.
+    the c-linear obstruction reported alongside.  structure takes the
+    reports of check_structure(d) when the caller has them already.
     """
-    structure = check_structure(d)
+    if structure is None:
+        structure = check_structure(d)
     if not cqt.all_pass(structure):
         bad = [r.check_id for r in structure if r.status == "fail"]
         raise StructureViolation(f"structure conditions fail: {', '.join(bad)}")
@@ -652,7 +655,7 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1))):
     star_reports = {}
     if d.abstract:
         per_k[0] = check_braid_hexagons(d, None)
-        m = _first_invariant(d)
+        m = d.invariant
         if m is not None:
             for name in d.reps:
                 per_k[0].append(cqt.defect_report(

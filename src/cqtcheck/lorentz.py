@@ -96,6 +96,22 @@ def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
                         witnesses=witnesses)
 
 
+def validate_sl2(d: SL2Datum):
+    """Reports for the pairing and duality axioms of E and E'."""
+    ee = (d.Eprime @ d.E).entries[0]
+    reports = [cqt.CheckReport("axiom:pairing", "pass" if ee.num else "fail",
+                               None, f"E'E = {ee}")]
+    lhs = (pad_with_identity(d.Eprime, (), (2,))
+           @ pad_with_identity(d.E, (2,), ()))
+    reports.append(cqt.defect_report("axiom:duality-left",
+                                     lhs - Tensor.identity((2,))))
+    rhs = (pad_with_identity(d.Eprime, (2,), ())
+           @ pad_with_identity(d.E, (), (2,)))
+    reports.append(cqt.defect_report("axiom:duality-right",
+                                     rhs - Tensor.identity((2,))))
+    return reports
+
+
 @dataclass
 class LorentzDatum:
     base: SL2Datum
@@ -215,6 +231,18 @@ def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None):
 # sample; the split form compares L_1 with its swapped conjugate in the
 # unimodular mode, symbolically or at a phase sample.
 # ---------------------------------------------------------------------------
+
+def validate_lorentz(d: LorentzDatum):
+    """The axioms of the SL2 base, exchange duality and conjugation of X."""
+    reports = validate_sl2(d.base)
+    lhs = (pad_with_identity(d.X, (), (2,)) @ pad_with_identity(d.X, (2,), ())
+           @ pad_with_identity(d.base.E, (), (2,)))
+    reports.append(cqt.defect_report(
+        "axiom:exchange-duality", lhs - pad_with_identity(d.base.E, (2,), ())))
+    reports.append(cqt.defect_report(
+        "axiom:conjugation", tauconj(d.X, d.mode) - d.X * d.beta.inverse()))
+    return reports
+
 
 SUQ2, SUQ11, SLQ2R = "suq2", "suq11", "slq2r"
 

@@ -402,6 +402,10 @@ def saturate(p: Presentation, depth: int = 3, max_len: int = 4,
 def mor_saturate(p: Presentation, src, dst, depth: int = 3,
                  max_len: int = None) -> list:
     """Basis of the witnessed span of Mor(src, dst); see `saturate`."""
+    for name in (*src, *dst):
+        if name not in p.generators:
+            raise UnknownGenerator(f"{name!r} in a Mor word; generators: "
+                                   f"{', '.join(p.non_unit())}")
     if max_len is None:
         max_len = max(len(src), len(dst), 2) + 2
     sat = saturate(p, depth=depth, max_len=max_len,

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, EvaluationPole, ParseError
@@ -574,122 +576,148 @@ Q = T * T  # q = t^2
 
 # ---------------------------------------------------------------------------
 # Scalar literal expressions: integers, rationals p/q, i, t, q (= t^2) with
-# + - * / ^ (integer exponents, negative allowed) and parentheses.  Shared
-# with the presentation DSL.
+# + - * / ^ (integer exponents, negative allowed) and parentheses.  The one
+# grammar runs over the token stream of the presentation DSL, so matrix
+# entries, params, tensor coefficients and --eval values parse alike and
+# errors carry the line and column of the offending token.
 # ---------------------------------------------------------------------------
 
-_ATOMS = {"i": I, "t": T, "q": Q}
+SYMBOLS = {"i": I, "t": T, "q": Q}
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t]+)|(?P<comment>#[^\n]*)|(?P<nl>\n)|(?P<arrow>->)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+    r"|(?P<punct>[{}\[\]():;,=+\-*/^.])"
+)
 
 
-class _ExprParser:
-    def __init__(self, text: str, line: int = 1, col_base: int = 0):
-        self.text = text
+@dataclass
+class Token:
+    kind: str   # name | int | punct | arrow | eof
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(lexeme)
+        else:
+            tokens.append(Token(kind, lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+class TokenParser:
+    """Recursive descent over the tokens of a text; the scalar grammar.
+
+        sum     = product (("+" | "-") product)*
+        product = unary (("*" | "/") unary)*
+        unary   = ("-" | "+") unary | power
+        power   = atom ("^" ["-"] int)*
+        atom    = int | i | t | q | "(" sum ")"
+    """
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.line = line
-        self.col_base = col_base
 
-    def error(self, msg, expected=()):
-        raise ParseError(msg, self.line, self.col_base + self.pos + 1, expected)
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, msg: str, expected=()):
+        tok = self.peek()
+        raise ParseError(msg, tok.line, tok.col, expected)
 
-    def parse(self) -> Scalar:
-        v = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r} in scalar expression")
+    def expect(self, kind: str, text: str = None) -> Token:
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            self.error(f"expected {want!r}, found {tok.text!r}", (want,))
+        return self.next()
+
+    def scalar_sum(self) -> Scalar:
+        v = self.scalar_product()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
+            w = self.scalar_product()
+            v = v + w if op == "+" else v - w
         return v
 
-    def sum(self) -> Scalar:
-        v = self.product()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                v = v + self.product()
-            elif c == "-":
-                self.pos += 1
-                v = v - self.product()
+    def scalar_product(self) -> Scalar:
+        v = self.scalar_unary()
+        while self.peek().text in ("*", "/"):
+            op = self.next().text
+            w = self.scalar_unary()
+            if op == "*":
+                v = v * w
+            elif w.is_zero():
+                raise DivisionByZero("division by zero in scalar expression")
             else:
-                return v
-
-    def product(self) -> Scalar:
-        v = self.unary()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                v = v * self.unary()
-            elif c == "/":
-                self.pos += 1
-                w = self.unary()
-                if w.is_zero():
-                    raise DivisionByZero("division by zero in scalar expression")
                 v = v / w
-            else:
-                return v
+        return v
 
-    def unary(self) -> Scalar:
-        c = self.peek()
-        if c == "-":
-            self.pos += 1
-            return -self.unary()
-        if c == "+":
-            self.pos += 1
-            return self.unary()
-        return self.power()
+    def scalar_unary(self) -> Scalar:
+        if self.peek().text == "-":
+            self.next()
+            return -self.scalar_unary()
+        if self.peek().text == "+":
+            self.next()
+            return self.scalar_unary()
+        return self.scalar_power()
 
-    def power(self) -> Scalar:
-        v = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            neg = False
-            if self.peek() == "-":
-                neg = True
-                self.pos += 1
-            k = self.integer()
+    def scalar_power(self) -> Scalar:
+        v = self.scalar_atom()
+        while self.peek().text == "^":
+            self.next()
+            neg = self.peek().text == "-"
+            if neg:
+                self.next()
+            k = int(self.expect("int").text)
             v = v ** (-k if neg else k)
         return v
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected integer", expected=("integer",))
-        return int(self.text[start:self.pos])
-
-    def atom(self) -> Scalar:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            v = self.sum()
-            if self.peek() != ")":
-                self.error("expected ')'", expected=(")",))
-            self.pos += 1
+    def scalar_atom(self) -> Scalar:
+        tok = self.peek()
+        if tok.text == "(":
+            self.next()
+            v = self.scalar_sum()
+            self.expect("punct", ")")
             return v
-        if c.isdigit():
-            return Scalar.from_int(self.integer())
-        if c.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name in _ATOMS:
-                return _ATOMS[name]
-            self.error(f"unknown scalar symbol {name!r}", expected=tuple(_ATOMS))
-        self.error("expected scalar atom", expected=("number", "i", "t", "q", "("))
+        if tok.kind == "int":
+            self.next()
+            return Scalar.from_int(int(tok.text))
+        if tok.kind == "name":
+            if tok.text in SYMBOLS:
+                self.next()
+                return SYMBOLS[tok.text]
+            self.error(f"unknown scalar symbol {tok.text!r}", tuple(SYMBOLS))
+        self.error("expected a scalar atom", ("number", "i", "t", "q", "("))
 
 
-def parse_scalar(text: str, line: int = 1, col_base: int = 0) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
     """Parse a scalar literal expression into canonical form."""
-    return _ExprParser(text, line, col_base).parse()
+    parser = TokenParser(text)
+    v = parser.scalar_sum()
+    if parser.peek().kind != "eof":
+        parser.error(f"unexpected {parser.peek().text!r} in scalar expression")
+    return v

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cqt
-from .errors import ShapeError
+from .errors import ForbiddenParameter, ShapeError
 from .inhomogeneous import (INTERP_POINTS, InhomDatum, PoincareCandidate,
                             build_mP, build_RQ)
 from .presentation import FunctionalHom
@@ -86,16 +86,10 @@ class CoproductTable:
                 + [y(a) for a in range(self.N)])
 
 
-def _invariant(d: InhomDatum):
-    if d.m0 is not None:
-        return d.m0
-    return d.invariants[0] if d.invariants else None
-
-
 def _sample_points(d: InhomDatum, cand: PoincareCandidate, count: int = 4):
     if cand is not None and cand.c is not None:
         return (cand.c,)
-    if _invariant(d) is None:
+    if d.invariant is None:
         return (Scalar.from_int(0),)
     return INTERP_POINTS[:count]
 
@@ -105,7 +99,7 @@ def build_l(d: InhomDatum, cand: PoincareCandidate = None,
     """The exchange functional sliced from R_Q at one coefficient value."""
     if cand is not None and cand.c is not None:
         c = cand.c
-    rq = build_RQ(d, _invariant(d), c if c is not None else Scalar.from_int(0))
+    rq = build_RQ(d, d.invariant, c if c is not None else Scalar.from_int(0))
     N = d.N
     P = N + 1
     values = {}
@@ -269,7 +263,7 @@ def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2):
     cop = CoproductTable(N)
     F = flip(P, P)
     FN = flip(N, N)
-    inv = _invariant(d)
+    inv = d.invariant
     points = _sample_points(d, cand)
     merge = _Merge()
     for c in points:
@@ -523,9 +517,13 @@ def letter_span_dim(h: FunctionalHom) -> int:
 def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
               with_row: Tensor = None):
     """All functional checks, plus the span-dimension diagnostic."""
+    if with_row is not None and (with_row.cod, with_row.dom) != ((d.N, d.N), ()):
+        raise ForbiddenParameter(
+            f"a row invariant needs legs ({d.N}, {d.N}) x (), got "
+            f"{with_row.cod} x {with_row.dom}")
     reports = []
     reports.extend(check_rll(d, cand, max_len))
-    k_col = _invariant(d)
+    k_col = d.invariant
     n_row = with_row
     if n_row is None and k_col is not None:
         # the invariant column doubles as a row invariant when fixed by the

@@ -153,3 +153,60 @@ def test_lorentz_user_missing_file_exits_2(tmp_path):
     assert "Traceback" not in out.stderr
     assert out.stderr.strip().splitlines() == [
         f"error: No such file or directory: {missing}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "builtin:slq2", "--suite", "cqt", "--depth", "-1"],
+    ["classify", "builtin:slq2", "--depth", "-1"],
+    ["mor", "builtin:slq2", "w w", "w w", "--depth", "-2"],
+    ["check", "builtin:poincare-twisted", "--suite", "uea", "--max-len", "0"],
+    ["check", "builtin:poincare-twisted", "--suite", "uea", "--max-len", "-3"],
+], ids=["check-depth", "classify-depth", "mor-depth", "max-len-0",
+        "max-len-negative"])
+def test_work_bounds_below_range_exit_2_before_any_check(argv):
+    out = run_cli(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    flag = "--depth" if "--depth" in argv else "--max-len"
+    assert out.stderr.startswith(f"error: ForbiddenParameter: {flag} ")
+
+
+def test_with_n_of_wrong_shape_exits_2():
+    out = run_cli(["check", "builtin:poincare-twisted", "--suite", "uea",
+                   "--with-n", "R"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ForbiddenParameter: a row invariant "
+                                 "needs legs (4, 4) x ()")
+
+
+def test_mor_unknown_generator_exits_2():
+    out = run_cli(["mor", "builtin:slq2", "x", "w"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: UnknownGenerator: 'x' in a Mor word")
+
+
+def test_unsupported_suite_exits_2(tmp_path):
+    out = run_cli(["check", "builtin:slq2", "--suite", "uea"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.strip().endswith(
+        "supported: validate, cqt, star, ct, classify")
+    from cqtcheck.catalog import slq2_text
+    doc = tmp_path / "doc.qg"
+    doc.write_text(slq2_text())
+    out = run_cli(["check", str(doc), "--suite", "poincare"])
+    assert out.returncode == 2
+    assert "--suite poincare does not apply" in out.stderr
+
+
+def test_classify_runs_only_supported_suites(tmp_path):
+    from cqtcheck.catalog import slq2_text
+    doc = tmp_path / "doc.qg"
+    doc.write_text(slq2_text())
+    out = run_cli(["classify", str(doc)])
+    assert out.returncode == 0
+    assert "CQT candidates: 1" in out.stdout
+    assert "poincare" not in out.stdout
+    assert out.stdout.endswith("5/5 checks passed\n")

@@ -1,9 +1,11 @@
 """Golden --json reports: refactors must leave them byte-identical.
 
-The files in tests/golden were written by the dense-tensor implementation
-that preceded the sparse store; each case reruns the CLI and compares the
-report byte for byte.  One case fails on purpose, so its witnesses (the
-first nonzero entry of each defect, in row-major order) are pinned too.
+The first four files in tests/golden were written by the dense-tensor
+implementation that preceded the sparse store, the others by the
+per-datum CLI dispatcher that preceded the suite table; each case reruns
+the CLI from the repository root and compares the report byte for byte.
+Cases that fail on purpose pin their witnesses (the first nonzero entry of
+each defect, in row-major order) too.
 """
 
 import subprocess
@@ -12,13 +14,30 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+DOC = "src/cqtcheck/data/slq2.qg"
 
 CASES = [
-    ("slq2", ["builtin:slq2"], 0),
-    ("lorentz-flip-t1", ["builtin:lorentz-flip", "--eval", "t=1"], 0),
-    ("poincare-twisted", ["builtin:poincare-twisted"], 0),
-    ("slq2-ct", ["builtin:slq2", "--suite", "ct"], 1),
+    ("slq2", ["check", "builtin:slq2"], 0),
+    ("lorentz-flip-t1", ["check", "builtin:lorentz-flip", "--eval", "t=1"], 0),
+    ("poincare-twisted", ["check", "builtin:poincare-twisted"], 0),
+    ("slq2-ct", ["check", "builtin:slq2", "--suite", "ct"], 1),
+    ("poincare-classical", ["check", "builtin:poincare-classical"], 0),
+    ("poincare-abstract", ["check", "builtin:poincare-abstract"], 0),
+    ("lorentz-beta-minus-t1",
+     ["check", "builtin:lorentz-beta-minus", "--eval", "t=1"], 0),
+    ("lorentz-flip-t1-star-ct",
+     ["check", "builtin:lorentz-flip", "--eval", "t=1", "--suite", "star",
+      "--suite", "ct"], 0),
+    ("slq2-star", ["check", "builtin:slq2", "--suite", "star"], 0),
+    ("doc-all",
+     ["check", DOC, "--suite", "validate", "--suite", "cqt", "--suite", "star",
+      "--suite", "ct", "--suite", "classify"], 1),
+    ("doc-t1", ["check", DOC, "--eval", "t=1"], 0),
+    ("classify-poincare-classical",
+     ["classify", "builtin:poincare-classical"], 0),
+    ("mor-slq2", ["mor", "builtin:slq2", "w w", "w w", "--depth", "3"], 0),
 ]
 
 
@@ -26,8 +45,7 @@ CASES = [
 def test_json_report_matches_golden(tmp_path, name, args, rc):
     path = tmp_path / f"{name}.json"
     out = subprocess.run(
-        [sys.executable, "-m", "cqtcheck.cli", "check", *args,
-         "--json", str(path)],
-        capture_output=True, text=True)
+        [sys.executable, "-m", "cqtcheck.cli", *args, "--json", str(path)],
+        capture_output=True, text=True, cwd=ROOT)
     assert out.returncode == rc, out.stderr
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

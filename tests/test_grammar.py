@@ -1,0 +1,113 @@
+"""Property tests for the one scalar grammar and the DSL parser around it.
+
+Scalar text parses the same through parse_scalar, a param line and a mat
+entry; token soup from the DSL alphabet never escapes the package's error
+types; a bad token in a mat entry is reported at its own line and column.
+Integers are single digits and texts short, since exponents and dimensions
+in the input multiply the work the parser does.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from cqtcheck.dsl import Document, parse_presentation  # noqa: E402
+from cqtcheck.errors import CqtError, ParseError  # noqa: E402
+from cqtcheck.scalars import parse_scalar  # noqa: E402
+
+PROPS = settings(max_examples=150, deadline=None, database=None)
+
+atoms = st.sampled_from(["0", "1", "2", "3", "i", "t", "q"])
+nonzero_atoms = st.sampled_from(["1", "2", "3", "i", "t", "q"])
+
+
+def expressions(atom, depth, ops="+-*/"):
+    """Well-formed scalar texts nested at most depth deep."""
+    if depth == 0:
+        return atom
+    sub = expressions(atom, depth - 1, ops)
+    return st.one_of(
+        atom,
+        st.tuples(sub, st.sampled_from(ops), sub).map(" ".join),
+        sub.map(lambda e: f"({e})"),
+        sub.map(lambda e: f"-{e}"),
+        st.tuples(sub, st.sampled_from(["0", "1", "2", "3", "-1", "-2"])).map(
+            lambda p: f"({p[0]})^{p[1]}"),
+    )
+
+
+SCALAR_SOUP = ["0", "1", "2", "3", "i", "t", "q", "x", "+", "-", "*", "/", "^",
+               "(", ")", ".", ","]
+scalar_texts = st.one_of(
+    expressions(atoms, 3),
+    st.lists(st.sampled_from(SCALAR_SOUP), max_size=12).map(" ".join),
+    st.lists(st.sampled_from(SCALAR_SOUP), max_size=12).map("".join),
+)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except CqtError as exc:
+        return type(exc)
+
+
+@PROPS
+@given(scalar_texts)
+def test_scalar_text_parses_alike_everywhere(text):
+    direct = _outcome(lambda: parse_scalar(text))
+    param = _outcome(lambda: parse_presentation(
+        f"param c = {text}\n").params["c"])
+    entry = _outcome(lambda: parse_presentation(
+        f"gen w : 1\nmat A : [w] -> [w] {{ 1,1 = {text} }}\n"
+    ).mats["A"].entries[(1, 1)])
+    assert direct == param == entry
+
+
+DSL_SOUP = [
+    "gen", "mat", "rel", "cand", "table", "rep", "param", "field", "conj",
+    "var", "real", "unimodular", "w", "wb", "A", "E", "G", "H", "c", "kron",
+    "flip", "inv", "tauconj", "i", "t", "q", "0", "1", "2", "3", "[", "]",
+    "{", "}", "(", ")", ":", ";", ",", "=", "+", "-", "*", "/", "^", ".",
+    "->", "\n", "# note\n", "@",
+    "gen w : 2", "gen wb : 2 conj w", "gen w : 2 conj wb", "rel A",
+    "mat A : [w] -> [w] {", "mat E : [] -> [w w] {", "1,1 =", "2,1 =",
+    "cand w w =", "param c =", "table rep w { G =", "flip(2,2)", "kron(A, A)",
+    "field { var = t ; conj = real }",
+]
+
+
+@PROPS
+@given(st.lists(st.sampled_from(DSL_SOUP), max_size=30))
+def test_token_soup_yields_document_or_package_error(parts):
+    text = " ".join(parts)
+    assume(text.count("^") <= 2)
+    try:
+        doc = parse_presentation(text)
+    except CqtError:
+        return
+    assert isinstance(doc, Document)
+
+
+PREAMBLE = ["", "# a comment", "param c = 1/2", "gen v : 1"]
+
+
+@PROPS
+@given(st.lists(st.sampled_from(PREAMBLE), max_size=3, unique=True),
+       st.integers(0, 3),
+       expressions(nonzero_atoms, 2, ops="+-*"),
+       st.sampled_from(["x", "w", "@", ")", ";", "}", "*"]))
+def test_bad_mat_entry_token_reported_at_its_position(lines, indent, expr,
+                                                      bad):
+    head = " " * indent + "mat A : [w] -> [w] { 1,1 = " + expr + " + "
+    text = "\n".join(["gen w : 2", *lines, head + bad + " }"]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.col) == (len(lines) + 2, len(head) + 1)
+
+
+def test_mat_entry_error_points_at_the_bad_token():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("gen w : 2\nmat A : [w] -> [w] { 1,1 = 1 + x }\n")
+    assert (err.value.line, err.value.col) == (2, 32)
