@@ -302,6 +302,8 @@ def dispatch(cfg: RunConfig, lenient=False):
                 f"--with-n {cfg.with_n!r}: no such matrix; available: "
                 f"{', '.join(sorted(named))}")
         run.with_row = named[cfg.with_n]
+        if "uea" in suites:
+            uea.check_row_shape(datum, run.with_row)
     rows = []
     for suite, runner in kind.suites.items():
         if suite not in suites:

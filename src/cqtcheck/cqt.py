@@ -29,11 +29,12 @@ inverse with the opposite block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .presentation import (CandidateR, FunctionalHom, Presentation,
                            Saturation, saturate)
 from .scalars import ConjMode, Scalar
-from .tensor import Tensor, pad_with_identity, tauconj, unflatten
+from .tensor import Tensor, pad_with_identity, tauconj
 
 
 @dataclass
@@ -145,26 +146,23 @@ def check_relations_preserved(h: FunctionalHom, p: Presentation):
     """Apply an evaluation map entrywise to both sides of every relation."""
     reports = []
     for rel in p.relations:
-        w = rel.matrix
         sdims = p.word_dims(rel.source_word)
         tdims = p.word_dims(rel.target_word)
         rows, cols = {}, {}
-        for k, coef in sorted(w.nz.items()):
-            i, j = divmod(k, w.ncols)
-            rows.setdefault(i, []).append((j, coef))
-            cols.setdefault(j, []).append((i, coef))
+        for multi, coef in sorted(rel.matrix.with_legs(tdims, sdims).items()):
+            im, jm = multi[:len(tdims)], multi[len(tdims):]
+            rows.setdefault(im, []).append((jm, coef))
+            cols.setdefault(jm, []).append((im, coef))
         defect_witness = None
-        for i in range(w.nrows):
-            im = unflatten(tdims, i)
-            for j in range(w.ncols):
-                jm = unflatten(sdims, j)
+        for im in product(*map(range, tdims)):
+            for jm in product(*map(range, sdims)):
                 lhs = {}
-                for k, coef in rows.get(i, ()):
-                    word = tuple(zip(rel.source_word, unflatten(sdims, k), jm))
+                for km, coef in rows.get(im, ()):
+                    word = tuple(zip(rel.source_word, km, jm))
                     lhs[word] = lhs.get(word, Scalar.from_int(0)) + coef
                 rhs = {}
-                for k, coef in cols.get(j, ()):
-                    word = tuple(zip(rel.target_word, im, unflatten(tdims, k)))
+                for km, coef in cols.get(jm, ()):
+                    word = tuple(zip(rel.target_word, im, km))
                     rhs[word] = rhs.get(word, Scalar.from_int(0)) + coef
                 defect = h.value_free(lhs) - h.value_free(rhs)
                 if defect_witness is None:

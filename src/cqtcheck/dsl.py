@@ -135,7 +135,7 @@ class _Parser(TokenParser):
         self.next()
         name = self.expect("name").text
         self.expect("punct", ":")
-        dim = int(self.expect("int").text)
+        dim = self.expect_int()
         conj = name
         if self.peek().text == "conj":
             self.next()
@@ -181,9 +181,9 @@ class _Parser(TokenParser):
         entries = {}
         self.expect("punct", "{")
         while self.peek().text != "}":
-            r = int(self.expect("int").text)
+            r = self.expect_int()
             self.expect("punct", ",")
-            c = int(self.expect("int").text)
+            c = self.expect_int()
             self.expect("punct", "=")
             value = self.scalar_sum()
             if not (1 <= r <= nrows and 1 <= c <= ncols):
@@ -357,9 +357,9 @@ class _Parser(TokenParser):
         if tok.text == "flip":
             self.next()
             self.expect("punct", "(")
-            d1 = int(self.expect("int").text)
+            d1 = self.expect_int()
             self.expect("punct", ",")
-            d2 = int(self.expect("int").text)
+            d2 = self.expect_int()
             self.expect("punct", ")")
             return flip(d1, d2)
         if tok.text == "inv":

@@ -37,7 +37,7 @@ from .errors import (AbstractLambdaMode, AxiomViolation, MissingRep,
 from .lorentz import LorentzDatum, W, WB, candidate_L
 from .presentation import CandidateR
 from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
-from .tensor import Tensor, flatten, flip, kron, pad_with_identity
+from .tensor import Tensor, flip, kron, pad_with_identity
 
 LAM = "Lam"
 
@@ -155,16 +155,10 @@ def build_N(d: InhomDatum, name: str) -> Tensor:
     e = d.rep(name)
     dv = e.G.cod[1]
     N = d.N
-    P = N + 1
-    legs = (P, dv, dv, P)
-    nz = {}
-    for (x, l, C, y), v in e.G.items():
-        nz[flatten(legs, (x, l, C, y))] = v
-    for (x, l, C), v in e.H.items():
-        nz[flatten(legs, (x, l, C, N))] = v
-    for l in range(dv):
-        nz[flatten(legs, (N, l, l, N))] = ONE
-    return Tensor.from_nonzero((P, dv), (dv, P), nz)
+    cod, dom = (N + 1, dv), (dv, N + 1)
+    return (e.G.place_legs(cod, dom, (0, 1, 2, 3))
+            + e.H.place_legs(cod, dom, (0, 1, 2), {3: N})
+            + Tensor.identity((dv,)).place_legs(cod, dom, (1, 2), {0: N, 3: N}))
 
 
 def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
@@ -238,48 +232,44 @@ def _square_legs(t: Tensor):
 
 def _validate_ingestion(d: InhomDatum):
     """Hermiticity of T is demanded up front; everything else is reported."""
-    N = d.N
-    for i in range(N):
-        for j in range(N):
-            lhs = d.T.entry((i, j), ())
-            rhs = d.T.entry((j, i), ()).conjugate(d.mode)
-            if lhs != rhs:
-                raise AxiomViolation("shift-hermiticity", witness=((i, j), lhs - rhs))
+    bad = check_m_star(d, d.T, "shift-hermiticity").witness
+    if bad is not None:
+        raise AxiomViolation("shift-hermiticity", witness=(bad[0][0], bad[1]))
 
 
 # ---------------------------------------------------------------------------
 # Block assembly.
 # ---------------------------------------------------------------------------
 
+def corner_frame(N: int) -> Tensor:
+    """The v+ -> +v and +v -> v+ identities and the ++ unit on P (x) P.
+
+    Every exchange matrix on the extended space has this frame; R_P and
+    the K of the enveloping-algebra checks differ only in the other blocks.
+    """
+    sq = (N + 1, N + 1)
+    one = Tensor.identity((N,))
+    return (one.place_legs(sq, sq, (0, 3), {1: N, 2: N})
+            + one.place_legs(sq, sq, (1, 2), {0: N, 3: N})
+            + Tensor.identity(()).place_legs(sq, sq, (), {0: N, 1: N, 2: N, 3: N}))
+
+
 def build_RP(d: InhomDatum) -> Tensor:
     N = d.N
-    P = N + 1
-    legs = (P, P, P, P)
+    sq = (N + 1, N + 1)
     RZ = d.R @ d.Z
     RT = (d.R - Tensor.identity((N, N))) @ d.T
-    nz = {}
-    for multi, v in d.R.items():
-        nz[flatten(legs, multi)] = v
-    for (a, b, c), v in d.Z.items():
-        nz[flatten(legs, (a, b, c, N))] = v
-    for (a, b, c), v in RZ.items():
-        nz[flatten(legs, (a, b, N, c))] = -v
-    for (a, b), v in RT.items():
-        nz[flatten(legs, (a, b, N, N))] = v
-    for a in range(N):
-        nz[flatten(legs, (a, N, N, a))] = ONE   # v+ -> +v identity
-        nz[flatten(legs, (N, a, a, N))] = ONE   # +v -> v+ identity
-    nz[flatten(legs, (N, N, N, N))] = ONE
-    return Tensor.from_nonzero((P, P), (P, P), nz)
+    return (d.R.place_legs(sq, sq, (0, 1, 2, 3))
+            + d.Z.place_legs(sq, sq, (0, 1, 2), {3: N})
+            - RZ.place_legs(sq, sq, (0, 1, 3), {2: N})
+            + RT.place_legs(sq, sq, (0, 1), {2: N, 3: N})
+            + corner_frame(N))
 
 
 def build_mP(d: InhomDatum, m: Tensor) -> Tensor:
     """An invariant column m placed in the (vv, ++) corner block."""
-    N = d.N
-    P = N + 1
-    legs = (P, P, P, P)
-    return Tensor.from_nonzero((P, P), (P, P), {
-        flatten(legs, (a, b, N, N)): v for (a, b), v in m.items()})
+    sq = (d.N + 1, d.N + 1)
+    return m.place_legs(sq, sq, (0, 1), {2: d.N, 3: d.N})
 
 
 def build_RQ(d: InhomDatum, m: Tensor = None, c: Scalar = None) -> Tensor:
@@ -589,14 +579,8 @@ def poincare_candidate(d: InhomDatum, k: int, c: Scalar = None) -> PoincareCandi
 
 
 def check_m_star(d: InhomDatum, m: Tensor, cid: str) -> cqt.CheckReport:
-    """Hermiticity m_ij = conj(m_ji) of an invariant column."""
-    N = d.N
-    for i in range(N):
-        for j in range(N):
-            defect = m.entry((i, j), ()) - m.entry((j, i), ()).conjugate(d.mode)
-            if defect.num:
-                return cqt.CheckReport(cid, "fail", (((i, j), ()), defect))
-    return cqt.CheckReport(cid, "pass")
+    """Hermiticity m_ij = conj(m_ji) of a column m with legs (N, N) x ()."""
+    return cqt.defect_report(cid, m - m.slice_legs((1, 0), ()).conjugate(d.mode))
 
 
 @dataclass

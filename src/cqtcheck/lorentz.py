@@ -68,9 +68,8 @@ def make_sl2(q: Scalar, case: int = 1) -> SL2Datum:
     qhalf = q.sqrt()
     if qhalf is None:
         raise ForbiddenParameter(f"q = {q} has no square root in Q(i)(t)")
-    E = Tensor((2, 2), (), list(emat.entries))
-    epmat = emat.inverse()
-    Eprime = Tensor((), (2, 2), list(epmat.entries))
+    E = emat.slice_legs((0, 1), ())
+    Eprime = emat.inverse().slice_legs((), (0, 1))
     p = Presentation(
         [GeneratorSpec(W, 2, W)],
         [Relation("E", E, (), (W, W)), Relation("Ep", Eprime, (W, W), ())],
@@ -300,9 +299,8 @@ def real_form_check(d: SL2Datum, form: str, sample=None) -> cqt.CheckReport:
         if q0 * q0.conj() != Gaussian(1):
             raise ForbiddenParameter(f"|q| = 1 required, got {q0}")
         cid = f"realform:{form}:q={q0}"
-        for k, s in enumerate(defect.entries):
+        for (i, j), s in sorted(defect.with_legs((4,), (4,)).items()):
             if not s.vanishes_at_sqrt(q0):
-                i, j = divmod(k, 4)
                 return cqt.CheckReport(cid, "fail", (((i,), (j,)), s),
                                        "swapped conjugate differs")
         return cqt.CheckReport(cid, "pass")

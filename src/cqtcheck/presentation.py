@@ -25,7 +25,7 @@ from math import prod
 
 from .errors import DuplicateName, MissingBlock, MissingRep, ShapeError, UnknownGenerator
 from .scalars import ConjMode
-from .tensor import SpanBasis, Tensor, kron, pad_with_identity, unflatten
+from .tensor import SpanBasis, Tensor, kron, pad_with_identity
 
 UNIT = "1"
 
@@ -105,25 +105,11 @@ def conj_relation(p: Presentation, r: Relation, mode: ConjMode) -> Relation:
     """
     src = tuple(p.conj_name(a) for a in reversed(r.source_word))
     tgt = tuple(p.conj_name(a) for a in reversed(r.target_word))
-    tdims = p.word_dims(r.target_word)
-    sdims = p.word_dims(r.source_word)
-    m = r.matrix
-    out = {}
-    for k, v in m.nz.items():
-        i, j = divmod(k, m.ncols)
-        out[_rev_flat(tdims, i) * m.ncols + _rev_flat(sdims, j)] = v.conjugate(mode)
+    nt, ns = len(r.target_word), len(r.source_word)
+    m = r.matrix.with_legs(p.word_dims(r.target_word), p.word_dims(r.source_word))
+    m = m.slice_legs(reversed(range(nt)), reversed(range(nt, nt + ns)))
     name = r.name[:-1] if r.name.endswith("~") else r.name + "~"
-    return Relation(name, Tensor.from_nonzero(tuple(reversed(tdims)),
-                                              tuple(reversed(sdims)), out),
-                    src, tgt)
-
-
-def _rev_flat(dims, flat: int) -> int:
-    multi = unflatten(dims, flat)
-    out = 0
-    for d, k in zip(reversed(dims), reversed(multi)):
-        out = out * d + k
-    return out
+    return Relation(name, m.conjugate(mode), src, tgt)
 
 
 class CandidateR:
@@ -264,20 +250,13 @@ class Saturation:
         span = self.spans.get((src, dst))
         if span is None:
             if src == dst:
-                return t == Tensor.identity(self.presentation.word_dims(src)) \
-                    or _is_scalar_multiple_of_identity(t)
+                return _is_scalar_multiple_of_identity(t)
             return t.is_zero()
         return span.contains(t)
 
 
 def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
-    if t.nrows != t.ncols:
-        return False
-    n = t.nrows
-    c = t.nz.get(0)
-    if c is None:
-        return t.is_zero()
-    return len(t.nz) == n and all(t.nz.get(k * n + k) == c for k in range(n))
+    return t.nrows == t.ncols and t == Tensor.identity((t.nrows,)) * t[0, 0]
 
 
 def saturate(p: Presentation, depth: int = 3, max_len: int = 4,

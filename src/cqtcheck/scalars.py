@@ -655,6 +655,14 @@ class TokenParser:
             self.error(f"expected {want!r}, found {tok.text!r}", (want,))
         return self.next()
 
+    def expect_int(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # over the interpreter's digit limit
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
+
     def scalar_sum(self) -> Scalar:
         v = self.scalar_product()
         while self.peek().text in ("+", "-"):
@@ -692,7 +700,7 @@ class TokenParser:
             neg = self.peek().text == "-"
             if neg:
                 self.next()
-            k = int(self.expect("int").text)
+            k = self.expect_int()
             v = v ** (-k if neg else k)
         return v
 
@@ -704,8 +712,7 @@ class TokenParser:
             self.expect("punct", ")")
             return v
         if tok.kind == "int":
-            self.next()
-            return Scalar.from_int(int(tok.text))
+            return Scalar.from_int(self.expect_int())
         if tok.kind == "name":
             if tok.text in SYMBOLS:
                 self.next()

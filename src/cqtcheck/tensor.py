@@ -15,11 +15,14 @@ mixed-product law (a (x) b)(c (x) d) = ac (x) bd holds on the nose.  Equality
 compares flattened shapes and entries; leg lists are bookkeeping and may
 differ between equal tensors.
 
-Re-indexing goes through one primitive, `Tensor.slice_legs`: it permutes
-legs between and within cod and dom, restricts legs to leading index
-ranges and fixes legs at single indices.  Builders assemble their nonzero
-entries in a dict and construct through `Tensor.from_nonzero`.  The dense
-`entries` list is a read-only view built on demand, for display and tests.
+Re-indexing goes through two primitives that undo each other.
+`Tensor.slice_legs` permutes legs between and within cod and dom, restricts
+legs to leading index ranges and fixes legs at single indices;
+`Tensor.place_legs` embeds a tensor as a block of a larger one, sending
+each leg to a (possibly longer) new leg and holding the remaining new legs
+at single indices.  Block matrices are sums of placements, so no module
+outside this one composes or splits a flat index.  The dense `entries`
+list is a read-only view built on demand, for display and tests.
 
 All values are immutable after construction.
 """
@@ -154,11 +157,7 @@ class Tensor:
         """
         cod, dom = tuple(cod), tuple(dom)
         legs = self.cod + self.dom
-        strides = [0] * len(legs)
-        acc = 1
-        for k in range(len(legs) - 1, -1, -1):
-            strides[k] = acc
-            acc *= legs[k]
+        strides = _strides(legs)
         kept = []
         for spec in cod + dom:
             leg, stop = spec if isinstance(spec, tuple) else (spec, None)
@@ -198,6 +197,45 @@ class Tensor:
                 else:
                     out[g] = v
         return Tensor._raw(new_cod, new_dom, _size(new_cod), _size(new_dom), out)
+
+    def place_legs(self, cod, dom, legs, fix=()) -> "Tensor":
+        """Embed: a tensor with legs cod then dom holding self as a block.
+
+        The reverse of slice_legs.  The new legs are numbered 0, 1, ...
+        across cod then dom.  Leg k of self becomes new leg legs[k] with its
+        indices kept (the new leg may be longer), and `fix` maps each
+        remaining new leg to the single index the block sits at.  Every new
+        leg is used exactly once; entries outside the block are zero.
+
+            r.place_legs((P, P), (P, P), (0, 1, 2, 3))          vector block
+            m.place_legs((P, P), (P, P), (0, 1), {2: N, 3: N})  corner column
+        """
+        cod, dom, legs = tuple(cod), tuple(dom), tuple(legs)
+        new = cod + dom
+        old = self.cod + self.dom
+        if len(legs) != len(old):
+            raise ShapeError(f"{len(legs)} targets for {len(old)} legs")
+        fix = dict(fix)
+        used = sorted(list(legs) + list(fix))
+        if used != list(range(len(new))):
+            raise ShapeError(f"legs {used} do not cover {len(new)} legs once")
+        for d, leg in zip(old, legs):
+            if d > new[leg]:
+                raise ShapeError(f"leg of {d} does not fit leg {leg} of {new[leg]}")
+        for leg, at in fix.items():
+            if not 0 <= at < new[leg]:
+                raise ShapeError(f"index {at} out of range for leg {new[leg]}")
+        strides = _strides(new)
+        base = sum(strides[leg] * at for leg, at in fix.items())
+        plan = [(stride, d, strides[leg])
+                for stride, d, leg in zip(_strides(old), old, legs)]
+        out = {}
+        for f, v in self.nz.items():
+            g = base
+            for stride, d, weight in plan:
+                g += f // stride % d * weight
+            out[g] = v
+        return Tensor._raw(cod, dom, _size(cod), _size(dom), out)
 
     # -- linear structure ------------------------------------------------------
 
@@ -450,6 +488,16 @@ def _reduce(rows, ncols: int):
 # ---------------------------------------------------------------------------
 # Index helpers and the standard constructions.
 # ---------------------------------------------------------------------------
+
+def _strides(dims) -> list:
+    """Flat-index weight of each leg, the leftmost leg slowest."""
+    out = [0] * len(dims)
+    acc = 1
+    for k in range(len(dims) - 1, -1, -1):
+        out[k] = acc
+        acc *= dims[k]
+    return out
+
 
 def flatten(dims, multi) -> int:
     if len(dims) != len(multi):

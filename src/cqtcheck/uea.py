@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from . import cqt
 from .errors import ForbiddenParameter, ShapeError
 from .inhomogeneous import (INTERP_POINTS, InhomDatum, PoincareCandidate,
-                            build_mP, build_RQ)
+                            build_mP, build_RQ, corner_frame)
 from .presentation import FunctionalHom
 from .scalars import ONE, Scalar, ZERO
-from .tensor import SpanBasis, Tensor, flatten, flip, kron
+from .tensor import SpanBasis, Tensor, flip, kron
 
 
 def lam(a: int, b: int):
@@ -111,24 +111,22 @@ def build_l(d: InhomDatum, cand: PoincareCandidate = None,
 
 
 def build_X(d: InhomDatum) -> FunctionalHom:
-    """The antipode-twisted functional; independent of the invariant."""
+    """The antipode-twisted functional; independent of the invariant.
+
+    X(Lam[a,b]) is the (b, a) slice of K; X(y[a]) is the a slice of Y,
+    with Y[i,(a,k)] = Z[(a,k),i] and Y[a,(a,+)] = 1.
+    """
     N = d.N
-    P = N + 1
-
-    def on_P(block: Tensor, corner) -> Tensor:
-        # the N x N block [i, k] in the vector range, plus corner entries
-        nz = {i * P + k: v for (i, k), v in block.items()}
-        for (i, k), v in corner.items():
-            nz[i * P + k] = v
-        return Tensor.from_nonzero((P,), (P,), nz)
-
+    P = (N + 1,)
+    K = build_K(d)
+    Y = (d.Z.place_legs(P, P + P, (1, 2, 0))
+         + Tensor.identity((N,)).place_legs(P, P + P, (0, 1), {2: N}))
     values = {}
     for a in range(N):
         for b in range(N):
-            values[lam(a, b)] = on_P(d.R.slice_legs((2,), (1,), {0: a, 3: b}),
-                                     {(N, N): ONE} if a == b else {})
-        values[y(a)] = on_P(d.Z.slice_legs((2,), (1,), {0: a}), {(a, N): ONE})
-    return FunctionalHom(P, values, label="X")
+            values[lam(a, b)] = K.slice_legs((0,), (3,), {1: b, 2: a})
+        values[y(a)] = Y.slice_legs((0,), (2,), {1: a})
+    return FunctionalHom(N + 1, values, label="X")
 
 
 def convolve(h1: FunctionalHom, ij, h2: FunctionalHom, kl, element,
@@ -264,17 +262,15 @@ def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2):
     F = flip(P, P)
     FN = flip(N, N)
     inv = d.invariant
+    RZ = d.R @ d.Z
+    RT = (d.R - Tensor.identity((N, N))) @ d.T
     points = _sample_points(d, cand)
     merge = _Merge()
     for c in points:
         lhom = build_l(d, c=c)
         rq = build_RQ(d, inv, c)
         frqf = F @ rq @ F
-        fRf = FN @ d.R @ FN
-        s_col = (d.R - Tensor.identity((N, N))) @ d.T
-        if inv is not None:
-            s_col = s_col + inv * c
-        RZ = d.R @ d.Z
+        s_col = RT if inv is None else RT + inv * c
         conv = ConvTable(lhom, cop)
         suffix = f" at coefficient {c}" if len(points) > 1 else ""
         for word in _words(cop, max_len):
@@ -332,16 +328,8 @@ def build_K(d: InhomDatum) -> Tensor:
     Same sector layout as the extended exchange matrix, with the vector
     block transposed and no shift column.
     """
-    N = d.N
-    P = N + 1
-    legs = (P, P, P, P)
-    nz = {flatten(legs, (a, b, u, v)): val
-          for (u, v, a, b), val in d.R.items()}
-    for a in range(N):
-        nz[flatten(legs, (a, N, N, a))] = ONE
-        nz[flatten(legs, (N, a, a, N))] = ONE
-    nz[flatten(legs, (N, N, N, N))] = ONE
-    return Tensor.from_nonzero((P, P), (P, P), nz)
+    sq = (d.N + 1, d.N + 1)
+    return d.R.place_legs(sq, sq, (2, 3, 0, 1)) + corner_frame(d.N)
 
 
 # A row invariant n sits in the same corner block as an invariant column;
@@ -421,27 +409,17 @@ def ideal_elements_mixed(d: InhomDatum):
                + sum Z[(t,k),b] Lam_st Lam_ak.
     """
     N = d.N
-    out = {}
-    for s in range(N):
-        for a in range(N):
-            for b in range(N):
-                elt = {}
-                _acc(elt, (y(s), lam(a, b)), ONE)
-                for k in range(N):
-                    for t in range(N):
-                        v = d.R.entry((s, a), (k, t))
-                        if v.num:
-                            _acc(elt, (lam(k, b), y(t)), -v)
-                for k in range(N):
-                    v = d.Z.entry((s, a), (k,))
-                    if v.num:
-                        _acc(elt, (lam(k, b),), -v)
-                for t in range(N):
-                    for k in range(N):
-                        v = d.Z.entry((t, k), (b,))
-                        if v.num:
-                            _acc(elt, (lam(s, t), lam(a, k)), v)
-                out[(s, a, b)] = elt
+    out = {(s, a, b): {(y(s), lam(a, b)): ONE}
+           for s in range(N) for a in range(N) for b in range(N)}
+    for b in range(N):
+        for (s, a, k, t), v in d.R.items():
+            _acc(out[(s, a, b)], (lam(k, b), y(t)), -v)
+        for (s, a, k), v in d.Z.items():
+            _acc(out[(s, a, b)], (lam(k, b),), -v)
+    for (t, k, b), v in d.Z.items():
+        for s in range(N):
+            for a in range(N):
+                _acc(out[(s, a, b)], (lam(s, t), lam(a, k)), v)
     return out
 
 
@@ -453,29 +431,20 @@ def ideal_elements_quadratic(d: InhomDatum):
     """
     N = d.N
     Rm1 = d.R - Tensor.identity((N, N))
-    out = {}
-    for kk in range(N):
-        for ll in range(N):
-            elt = {}
-            for i in range(N):
-                for j in range(N):
-                    r = Rm1.entry((kk, ll), (i, j))
-                    if not r.num:
-                        continue
-                    _acc(elt, (y(i), y(j)), r)
-                    for s in range(N):
-                        v = d.Z.entry((i, j), (s,))
-                        if v.num:
-                            _acc(elt, (y(s),), -r * v)
-                    t = d.T.entry((i, j), ())
-                    if t.num:
-                        _acc(elt, (), r * t)
-                    for mm in range(N):
-                        for nn in range(N):
-                            t = d.T.entry((mm, nn), ())
-                            if t.num:
-                                _acc(elt, (lam(i, mm), lam(j, nn)), -r * t)
-            out[(kk, ll)] = elt
+    zcols = {}
+    for (i, j, s), v in d.Z.items():
+        zcols.setdefault((i, j), []).append((s, v))
+    shift = dict(d.T.items())
+    out = {(kk, ll): {} for kk in range(N) for ll in range(N)}
+    for (kk, ll, i, j), r in Rm1.items():
+        elt = out[(kk, ll)]
+        _acc(elt, (y(i), y(j)), r)
+        for s, v in zcols.get((i, j), ()):
+            _acc(elt, (y(s),), -r * v)
+        if (i, j) in shift:
+            _acc(elt, (), r * shift[(i, j)])
+        for (mm, nn), t in shift.items():
+            _acc(elt, (lam(i, mm), lam(j, nn)), -r * t)
     return out
 
 
@@ -514,13 +483,19 @@ def letter_span_dim(h: FunctionalHom) -> int:
     return span.dim()
 
 
+def check_row_shape(d: InhomDatum, row: Tensor):
+    """Reject a row invariant that is not an (N, N) -> () column."""
+    if (row.cod, row.dom) != ((d.N, d.N), ()):
+        raise ForbiddenParameter(
+            f"a row invariant needs legs ({d.N}, {d.N}) x (), got "
+            f"{row.cod} x {row.dom}")
+
+
 def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
               with_row: Tensor = None):
     """All functional checks, plus the span-dimension diagnostic."""
-    if with_row is not None and (with_row.cod, with_row.dom) != ((d.N, d.N), ()):
-        raise ForbiddenParameter(
-            f"a row invariant needs legs ({d.N}, {d.N}) x (), got "
-            f"{with_row.cod} x {with_row.dom}")
+    if with_row is not None:
+        check_row_shape(d, with_row)
     reports = []
     reports.extend(check_rll(d, cand, max_len))
     k_col = d.invariant

@@ -210,3 +210,33 @@ def test_classify_runs_only_supported_suites(tmp_path):
     assert "CQT candidates: 1" in out.stdout
     assert "poincare" not in out.stdout
     assert out.stdout.endswith("5/5 checks passed\n")
+
+
+def test_with_n_shape_is_checked_before_any_suite(monkeypatch, capsys):
+    from cqtcheck import inhomogeneous
+
+    def reached(*args, **kw):
+        raise AssertionError("a suite ran before the --with-n shape check")
+
+    monkeypatch.setattr(inhomogeneous, "check_structure", reached)
+    assert cli.main(["check", "builtin:poincare-twisted", "--with-n", "R"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ForbiddenParameter: a row invariant ")
+
+
+@pytest.mark.parametrize("where", ["mat", "eval"])
+def test_oversized_integer_literal_is_a_parse_error(tmp_path, where):
+    digits = "9" * 5000
+    if where == "mat":
+        doc = tmp_path / "big.qg"
+        doc.write_text(f"gen w : 1\nmat A : [w] -> [w] {{ 1,1 = {digits} }}\n")
+        out = run_cli(["check", str(doc)])
+        position = "2:28"
+    else:
+        out = run_cli(["check", "builtin:slq2", "--eval", f"t={digits}"])
+        position = "1:1"
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [
+        f"parse error: {position}: integer literal of 5000 digits is too long"]

@@ -2,17 +2,20 @@
 
 Scalar text parses the same through parse_scalar, a param line and a mat
 entry; token soup from the DSL alphabet never escapes the package's error
-types; a bad token in a mat entry is reported at its own line and column.
+types; a bad token in a mat entry is reported at its own line and column;
+dumps writes text that parses back to the same document.
 Integers are single digits and texts short, since exponents and dimensions
 in the input multiply the work the parser does.
 """
+
+from math import prod
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from cqtcheck.dsl import Document, parse_presentation  # noqa: E402
+from cqtcheck.dsl import Document, dumps, parse_presentation  # noqa: E402
 from cqtcheck.errors import CqtError, ParseError  # noqa: E402
 from cqtcheck.scalars import parse_scalar  # noqa: E402
 
@@ -111,3 +114,72 @@ def test_mat_entry_error_points_at_the_bad_token():
     with pytest.raises(ParseError) as err:
         parse_presentation("gen w : 2\nmat A : [w] -> [w] { 1,1 = 1 + x }\n")
     assert (err.value.line, err.value.col) == (2, 32)
+
+
+GENS = [("w", 2, None), ("u", 1, None), ("v", 2, "vb")]
+
+
+@st.composite
+def documents(draw):
+    """Document text with generators, mats, relations, a cand line and params."""
+    gens = draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=3,
+                         unique=True))
+    lines = [f"field {{ var = t ; conj = "
+             f"{draw(st.sampled_from(['real', 'unimodular']))} }}"]
+    dim = {}
+    for name, d, conj in gens:
+        dim[name] = d
+        if conj:
+            lines += [f"gen {name} : {d} conj {conj}",
+                      f"gen {conj} : {d} conj {name}"]
+            dim[conj] = d
+        else:
+            lines.append(f"gen {name} : {d}")
+    words = st.lists(st.sampled_from(sorted(dim)), max_size=2)
+    mats = []
+    for k in range(draw(st.integers(0, 2))):
+        src, tgt = draw(words), draw(words)
+        nrows, ncols = (prod(dim[n] for n in w) for w in (tgt, src))
+        cells = draw(st.lists(
+            st.tuples(st.integers(1, nrows), st.integers(1, ncols)),
+            max_size=3, unique=True))
+        body = " ; ".join(f"{r},{c} = {draw(expressions(nonzero_atoms, 2))}"
+                          for r, c in cells)
+        lines.append(f"mat M{k} : [{' '.join(src)}] -> [{' '.join(tgt)}] "
+                     f"{{ {body} }}")
+        mats.append(f"M{k}")
+    if mats:
+        rels = draw(st.lists(st.sampled_from(mats), unique=True))
+        lines += [f"rel {m}" for m in rels]
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(sorted(dim)))
+        lines.append(f"cand {a} {a} = ({draw(expressions(nonzero_atoms, 1))}) "
+                     f"* flip({dim[a]},{dim[a]})")
+    for name in draw(st.lists(st.sampled_from("cde"), max_size=2, unique=True)):
+        lines.append(f"param {name} = {draw(expressions(nonzero_atoms, 2))}")
+    return "\n".join(lines) + "\n"
+
+
+@PROPS
+@given(documents())
+def test_dumps_then_parse_reproduces_the_document(text):
+    try:
+        doc = parse_presentation(text)
+    except CqtError:
+        assume(False)
+    text2 = dumps(doc)
+    doc2 = parse_presentation(text2)
+    assert dumps(doc2) == text2
+    assert doc2.mode == doc.mode
+    assert doc2.presentation.generators == doc.presentation.generators
+    assert list(doc2.mats) == list(doc.mats)
+    for name, m in doc.mats.items():
+        m2 = doc2.mats[name]
+        assert (m2.source_word, m2.target_word) == (m.source_word, m.target_word)
+        assert m2.entries == m.entries
+        assert m2.matrix == m.matrix
+    assert doc2.relation_names == doc.relation_names
+    assert (doc2.candidate is None) == (doc.candidate is None)
+    if doc.candidate is not None:
+        assert doc2.candidate.blocks == doc.candidate.blocks
+    assert doc2.params == doc.params

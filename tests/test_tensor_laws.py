@@ -9,6 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cqtcheck.errors import ShapeError  # noqa: E402
 from cqtcheck.scalars import ZERO, Gaussian, Scalar  # noqa: E402
 from cqtcheck.tensor import (Tensor, flip, kron, pad_with_identity,  # noqa: E402
                              unflatten)
@@ -157,3 +158,67 @@ def test_slice_legs_agrees_with_entry_lookups(case):
             multi = tuple(old[k] for k in range(ncod + len(t.dom)))
             assert s.entry(new_row, new_col) == t.entry(multi[:ncod],
                                                         multi[ncod:])
+
+
+@st.composite
+def placements(draw):
+    """A tensor and a place_legs call: new legs at least as long, the rest fixed."""
+    t = draw(tensors())
+    old = t.cod + t.dom
+    nfix = draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(old) + nfix)))
+    new = [0] * len(order)
+    legs = tuple(order[:len(old)])
+    for d, leg in zip(old, legs):
+        new[leg] = d + draw(st.integers(0, 1))
+    fix = {}
+    for leg in order[len(old):]:
+        new[leg] = draw(dims)
+        fix[leg] = draw(st.integers(0, new[leg] - 1))
+    ncod = draw(st.integers(0, len(new)))
+    return t, tuple(new[:ncod]), tuple(new[ncod:]), legs, fix
+
+
+@LAWS
+@given(placements())
+def test_slice_legs_undoes_place_legs(case):
+    t, cod, dom, legs, fix = case
+    placed = t.place_legs(cod, dom, legs, fix)
+    ranged = tuple((leg, d) for leg, d in zip(legs, t.cod + t.dom))
+    back = placed.slice_legs(ranged[:len(t.cod)], ranged[len(t.cod):], fix)
+    assert back == t
+    assert (back.cod, back.dom) == (t.cod, t.dom)
+
+
+@LAWS
+@given(placements())
+def test_place_legs_agrees_with_entry_lookups(case):
+    t, cod, dom, legs, fix = case
+    placed = t.place_legs(cod, dom, legs, fix)
+    assert (placed.cod, placed.dom) == (cod, dom)
+    old = t.cod + t.dom
+    for i in range(placed.nrows):
+        new_row = unflatten(cod, i)
+        for j in range(placed.ncols):
+            new_col = unflatten(dom, j)
+            multi = new_row + new_col
+            inside = (all(multi[leg] == at for leg, at in fix.items())
+                      and all(multi[leg] < d for leg, d in zip(legs, old)))
+            expect = ZERO
+            if inside:
+                src = tuple(multi[leg] for leg in legs)
+                expect = t.entry(src[:len(t.cod)], src[len(t.cod):])
+            assert placed.entry(new_row, new_col) == expect
+
+
+@pytest.mark.parametrize("cod, dom, legs, fix", [
+    ((3,), (1,), (0, 1), {}),              # target leg shorter than its source
+    ((3,), (2, 2), (0, 1), {2: 2}),        # fixed index beyond its leg
+    ((3,), (2, 2), (0, 1), {}),            # new leg 2 neither placed nor fixed
+    ((3,), (2,), (0, 0), {}),              # new leg 0 used twice
+    ((3,), (2,), (0,), {1: 0}),            # a leg of self left unplaced
+])
+def test_place_legs_rejects_bad_specs(cod, dom, legs, fix):
+    t = Tensor.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ShapeError):
+        t.place_legs(cod, dom, legs, fix)
