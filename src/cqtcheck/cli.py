@@ -76,7 +76,8 @@ def main(argv=None) -> int:
                          help="word length bound for functional checks")
     p_check.add_argument("--with-n", dest="with_n", metavar="NAME",
                          help="row invariant (a named matrix of the datum) "
-                              "for the twisted exchange variant")
+                              "for the twisted exchange variant of the uea "
+                              "suite")
     p_check.add_argument("--verbose", action="store_true",
                          help="print full notes for failing checks")
     command("classify", run_check, "classification tallies only")
@@ -296,14 +297,17 @@ def dispatch(cfg: RunConfig, lenient=False):
             f"supported: {', '.join(kind.suites)}")
     run = _Run(datum, cfg.depth, cfg.max_len)
     if cfg.with_n:
+        if "uea" not in suites:
+            raise ForbiddenParameter(
+                f"--with-n is read only by the uea suite, which this run of "
+                f"{cfg.input} does not include")
         named = kind.matrices(datum)
         if cfg.with_n not in named:
             raise ForbiddenParameter(
                 f"--with-n {cfg.with_n!r}: no such matrix; available: "
                 f"{', '.join(sorted(named))}")
         run.with_row = named[cfg.with_n]
-        if "uea" in suites:
-            uea.check_row_shape(datum, run.with_row)
+        uea.check_row_shape(datum, run.with_row)
     rows = []
     for suite, runner in kind.suites.items():
         if suite not in suites:

@@ -15,6 +15,10 @@ class EvaluationPole(CqtError):
     """Evaluation point annihilates a denominator."""
 
 
+class NumberTooLong(CqtError):
+    """An integer has more digits than the interpreter converts to text."""
+
+
 class ShapeError(CqtError):
     """Tensor legs or matrix dimensions do not match."""
 

@@ -10,6 +10,15 @@ denominator is monic; zero is 0/1.  Equality and hashing work on canonical
 forms, so every identity check in the package is a decidable symbolic-zero
 test.
 
+Coefficients are integer-based: a Gaussian rational (a + b*i)/d is three
+ints with d > 0 and gcd(a, b, d) = 1, so its arithmetic is integer
+arithmetic and needs no gcd while d = 1.  Polynomials are tuples of these,
+lowest degree first.  Most denominators met in practice are monomials
+c*t^k, and pgcd and pdivmod take them in O(degree): the gcd with c*t^k is
+t^min(k, valuation of the other argument), and division by c*t^k is a
+shift and a scale.  Other arguments go through the Euclidean algorithm and
+schoolbook long division.
+
 Two conjugation modes are supported:
 
 * real       -- t is fixed (q real), i goes to -i;
@@ -21,94 +30,143 @@ Both are involutive ring automorphisms of F.
 from __future__ import annotations
 
 import enum
-import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
-from .errors import DivisionByZero, EvaluationPole, ParseError
+from .errors import DivisionByZero, EvaluationPole, NumberTooLong, ParseError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_new = object.__new__
 
 
-def _gr(re, im) -> "Gaussian":
-    """Raw constructor for parts that are Fractions already."""
-    g = Gaussian.__new__(Gaussian)
-    g.re = re
-    g.im = im
+def _g(a: int, b: int, d: int = 1) -> "Gaussian":
+    """Raw constructor for parts already in canonical form."""
+    g = _new(Gaussian)
+    g.a = a
+    g.b = b
+    g.d = d
     return g
 
 
-class Gaussian:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+def _gred(a: int, b: int, d: int) -> "Gaussian":
+    """(a + b*i)/d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _g(a, b, d)
 
-    __slots__ = ("re", "im")
+
+class Gaussian:
+    """A Gaussian rational (a + b*i)/d held as three ints in lowest terms.
+
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal fields; zero is
+    (0, 0, 1).  The constructor takes real and imaginary parts as ints or
+    anything Fraction accepts.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        rd, idn = re.denominator, im.denominator
+        d = rd * idn // gcd(rd, idn)
+        # lcm of reduced denominators: no prime divides a, b and d at once
+        self.a = re.numerator * (d // rd)
+        self.b = im.numerator * (d // idn)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return _gr(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            if d == 1:
+                return _g(self.a + other.a, self.b + other.b)
+            return _gred(self.a + other.a, self.b + other.b, d)
+        e = other.d
+        return _gred(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
-        return _gr(self.re - other.re, self.im - other.im)
+        d = self.d
+        if d == other.d:
+            if d == 1:
+                return _g(self.a - other.a, self.b - other.b)
+            return _gred(self.a - other.a, self.b - other.b, d)
+        e = other.d
+        return _gred(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return _g(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if not other.im:
-            if not self.im:
-                return _gr(self.re * other.re, _ZERO)
-            return _gr(self.re * other.re, self.im * other.re)
-        return _gr(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a, b = a * c, b * c
+        d = self.d * other.d
+        if d == 1:
+            return _g(a, b)
+        return _gred(a, b, d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise DivisionByZero("inverse of 0 in Q(i)")
-        return _gr(self.re / n, -self.im / n)
+        return _gred(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def conj(self):
-        return _gr(self.re, -self.im)
+        return _g(self.a, -self.b, self.d)
 
     def __eq__(self, other):
         return (
             isinstance(other, Gaussian)
-            and self.re == other.re
-            and self.im == other.im
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __repr__(self):
         return f"Gaussian({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_str(a, d)
+        if not a:
+            if b == d:
                 return "i"
-            if self.im == -1:
+            if b == -d:
                 return "-i"
-            return f"{_frac_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-        return f"{self.re}{sign}{istr}"
+            return f"{_ratio_str(b, d)}*i"
+        sign = "+" if b > 0 else "-"
+        mag = abs(b)
+        istr = "i" if mag == d else f"{_ratio_str(mag, d)}*i"
+        return f"{_ratio_str(a, d)}{sign}{istr}"
 
 
 G_ZERO = Gaussian(0)
@@ -116,38 +174,46 @@ G_ONE = Gaussian(1)
 G_I = Gaussian(0, 1)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # over the interpreter's digit limit
+        raise NumberTooLong(
+            f"an integer of more than {sys.get_int_max_str_digits()} digits "
+            "is too long to print") from None
 
 
-def _frac_sqrt(f: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn != f.numerator or rd * rd != f.denominator:
-        return None
-    return Fraction(rn, rd)
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as Fraction prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
 
 
 def gaussian_sqrt(g: Gaussian):
-    """A square root of g in Q(i), or None when none exists there."""
+    """A square root of g in Q(i), or None when none exists there.
+
+    sqrt((a + b*i)/d) = sqrt(d*(a + b*i))/d, and a square root in Q(i) of a
+    Gaussian integer lies in Z[i]: with n = |d*(a + b*i)|, it is x + y*i
+    with x^2 = (d*a + n)/2 and y^2 = (n - d*a)/2.
+    """
     if not g:
         return G_ZERO
-    norm = _frac_sqrt(g.re * g.re + g.im * g.im)
-    if norm is None:
+    u, v = g.a * g.d, g.b * g.d
+    n2 = u * u + v * v
+    n = isqrt(n2)
+    if n * n != n2 or (u + n) % 2:
         return None
-    a2 = (g.re + norm) / 2
-    b2 = (norm - g.re) / 2
-    a = _frac_sqrt(a2)
-    b = _frac_sqrt(b2)
-    if a is None or b is None:
+    x2, y2 = (n + u) // 2, (n - u) // 2
+    x, y = isqrt(x2), isqrt(y2)
+    if x * x != x2 or y * y != y2:
         return None
-    # fix the relative sign so that 2ab matches Im(g)
-    if g.im < 0:
-        b = -b
-    root = Gaussian(a, b)
+    # fix the relative sign so that 2xy matches Im(g)
+    if v < 0:
+        y = -y
+    root = _gred(x, y, g.d)
     return root if root * root == g else None
 
 
@@ -199,13 +265,38 @@ def pscale(a, g: Gaussian):
     return _ptrim([c * g for c in a])
 
 
+def _monomial_degree(a):
+    """k when a = c*t^k (c nonzero), else None."""
+    k = len(a) - 1
+    if k and (a[0] or any(a[1:k])):
+        return None
+    return k
+
+
+def _valuation(a) -> int:
+    """The lowest degree with a nonzero coefficient (a nonzero)."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
 def pdivmod(a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
+    """Quotient and remainder of a by b (b nonzero).
+
+    Division by a monomial c*t^k is a shift and a scale.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
+    inv_lead = b[-1].inverse()
+    k = _monomial_degree(b)
+    if k is not None:
+        q = a[k:]
+        if inv_lead != G_ONE:
+            q = pscale(q, inv_lead)
+        return q, _ptrim(a[:k])
     q = [G_ZERO] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    inv_lead = b[-1].inverse()
     while len(r) >= len(b):
         if not r[-1]:
             r.pop()
@@ -220,7 +311,18 @@ def pdivmod(a, b):
 
 
 def pgcd(a, b):
-    """Monic gcd via the Euclidean algorithm."""
+    """Monic gcd via the Euclidean algorithm.
+
+    When a nonzero argument is a monomial c*t^k and the other is nonzero,
+    the gcd is t^min(k, valuation of the other), with no division at all.
+    """
+    if a and b:
+        k = _monomial_degree(a)
+        if k is not None:
+            return pmonomial(min(k, _valuation(b)))
+        k = _monomial_degree(b)
+        if k is not None:
+            return pmonomial(min(k, _valuation(a)))
     while b:
         a, b = b, pdivmod(a, b)[1]
     if not a:
@@ -351,7 +453,7 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, f) -> "Scalar":
-        return cls.from_gaussian(Gaussian(Fraction(f)))
+        return cls.from_gaussian(Gaussian(f))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -498,7 +600,7 @@ class Scalar:
     def eval_at(self, value) -> Gaussian:
         """Evaluate at t = value in Q(i); raises EvaluationPole at poles."""
         if not isinstance(value, Gaussian):
-            value = Gaussian(Fraction(value))
+            value = Gaussian(value)
         d = peval(self.den, value)
         if not d:
             raise EvaluationPole(f"pole of {self} at t={value}")
@@ -563,7 +665,7 @@ def _coerce(x) -> Scalar:
     if isinstance(x, Gaussian):
         return Scalar.from_gaussian(x)
     if isinstance(x, (int, Fraction)):
-        return Scalar.from_gaussian(Gaussian(Fraction(x)))
+        return Scalar.from_gaussian(Gaussian(x))
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 

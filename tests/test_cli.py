@@ -240,3 +240,29 @@ def test_oversized_integer_literal_is_a_parse_error(tmp_path, where):
     assert out.stdout == ""
     assert out.stderr.strip().splitlines() == [
         f"parse error: {position}: integer literal of 5000 digits is too long"]
+
+
+@pytest.mark.parametrize("args", [
+    ["builtin:slq2", "--with-n", "E"],
+    ["builtin:poincare-twisted", "--suite", "poincare", "--with-n", "R"],
+], ids=["slq2", "poincare-suite"])
+def test_with_n_without_uea_suite_exits_2(args):
+    out = run_cli(["check", *args])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [
+        f"error: ForbiddenParameter: --with-n is read only by the uea suite, "
+        f"which this run of {args[0]} does not include"]
+
+
+@pytest.mark.parametrize("entry", ["9" * 3000 + "^2", "i/" + "9" * 3000 + "^2"],
+                         ids=["integer", "denominator"])
+def test_number_too_long_to_print_exits_2(tmp_path, entry):
+    doc = tmp_path / "big.qg"
+    doc.write_text(f"gen w : 1\nmat A : [w] -> [w] {{ 1,1 = {entry} }}\n")
+    out = run_cli(["show", str(doc), "A"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [
+        f"error: NumberTooLong: an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits is too long to print"]

@@ -1,8 +1,10 @@
 """Golden --json reports: refactors must leave them byte-identical.
 
 The first four files in tests/golden were written by the dense-tensor
-implementation that preceded the sparse store, the others by the
-per-datum CLI dispatcher that preceded the suite table; each case reruns
+implementation that preceded the sparse store, the next nine by the
+per-datum CLI dispatcher that preceded the suite table, and the last three
+(generic t: both Lorentz classifications and a Lorentz ``mor``) by the
+Fraction-based scalar layer that preceded the integer one. Each case reruns
 the CLI from the repository root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
@@ -38,6 +40,10 @@ CASES = [
     ("classify-poincare-classical",
      ["classify", "builtin:poincare-classical"], 0),
     ("mor-slq2", ["mor", "builtin:slq2", "w w", "w w", "--depth", "3"], 0),
+    ("lorentz-flip", ["check", "builtin:lorentz-flip"], 0),
+    ("lorentz-beta-minus", ["check", "builtin:lorentz-beta-minus"], 0),
+    ("mor-lorentz-flip",
+     ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3"], 0),
 ]
 
 

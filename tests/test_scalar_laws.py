@@ -1,0 +1,302 @@
+"""Property tests for the exact scalar layer Q(i)(t).
+
+Generated elements have Gaussian-rational coefficients with non-integer
+parts and both monomial and general denominators.  The polynomial gcd and
+division are played against a plain Euclid / long-division reference kept
+here (over pairs of Fractions, so it shares no code with ``Gaussian``), and
+the field operations against sympy's rational functions over QQ_I.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from cqtcheck.errors import EvaluationPole  # noqa: E402
+from cqtcheck.scalars import (ConjMode, ONE, P_ONE, ZERO, Gaussian,  # noqa: E402
+                              Scalar, gaussian_sqrt, parse_scalar, pdivmod,
+                              pgcd, pmonomial, pmul)
+
+LAWS = settings(max_examples=50, deadline=None, database=None)
+COEFFICIENT_LAWS = settings(max_examples=300, deadline=None, database=None)
+
+fractions = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=6))
+gaussians = st.builds(Gaussian, fractions, fractions)
+nonzero_gaussians = gaussians.filter(bool)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+general_polys = st.lists(gaussians, min_size=0, max_size=3).map(_trim)
+monomials = st.builds(lambda k, c: pmonomial(k, c),
+                      st.integers(0, 3), nonzero_gaussians)
+polys = st.one_of(general_polys, monomials)
+nonzero_polys = polys.filter(bool)
+
+
+@st.composite
+def scalars(draw):
+    return Scalar.normalize(draw(polys), draw(nonzero_polys))
+
+
+modes = st.sampled_from([ConjMode.REAL, ConjMode.UNIMODULAR])
+
+
+# -- Gaussian rationals ------------------------------------------------------
+
+def _assert_canonical(g):
+    assert g.d > 0
+    assert gcd(g.a, g.b, g.d) == 1
+    assert (g.re, g.im) == (Fraction(g.a, g.d), Fraction(g.b, g.d))
+
+
+@COEFFICIENT_LAWS
+@given(fractions, fractions, gaussians, nonzero_gaussians)
+def test_gaussians_are_canonical(re, im, g, h):
+    x = Gaussian(re, im)
+    _assert_canonical(x)
+    assert (x.re, x.im) == (Fraction(re), Fraction(im))
+    for y in (x + g, x - g, x * g, -x, x.conj(), x / h, h.inverse(),
+              (x + h) - h, (x * h) / h):
+        _assert_canonical(y)
+    # equal values reached along different paths: equal fields and hashes
+    for y in ((x + h) - h, (x * h) / h, x.conj().conj(), -(-x)):
+        assert y == x and (y.a, y.b, y.d) == (x.a, x.b, x.d)
+        assert hash(y) == hash(x)
+    assert bool(x) == bool(re or im)
+
+
+@COEFFICIENT_LAWS
+@given(gaussians)
+def test_gaussian_sqrt_round_trips(g):
+    root = gaussian_sqrt(g * g)
+    assert root is not None and root in (g, -g)
+    r = gaussian_sqrt(g)
+    if r is not None:
+        assert r * r == g
+
+
+@COEFFICIENT_LAWS
+@given(gaussians)
+def test_gaussian_text_parses_back(g):
+    assert parse_scalar(str(g)) == Scalar.from_gaussian(g)
+    if not g.im:
+        assert str(g) == str(g.re)
+
+
+# -- the monomial shortcut against a plain reference --------------------------
+
+ZERO_PAIR = (Fraction(0), Fraction(0))
+ONE_PAIR = (Fraction(1), Fraction(0))
+
+
+def _pairs(p):
+    return tuple((c.re, c.im) for c in p)
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == ZERO_PAIR:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_divmod(a, b):
+    """Schoolbook long division over pairs of Fractions."""
+    r = list(a)
+    q = [ZERO_PAIR] * max(len(a) - len(b) + 1, 0)
+    inv = _inv(b[-1])
+    for k in range(len(a) - len(b), -1, -1):
+        c = _mul(r[k + len(b) - 1], inv)
+        q[k] = c
+        for j, cb in enumerate(b):
+            p = _mul(c, cb)
+            r[k + j] = (r[k + j][0] - p[0], r[k + j][1] - p[1])
+    return _strip(q), _strip(r[:len(b) - 1])
+
+
+def _ref_monic(p):
+    inv = _inv(p[-1])
+    return tuple(_mul(c, inv) for c in p)
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by the plain Euclidean algorithm."""
+    a, b = _pairs(a), _pairs(b)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a) if a else ()
+
+
+def _ref_mul(a, b):
+    out = [ZERO_PAIR] * (len(a) + len(b) - 1) if a and b else []
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            p = _mul(x, y)
+            out[j + k] = (out[j + k][0] + p[0], out[j + k][1] + p[1])
+    return _strip(out)
+
+
+@LAWS
+@given(general_polys, monomials)
+def test_monomial_gcd_matches_euclid(p, m):
+    assert _pairs(pgcd(p, m)) == _ref_gcd(p, m)
+    assert _pairs(pgcd(m, p)) == _ref_gcd(m, p)
+
+
+@LAWS
+@given(polys, nonzero_polys)
+def test_gcd_matches_euclid(a, b):
+    assert _pairs(pgcd(a, b)) == _ref_gcd(a, b)
+
+
+@LAWS
+@given(polys, nonzero_polys)
+def test_divmod_matches_long_division(a, b):
+    q, r = pdivmod(a, b)
+    assert (_pairs(q), _pairs(r)) == _ref_divmod(_pairs(a), _pairs(b))
+
+
+@LAWS
+@given(general_polys, monomials)
+def test_monomial_divmod_is_a_shift_and_a_scale(p, m):
+    q, r = pdivmod(p, m)
+    assert (_pairs(q), _pairs(r)) == _ref_divmod(_pairs(p), _pairs(m))
+    assert pdivmod(pmul(p, m), m) == (p, ())
+
+
+@LAWS
+@given(polys, polys)
+def test_mul_matches_schoolbook(a, b):
+    assert _pairs(pmul(a, b)) == _ref_mul(_pairs(a), _pairs(b))
+    assert pmul(a, b) == pmul(b, a)
+
+
+def test_gcd_with_a_monomial_is_a_power_of_t():
+    g = Gaussian
+    p = (g(0), g(0), g(Fraction(1, 3), 2), g(5))       # t^2 (1/3 + 2i + 5t)
+    assert pgcd(p, pmonomial(5, g(0, 7))) == pmonomial(2)
+    assert pgcd(pmonomial(1, g(3)), p) == pmonomial(1)
+    assert pgcd((g(1), g(1)), pmonomial(4)) == P_ONE
+
+
+# -- the field -----------------------------------------------------------------
+
+@LAWS
+@given(scalars(), scalars(), scalars())
+def test_field_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert a - a == ZERO and a + (-a) == ZERO
+    assert (a - b) + b == a
+    if a:
+        assert a * a.inverse() == ONE
+        assert (b / a) * a == b
+
+
+@LAWS
+@given(scalars())
+def test_scalars_are_canonical(a):
+    """Coprime parts and a monic denominator, as the reference gcd sees it."""
+    assert a.den[-1] == Gaussian(1)
+    assert _ref_gcd(a.num, a.den) == (ONE_PAIR,)
+    assert Scalar.normalize(a.num, a.den) == a
+    assert hash(Scalar.normalize(a.num, a.den)) == hash(a)
+
+
+@LAWS
+@given(scalars(), scalars(), modes)
+def test_conjugation_is_an_involutive_ring_automorphism(a, b, mode):
+    assert a.conjugate(mode).conjugate(mode) == a
+    assert (a + b).conjugate(mode) == a.conjugate(mode) + b.conjugate(mode)
+    assert (a * b).conjugate(mode) == a.conjugate(mode) * b.conjugate(mode)
+
+
+@LAWS
+@given(scalars(), scalars(), gaussians)
+def test_eval_at_is_a_ring_homomorphism_away_from_poles(a, b, x):
+    try:
+        av, bv = a.eval_at(x), b.eval_at(x)
+    except EvaluationPole:
+        assume(False)
+    assert (a + b).eval_at(x) == av + bv
+    assert (a * b).eval_at(x) == av * bv
+    assert (a - b).eval_at(x) == av - bv
+    if bv:
+        assert (a / b).eval_at(x) == av / bv
+
+
+@LAWS
+@given(scalars())
+def test_sqrt_round_trips(a):
+    root = (a * a).sqrt()
+    assert root is not None and root in (a, -a)
+    r = a.sqrt()
+    if r is not None:
+        assert r * r == a
+
+
+# -- against sympy ------------------------------------------------------------
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_poly(sp, p):
+    t = sp.Symbol("t")
+    coeffs = [sp.Rational(c.re.numerator, c.re.denominator)
+              + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+              for c in reversed(p)]
+    return sp.Poly(coeffs or [0], t, domain="QQ_I")
+
+
+def _canonical(sp, num, den):
+    """sympy's reduced form of num/den with a monic denominator."""
+    g = num.gcd(den)
+    num, den = num.exquo(g), den.exquo(g)
+    lead = den.LC()
+    return num.quo_ground(lead), den.quo_ground(lead)
+
+
+def _sym(sp, a):
+    return _to_poly(sp, a.num), _to_poly(sp, a.den)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(scalars(), scalars())
+def test_arithmetic_matches_sympy(a, b):
+    sp = _sympy()
+    (an, ad), (bn, bd) = _sym(sp, a), _sym(sp, b)
+    expect = {
+        "add": _canonical(sp, an * bd + bn * ad, ad * bd),
+        "sub": _canonical(sp, an * bd - bn * ad, ad * bd),
+        "mul": _canonical(sp, an * bn, ad * bd),
+    }
+    got = {"add": a + b, "sub": a - b, "mul": a * b}
+    if b:
+        expect["div"] = _canonical(sp, an * bd, ad * bn)
+        got["div"] = a / b
+    for op, (num, den) in expect.items():
+        assert _sym(sp, got[op]) == (num, den), op
