@@ -56,15 +56,15 @@ def main(argv=None) -> int:
         description="exact checks for exchange structures on presented bialgebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, depth=True):
+    def command(name, run, help, report=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("input", help="builtin:<name> or a document path")
         p.add_argument("--eval", dest="eval_expr", metavar="t=EXPR",
                        help="specialize t at an exact value, e.g. t=1 or t=i")
-        p.add_argument("--json", dest="json_path", metavar="PATH",
-                       help="write the structured report to PATH")
-        if depth:
+        if report:  # show only prints matrices
+            p.add_argument("--json", dest="json_path", metavar="PATH",
+                           help="write the structured report to PATH")
             p.add_argument("--depth", type=int, default=3,
                            help="intertwiner saturation depth")
         return p
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     p_mor = command("mor", run_mor, "print witnessed intertwiner bases")
     p_mor.add_argument("src", help="source word, space-separated generators")
     p_mor.add_argument("dst", help="target word")
-    command("show", run_show, "pretty-print datum matrices", depth=False
+    command("show", run_show, "pretty-print datum matrices", report=False
             ).add_argument("name", nargs="?", help="matrix name (default: list)")
 
     args = parser.parse_args(argv)

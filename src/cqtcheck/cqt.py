@@ -84,6 +84,23 @@ def word_R(c: CandidateR, word, gamma: str, side: str) -> Tensor:
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
+def exchange_defect(c: CandidateR, W: Tensor, source, target, gamma: str,
+                    side: str) -> Tensor:
+    """lhs - rhs of one exchange law of W: source -> target against gamma.
+
+    side "left":   (1 (x) W) . R[source, gamma] - R[target, gamma] . (W (x) 1)
+    side "right":  R[gamma, target] . (1 (x) W) - (W (x) 1) . R[gamma, source]
+    """
+    dg = (c.presentation.dim(gamma),)
+    from_src = word_R(c, source, gamma, side)
+    to_tgt = word_R(c, target, gamma, side)
+    if side == "left":
+        return (pad_with_identity(W, dg, ()) @ from_src
+                - to_tgt @ pad_with_identity(W, (), dg))
+    return (to_tgt @ pad_with_identity(W, dg, ())
+            - pad_with_identity(W, (), dg) @ from_src)
+
+
 def check_condition2(p: Presentation, c: CandidateR,
                      witnesses: Saturation = None, depth: int = 3):
     """Exchange-law and intertwiner reports for one candidate family.
@@ -95,21 +112,11 @@ def check_condition2(p: Presentation, c: CandidateR,
     """
     if witnesses is None:
         witnesses = saturate(p, depth=depth)
-    reports = []
-    for rel in p.relations:
-        w = rel.matrix
-        for gamma in p.non_unit():
-            dg = p.dim(gamma)
-            lhs = (pad_with_identity(w, (dg,), ())
-                   @ word_R(c, rel.source_word, gamma, "left"))
-            rhs = (word_R(c, rel.target_word, gamma, "left")
-                   @ pad_with_identity(w, (), (dg,)))
-            reports.append(defect_report(f"exchange-left:{rel.name}:{gamma}", lhs - rhs))
-            lhs = (word_R(c, rel.target_word, gamma, "right")
-                   @ pad_with_identity(w, (dg,), ()))
-            rhs = (pad_with_identity(w, (), (dg,))
-                   @ word_R(c, rel.source_word, gamma, "right"))
-            reports.append(defect_report(f"exchange-right:{rel.name}:{gamma}", lhs - rhs))
+    reports = [
+        defect_report(f"exchange-{side}:{rel.name}:{gamma}", exchange_defect(
+            c, rel.matrix, rel.source_word, rel.target_word, gamma, side))
+        for rel in p.relations for gamma in p.non_unit()
+        for side in ("left", "right")]
     for (a, b), block in sorted(c.blocks.items()):
         cid = f"intertwiner:{a}:{b}"
         if witnesses.contains((a, b), (b, a), block):

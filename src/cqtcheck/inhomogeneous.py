@@ -21,6 +21,13 @@ polynomial identity of degree at most 3 in c (each side holds three R_Q
 factors and m_P squares to zero), so it is verified exactly by
 interpolation at four rational points.
 
+The two hexagon families and the compatibility with the defining spinor
+intertwiners are exchange laws of one block table (`exchange_table`): the
+hexagon reps plus a letter P for the extended representation, with
+R[v,P] = N_v (G and H in block form), R[P,P] = R_Q and R[v,w] the exchange
+blocks.  They are decided by `cqt.exchange_defect`, the engine that
+decides condition 2 on a presentation.
+
 Two datum modes exist: spinor-backed (everything derived from a Lorentz
 datum through the Pauli intertwiner V) and abstract (R, Z, T and the rep
 table supplied directly).  Spinor-only operations raise AbstractLambdaMode
@@ -34,8 +41,8 @@ from dataclasses import dataclass, field
 from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, MissingRep,
                      ShapeError, StructureViolation)
-from .lorentz import LorentzDatum, W, WB, candidate_L
-from .presentation import CandidateR
+from .lorentz import LorentzDatum, W, WB, candidate_L, lorentz_family
+from .presentation import CandidateR, GeneratorSpec, Presentation
 from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
 from .tensor import Tensor, flip, kron, pad_with_identity
 
@@ -113,41 +120,6 @@ def _g_compose(g1: Tensor, g2: Tensor) -> Tensor:
     """
     chain = g1.slice_legs((0, 1, 2), (3,)) @ g2.slice_legs((0,), (1, 2, 3))
     return chain.slice_legs((0, 1, 3), (2, 4, 5))
-
-
-def _h_compose(g1: Tensor, h1: Tensor, h2: Tensor) -> Tensor:
-    """H of a two-letter word: eta(xy) = f(x)eta(y) + eta(x)counit(y)."""
-    d2 = h2.cod[1]
-    chain = g1.slice_legs((0, 1, 2), (3,)) @ h2.slice_legs((0,), (1, 2))
-    return (chain.slice_legs((0, 1, 3), (2, 4))
-            + pad_with_identity(h1, (), (d2,)))
-
-
-def build_G(d: InhomDatum, word) -> Tensor:
-    """G of a tensor word of rep names (unital: the empty word gives 1)."""
-    out = None
-    for name in word:
-        g = d.rep(name).G
-        out = g if out is None else _g_compose(out, g)
-    if out is None:
-        return Tensor.identity((d.N,)).with_legs((d.N, 1), (1, d.N))
-    return out
-
-
-def build_H(d: InhomDatum, word) -> Tensor:
-    """H of a tensor word of rep names (the empty word gives 0)."""
-    outg = None
-    outh = None
-    for name in word:
-        e = d.rep(name)
-        if outg is None:
-            outg, outh = e.G, e.H
-        else:
-            outh = _h_compose(outg, outh, e.H)
-            outg = _g_compose(outg, e.G)
-    if outh is None:
-        return Tensor.zeros((d.N, 1), (1,))
-    return outh
 
 
 def build_N(d: InhomDatum, name: str) -> Tensor:
@@ -384,6 +356,7 @@ def counit_invariance_defect(d: InhomDatum, name: str, m: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 INTERP_POINTS = tuple(Scalar.from_int(k) for k in (0, 1, 2, 3))
+EXT = "P"  # the letter of the extended representation in exchange tables
 
 
 def braid_defect(RQ: Tensor) -> Tensor:
@@ -410,16 +383,48 @@ def exchange_block(d: InhomDatum, cand: PoincareCandidate, v: str, w: str) -> Te
     return cand.base.block(v, w)
 
 
+def exchange_table(d: InhomDatum, cand: PoincareCandidate, rq: Tensor) -> CandidateR:
+    """Exchange blocks over the hexagon reps and the extended letter EXT.
+
+    R[v,EXT] = N_v, R[EXT,EXT] = rq, and R[v,w] is the exchange block
+    wherever one exists (pairs of spinor reps need a candidate).
+    """
+    names = d.hexagon_reps()
+    gens = [GeneratorSpec(n, d.rep(n).G.cod[1], n) for n in names]
+    blocks = {(EXT, EXT): rq}
+    for v in names:
+        blocks[(v, EXT)] = build_N(d, v)
+        for w in names:
+            try:
+                blocks[(v, w)] = exchange_block(d, cand, v, w)
+            except MissingRep:
+                pass
+    p = Presentation(gens + [GeneratorSpec(EXT, d.N + 1, EXT)], [])
+    return CandidateR(p, blocks)
+
+
+def _first_failure(cid: str, points, defect_at, note: str = "") -> cqt.CheckReport:
+    """Report on an identity in the coefficient: fail at the first sample
+    point with a nonzero defect, pass with `note` when all vanish."""
+    for c in points:
+        fz = defect_at(c).first_nonzero()
+        if fz is not None:
+            return cqt.CheckReport(
+                cid, "fail", fz, f"at coefficient {c}" if c is not None else "")
+    return cqt.CheckReport(cid, "pass", None, note)
+
+
 def check_braid_hexagons(d: InhomDatum, cand: PoincareCandidate = None):
     """Braid for R_Q, both hexagons, and the intertwiner compatibilities.
 
-    The braid defect is cubic in the invariant coefficient c, so vanishing
-    at the four interpolation points proves it for every c; the one-sided
-    hexagon is affine in c and checked at two points; the mixed hexagon and
-    the compatibility with the defining intertwiners are c-free.
+    The hexagons and the compatibilities are exchange laws of the block
+    table: hexagon-one:v is the right law of R_Q against v, hexagon-two:v:w
+    the left law of R[v,w] against EXT.  The braid defect is cubic in the
+    invariant coefficient c, so vanishing at the four interpolation points
+    proves it for every c; the one-sided hexagon is affine in c and checked
+    at two points; the mixed hexagon and the compatibility with the
+    defining intertwiners are c-free.
     """
-    reports = []
-    N = d.N
     m = d.invariant
     if cand is not None and cand.c is not None:
         if m is not None:
@@ -427,113 +432,49 @@ def check_braid_hexagons(d: InhomDatum, cand: PoincareCandidate = None):
         points = (None,)
     else:
         points = INTERP_POINTS if m is not None else (Scalar.from_int(0),)
-
-    def rq_at(c):
-        return build_RQ(d, m, c)
-
-    bad = None
-    for c in points:
-        defect = braid_defect(rq_at(c))
-        fz = defect.first_nonzero()
-        if fz is not None:
-            bad = (c, fz)
-            break
-    if bad is None:
-        note = ("cubic interpolation over the invariant coefficient"
-                if len(points) > 1 else "")
-        reports.append(cqt.CheckReport("braid:extended", "pass", None, note))
-    else:
-        c, fz = bad
-        reports.append(cqt.CheckReport("braid:extended", "fail", fz,
-                                       f"at coefficient {c}" if c is not None else ""))
-
-    P = N + 1
-    nv_cache = {name: build_N(d, name) for name in d.hexagon_reps()}
-    hex_points = points if len(points) == 1 else points[:2]
-    for name, nv in nv_cache.items():
-        dv = nv.cod[1]
-        bad = None
-        for c in hex_points:
-            rq = rq_at(c)
-            lhs = (pad_with_identity(nv, (P,), ())
-                   @ pad_with_identity(nv, (), (P,))
-                   @ pad_with_identity(rq, (dv,), ()))
-            rhs = (pad_with_identity(rq, (), (dv,))
-                   @ pad_with_identity(nv, (P,), ())
-                   @ pad_with_identity(nv, (), (P,)))
-            defect = lhs - rhs
-            fz = defect.first_nonzero()
-            if fz is not None:
-                bad = (c, fz)
-                break
-        cid = f"hexagon-one:{name}"
-        if bad is None:
-            reports.append(cqt.CheckReport(cid, "pass"))
-        else:
-            reports.append(cqt.CheckReport(
-                cid, "fail", bad[1],
-                f"at coefficient {bad[0]}" if bad[0] is not None else ""))
-
+    reports = [_first_failure(
+        "braid:extended", points, lambda c: braid_defect(build_RQ(d, m, c)),
+        "cubic interpolation over the invariant coefficient"
+        if len(points) > 1 else "")]
+    tables = {c: exchange_table(d, cand, build_RQ(d, m, c)) for c in points[:2]}
+    pp = (EXT, EXT)
+    for v in d.hexagon_reps():
+        reports.append(_first_failure(
+            f"hexagon-one:{v}", points[:2], lambda c: cqt.exchange_defect(
+                tables[c], tables[c].block(EXT, EXT), pp, pp, v, "right")))
+    table = tables[points[0]]
     for v in d.hexagon_reps():
         for w in d.hexagon_reps():
             cid = f"hexagon-two:{v}:{w}"
-            try:
-                rvw = exchange_block(d, cand, v, w)
-            except MissingRep:
+            if (v, w) not in table.blocks:
                 reports.append(cqt.CheckReport(cid, "skipped", None,
                                                "no candidate blocks"))
                 continue
-            nv = nv_cache[v]
-            nw = nv_cache[w]
-            dv, dw = nv.cod[1], nw.cod[1]
-            lhs = (pad_with_identity(rvw, (P,), ())
-                   @ pad_with_identity(nv, (), (dw,))
-                   @ pad_with_identity(nw, (dv,), ()))
-            rhs = (pad_with_identity(nw, (), (dv,))
-                   @ pad_with_identity(nv, (dw,), ())
-                   @ pad_with_identity(rvw, (), (P,)))
-            reports.append(cqt.defect_report(cid, lhs - rhs))
-
-    reports.extend(_intertwiner_compat(d, nv_cache))
+            reports.append(cqt.defect_report(cid, cqt.exchange_defect(
+                table, table.block(v, w), (v, w), (w, v), EXT, "left")))
+    reports.extend(_intertwiner_compat(d, table))
     reports.sort(key=lambda r: r.check_id)
     return reports
 
 
-def _intertwiner_compat(d: InhomDatum, nv_cache):
-    """Exchange of the defining spinor intertwiners across the P leg."""
+def _intertwiner_compat(d: InhomDatum, table: CandidateR):
+    """Left exchange laws of the defining spinor intertwiners against EXT.
+
+    Each defect is negated to read R[target,EXT] . (S (x) 1)
+    - (1 (x) S) . R[source,EXT], the orientation the reports use.
+    """
     if d.abstract:
         return [cqt.CheckReport("intertwiner-compat", "skipped", None,
                                 "abstract mode")]
     ld = d.lorentz
-    P = d.N + 1
-    nw, nwb = nv_cache[W], nv_cache[WB]
+    dims = table.presentation.word_dims
     out = []
-    by_name = {r.name: r.matrix for r in ld.presentation.relations}
-    cases = [
-        ("E", ld.base.E, (W, W), ()),
-        ("Et", by_name["Et"], (WB, WB), ()),
-        ("X", ld.X, (WB, W), (W, WB)),
-    ]
-    for name, S, tgt, src in cases:
-        n_by = {W: nw, WB: nwb}
-        if not src:
-            # S: 1 -> tgt
-            n1, n2 = n_by[tgt[0]], n_by[tgt[1]]
-            lhs = (pad_with_identity(n1, (), (2,))
-                   @ pad_with_identity(n2, (2,), ())
-                   @ pad_with_identity(S.with_legs((2, 2), ()), (), (P,)))
-            rhs = pad_with_identity(S.with_legs((2, 2), ()), (P,), ())
-        else:
-            # S: src -> tgt between two-letter words
-            n1, n2 = n_by[tgt[0]], n_by[tgt[1]]
-            m1, m2 = n_by[src[0]], n_by[src[1]]
-            lhs = (pad_with_identity(n1, (), (2,))
-                   @ pad_with_identity(n2, (2,), ())
-                   @ pad_with_identity(S, (), (P,)))
-            rhs = (pad_with_identity(S, (P,), ())
-                   @ pad_with_identity(m1, (), (2,))
-                   @ pad_with_identity(m2, (2,), ()))
-        out.append(cqt.defect_report(f"intertwiner-compat:{name}", lhs - rhs))
+    for name, S, src, tgt in (("E", ld.base.E, (), (W, W)),
+                              ("Et", ld.Etilde, (), (WB, WB)),
+                              ("X", ld.X, (W, WB), (WB, W))):
+        law = cqt.exchange_defect(table, S.with_legs(dims(tgt), dims(src)),
+                                  src, tgt, EXT, "left")
+        out.append(cqt.defect_report(f"intertwiner-compat:{name}", -law))
     return out
 
 
@@ -542,18 +483,17 @@ def check_R_v_Lambda(d: InhomDatum, cand: PoincareCandidate):
     if d.abstract:
         return [cqt.CheckReport("vector-normalization", "skipped", None,
                                 "abstract mode")]
-    from .cqt import word_R
     V, Vinv = d.V, d.V.inverse()
     reports = []
     for v in (W, WB):
         dv = 2
-        rv_word = word_R(cand.base, (W, WB), v, "right")
+        rv_word = cqt.word_R(cand.base, (W, WB), v, "right")
         r_v_lam = (pad_with_identity(Vinv, (), (dv,)) @ rv_word
                    @ pad_with_identity(V, (dv,), ()))
         g = d.rep(v).G
         reports.append(cqt.defect_report(f"vector-normalization:{v}:P",
                                    r_v_lam - g))
-        lv_word = word_R(cand.base, (W, WB), v, "left")
+        lv_word = cqt.word_R(cand.base, (W, WB), v, "left")
         r_lam_v = (pad_with_identity(Vinv, (dv,), ()) @ lv_word
                    @ pad_with_identity(V, (), (dv,)))
         reports.append(cqt.defect_report(f"vector-normalization:P:{v}",
@@ -648,7 +588,6 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
     else:
         # scan all sign assignments; only the two coherent ones survive the
         # vector-rep normalization
-        from .lorentz import lorentz_family
         seen = set()
         for candidate in lorentz_family(d.lorentz):
             key = candidate.key()
@@ -658,12 +597,10 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
             pc = PoincareCandidate(candidate, 0)
             if cqt.all_pass(check_R_v_Lambda(d, pc)):
                 survivors.append(candidate.label)
+        m0 = build_m0(d)
         for k in (1, -1):
             pc = poincare_candidate(d, k)
-            rs = []
-            rs.extend(check_R_v_Lambda(d, pc))
-            rs.extend(check_braid_hexagons(d, pc))
-            m0 = build_m0(d)
+            rs = check_R_v_Lambda(d, pc) + check_braid_hexagons(d, pc)
             rs.append(cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0))
             for name in (W, WB):
                 rs.append(cqt.defect_report(f"invariance:counit:{name}",
@@ -688,7 +625,6 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
             if k == 1:
                 star_reports["star:base"] = cqt.CheckReport(
                     "star:base", "pass" if cqt.all_pass(base_star) else "fail")
-        m0 = build_m0(d)
         star_reports["star:m-hermitian"] = check_m_star(d, m0, "star:m-hermitian")
         for sample in star_samples:
             if isinstance(sample, tuple):

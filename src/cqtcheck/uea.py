@@ -94,11 +94,18 @@ def _sample_points(d: InhomDatum, cand: PoincareCandidate, count: int = 4):
     return INTERP_POINTS[:count]
 
 
-def build_l(d: InhomDatum, cand: PoincareCandidate = None,
-            c: Scalar = None) -> FunctionalHom:
+def _functionals(d: InhomDatum, cand: PoincareCandidate):
+    """(functional, label suffix, twisted): l at three sample coefficients,
+    then the antipode-twisted X."""
+    points = _sample_points(d, cand, count=3)
+    for c in points:
+        suffix = f" at coefficient {c}" if len(points) > 1 else ""
+        yield build_l(d, c=c), suffix, False
+    yield build_X(d), "", True
+
+
+def build_l(d: InhomDatum, c: Scalar = None) -> FunctionalHom:
     """The exchange functional sliced from R_Q at one coefficient value."""
-    if cand is not None and cand.c is not None:
-        c = cand.c
     rq = build_RQ(d, d.invariant, c if c is not None else Scalar.from_int(0))
     N = d.N
     P = N + 1
@@ -332,18 +339,14 @@ def build_K(d: InhomDatum) -> Tensor:
     return d.R.place_legs(sq, sq, (2, 3, 0, 1)) + corner_frame(d.N)
 
 
-# A row invariant n sits in the same corner block as an invariant column;
-# the twisted invariance of n is exactly what cancels the extra terms on
-# both sides of the exchange relation.
-build_nP = build_mP
-
-
 def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None):
     """Exchange relation of the X functional against K (and K + row block)."""
     cop = CoproductTable(d.N)
     conv = ConvTable(build_X(d), cop)
     variants = [("xkx:base", build_K(d))]
     if n is not None:
+        # a row invariant sits in the same corner block as an invariant
+        # column; its twisted invariance cancels the extra terms
         variants.append(("xkx:with-invariant-row", build_K(d) + build_mP(d, n)))
     merge = _Merge()
     for word in _words(cop, max_len):
@@ -364,7 +367,6 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
     """
     N = d.N
     cop = CoproductTable(N)
-    points = _sample_points(d, cand, count=3)
     merge = _Merge()
     # legs of B: (x, y) x (u, v); each pairing is a leg permutation of B on
     # the vector range, applied to the invariant column
@@ -375,30 +377,20 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
                              tuple(vector[leg] for leg in dom)) @ col
                 - col * eps)
 
-    for c in points:
-        conv = ConvTable(build_l(d, c=c), cop)
-        suffix = f" at coefficient {c}" if len(points) > 1 else ""
+    for h, suffix, twisted in _functionals(d, cand):
+        conv = ConvTable(h, cop)
+        tag, legs = (("-twisted", ((2, 3), (0, 1))) if twisted
+                     else ("", ((1, 0), (3, 2))))
         for word in _words(cop, max_len):
             B = conv.value(word)
             eps = cop.counit_word(word)
             label = _word_label(word) + suffix
             if k is not None:
-                merge.feed(f"pairing:column:len{len(word)}", label,
-                           pair(B, (1, 0), (3, 2), k, eps))
+                merge.feed(f"pairing:column{tag}:len{len(word)}", label,
+                           pair(B, legs[0], legs[1], k, eps))
             if n is not None:
-                merge.feed(f"pairing:row:len{len(word)}", label,
-                           pair(B, (3, 2), (1, 0), n, eps))
-    xconv = ConvTable(build_X(d), cop)
-    for word in _words(cop, max_len):
-        BX = xconv.value(word)
-        eps = cop.counit_word(word)
-        label = _word_label(word)
-        if k is not None:
-            merge.feed(f"pairing:column-twisted:len{len(word)}", label,
-                       pair(BX, (2, 3), (0, 1), k, eps))
-        if n is not None:
-            merge.feed(f"pairing:row-twisted:len{len(word)}", label,
-                       pair(BX, (0, 1), (2, 3), n, eps))
+                merge.feed(f"pairing:row{tag}:len{len(word)}", label,
+                           pair(B, legs[1], legs[0], n, eps))
     return merge.reports()
 
 
@@ -455,23 +447,14 @@ def _acc(elt, word, coef):
 
 def check_ideal_killed(d: InhomDatum, cand: PoincareCandidate = None):
     """Both functionals must annihilate every defining relation element."""
-    points = _sample_points(d, cand, count=3)
-    mixed = ideal_elements_mixed(d)
-    quadratic = ideal_elements_quadratic(d)
+    elements = {"mixed": ideal_elements_mixed(d),
+                "quadratic": ideal_elements_quadratic(d)}
     merge = _Merge()
-    for c in points:
-        lhom = build_l(d, c=c)
-        suffix = f" at coefficient {c}" if len(points) > 1 else ""
-        for key, elt in mixed.items():
-            merge.feed("ideal:mixed:l", f"{key}{suffix}", lhom.value_free(elt))
-        for key, elt in quadratic.items():
-            merge.feed("ideal:quadratic:l", f"{key}{suffix}",
-                       lhom.value_free(elt))
-    xhom = build_X(d)
-    for key, elt in mixed.items():
-        merge.feed("ideal:mixed:X", str(key), xhom.value_free(elt))
-    for key, elt in quadratic.items():
-        merge.feed("ideal:quadratic:X", str(key), xhom.value_free(elt))
+    for h, suffix, twisted in _functionals(d, cand):
+        for kind, elts in elements.items():
+            for key, elt in elts.items():
+                merge.feed(f"ideal:{kind}:{'X' if twisted else 'l'}",
+                           f"{key}{suffix}", h.value_free(elt))
     return merge.reports()
 
 

@@ -115,6 +115,16 @@ def test_show_command():
     assert "L1" in listing.stdout
 
 
+def test_show_rejects_json(tmp_path):
+    # show prints matrices and writes no report, so --json is not an option
+    path = tmp_path / "show.json"
+    out = run_cli(["show", "builtin:slq2", "E", "--json", str(path)])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "unrecognized arguments: --json" in out.stderr
+    assert not path.exists()
+
+
 def test_eval_requires_constant():
     out = run_cli(["check", "builtin:slq2", "--eval", "t=t+1"])
     assert out.returncode == 2

@@ -2,10 +2,13 @@
 
 The first four files in tests/golden were written by the dense-tensor
 implementation that preceded the sparse store, the next nine by the
-per-datum CLI dispatcher that preceded the suite table, and the last three
+per-datum CLI dispatcher that preceded the suite table, the next three
 (generic t: both Lorentz classifications and a Lorentz ``mor``) by the
-Fraction-based scalar layer that preceded the integer one. Each case reruns
-the CLI from the repository root and compares the report byte for byte.
+Fraction-based scalar layer that preceded the integer one, and the last
+(the three-letter ``mor`` of slq2, which pins the order of the basis that
+saturation returns) by the code that preceded the exchange-law form of the
+Poincare checks. Each case reruns the CLI from the repository root and
+compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
 """
@@ -44,6 +47,7 @@ CASES = [
     ("lorentz-beta-minus", ["check", "builtin:lorentz-beta-minus"], 0),
     ("mor-lorentz-flip",
      ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3"], 0),
+    ("mor-slq2-www", ["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"], 0),
 ]
 
 

@@ -43,25 +43,6 @@ def test_classical_vector_exchange_is_swap(classical):
     assert classical.T.is_zero()
 
 
-def test_build_G_unital_and_multiplicative(classical):
-    assert inh.build_G(classical, ()) == \
-        Tensor.identity((4,)).with_legs((4, 1), (1, 4))
-    g_w = inh.build_G(classical, ("w",))
-    assert g_w == classical.rep("w").G
-    g_wwb = inh.build_G(classical, ("w", "wb"))
-    # conjugating the two-letter word by the Pauli intertwiner gives R
-    V = classical.V
-    conj = (pad_with_identity(V.inverse(), (4,), ())
-            @ g_wwb @ pad_with_identity(V, (), (4,)))
-    assert conj == classical.R
-
-
-def test_build_H_zero_for_classical(classical):
-    assert inh.build_H(classical, ("w", "wb")).is_zero()
-    assert inh.build_H(classical, ()).is_zero()
-    assert inh.build_H(classical, ("w",)) == classical.rep("w").H
-
-
 def test_invariant_column(classical):
     m0 = inh.build_m0(classical)
     half = Scalar.normalize((G_ONE,), (Gaussian(2),))

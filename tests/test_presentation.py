@@ -6,7 +6,7 @@ from cqtcheck.presentation import (CandidateR, GeneratorSpec, Presentation,
                                    Relation, conj_relation, mor_saturate,
                                    saturate)
 from cqtcheck.scalars import ConjMode, ONE, Q, T, ZERO
-from cqtcheck.tensor import SpanBasis, Tensor, flip
+from cqtcheck.tensor import SpanBasis, Tensor, flip, kron
 
 q = Q
 t = T
@@ -114,6 +114,24 @@ def test_saturation_monotone_in_depth(slq2):
         sat = saturate(slq2.presentation, depth=depth)
         dims.append(len(sat.basis(("w", "w"), ("w", "w"))))
     assert dims == sorted(dims)
+
+
+def test_kron_witnesses_a_product_no_padding_route_fits():
+    # A: a -> h h and B: h h h h -> g.  By the interchange law A (x) B is
+    # (A (x) 1_g) . (1_a (x) B) and (1_hh (x) B) . (A (x) 1_hhhh), but the
+    # middle words a g (600 dimensions) and h^6 (6 letters) are both out of
+    # bounds, so only the tensor product of A and B reaches it.
+    a_to_hh = Tensor.from_rows([[1, 2, 3]], cod=(1, 1), dom=(3,))
+    hhhh_to_g = Tensor.column(range(1, 201)).with_legs((200,), (1, 1, 1, 1))
+    p = Presentation(
+        [GeneratorSpec("a", 3, "a"), GeneratorSpec("h", 1, "h"),
+         GeneratorSpec("g", 200, "g")],
+        [Relation("A", a_to_hh, ("a",), ("h", "h")),
+         Relation("B", hhhh_to_g, ("h",) * 4, ("g",))])
+    sat = saturate(p, depth=1, max_len=5, max_end_len=3)
+    src, dst = ("a", "h", "h", "h", "h"), ("h", "h", "g")
+    assert sat.contains(src, dst, kron(a_to_hh, hhhh_to_g))
+    assert len(sat.basis(src, dst)) == 1
 
 
 def test_saturated_elements_are_genuine_intertwiners(slq2):

@@ -207,7 +207,7 @@ def test_xkx_classical(classical):
 
 def test_xkx_zero_row_variant_equals_base(classical):
     zero = Tensor.zeros((4, 4), ())
-    assert uea.build_K(classical) + uea.build_nP(classical, zero) == \
+    assert uea.build_K(classical) + uea.build_mP(classical, zero) == \
         uea.build_K(classical)
 
 
