@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,9 @@ from typing import Callable, NamedTuple
 from . import catalog, cqt, dsl, lorentz, uea
 from . import inhomogeneous as inhomog
 from .errors import CqtError, ForbiddenParameter, ParseError
-from .presentation import mor_saturate, saturate
+# saturate stays bound here although the CLI saturates lazily: perfbench's
+# tracer tests that it wraps a function in every module that imports it
+from .presentation import Saturation, mor_saturate, saturate  # noqa: F401
 from .scalars import parse_scalar
 
 SUITES = ("validate", "cqt", "star", "ct", "classify", "poincare", "uea")
@@ -87,8 +90,9 @@ def main(argv=None) -> int:
     command("show", run_show, "pretty-print datum matrices", report=False
             ).add_argument("name", nargs="?", help="matrix name (default: list)")
 
-    args = parser.parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
+        args = parser.parse_args(argv)
         return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -99,6 +103,37 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+class _Stdout:
+    """Standard output for one command.  Once the reader has closed the pipe
+    (as `| head` does), the rest of the output goes to the null device: the
+    command still runs to the end, writes its --json file and keeps its exit
+    status, and nothing reaches stderr, at exit either."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        return self._quietly(self.stream.write, text)
+
+    def flush(self):
+        return self._quietly(self.stream.flush)
+
+    def _quietly(self, op, *args):
+        try:
+            return op(*args)
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self.stream.fileno())
+            os.close(null)
+            return op(*args)
 
 
 def _eval_value(expr):
@@ -144,7 +179,7 @@ class _Run:
 
     @cached_property
     def witnesses(self):
-        return saturate(self.datum.presentation, depth=self.depth)
+        return Saturation(self.datum.presentation, depth=self.depth)
 
     @cached_property
     def candidate(self):
@@ -327,7 +362,10 @@ def dispatch(cfg: RunConfig, lenient=False):
 # ---------------------------------------------------------------------------
 
 def emit_report(rows, datum_name, summary, json_path=None, verbose=False,
-                stream=sys.stdout):
+                stream=None):
+    """Print the report to stream (standard output when None, looked up
+    at the call) and write the --json file; returns the exit status."""
+    stream = sys.stdout if stream is None else stream
     rows = sorted(rows, key=lambda sr: (sr[0], sr[1].check_id))
     for line in summary:
         print(line, file=stream)

@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .presentation import (CandidateR, FunctionalHom, Presentation,
-                           Saturation, saturate)
+from .presentation import CandidateR, FunctionalHom, Presentation, Saturation
 from .scalars import ConjMode, Scalar
 from .tensor import Tensor, pad_with_identity, tauconj
 
@@ -59,11 +58,13 @@ def defect_report(check_id: str, defect: Tensor, note: str = "") -> CheckReport:
     return CheckReport(check_id, "fail", w, note)
 
 
-def word_R(c: CandidateR, word, gamma: str, side: str) -> Tensor:
+def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:
     """Exchange matrix of a word against a single generator.
 
     side "left" builds R[word, gamma], side "right" builds R[gamma, word];
-    the empty word gives the identity on the gamma space.
+    the empty word gives the identity on the gamma space.  `memo`, a dict
+    kept by one check, maps (word, gamma, side) to the matrices already
+    built; the recursion takes its shorter words from there.
     """
     p = c.presentation
     dg = p.dim(gamma)
@@ -74,26 +75,40 @@ def word_R(c: CandidateR, word, gamma: str, side: str) -> Tensor:
     head_dims = p.word_dims(head)
     dlast = p.dim(last)
     if side == "left":
-        rec = word_R(c, head, gamma, "left")
+        rec = _recall(memo, c, head, gamma, "left")
         return (pad_with_identity(rec, (), (dlast,))
                 @ pad_with_identity(c.block(last, gamma), head_dims, ()))
     if side == "right":
-        rec = word_R(c, head, gamma, "right")
+        rec = _recall(memo, c, head, gamma, "right")
         return (pad_with_identity(c.block(gamma, last), head_dims, ())
                 @ pad_with_identity(rec, (), (dlast,)))
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
+def _recall(memo, c: CandidateR, word, gamma: str, side: str) -> Tensor:
+    """word_R through memo; memo None builds it afresh."""
+    if memo is None:
+        return word_R(c, word, gamma, side)
+    key = (tuple(word), gamma, side)
+    if key not in memo:
+        memo[key] = word_R(c, word, gamma, side, memo)
+    return memo[key]
+
+
 def exchange_defect(c: CandidateR, W: Tensor, source, target, gamma: str,
-                    side: str) -> Tensor:
+                    side: str, memo=None) -> Tensor:
     """lhs - rhs of one exchange law of W: source -> target against gamma.
 
     side "left":   (1 (x) W) . R[source, gamma] - R[target, gamma] . (W (x) 1)
     side "right":  R[gamma, target] . (1 (x) W) - (W (x) 1) . R[gamma, source]
+
+    `memo` is the word_R memo of the calling check (see word_R); without
+    one the law keeps its own.
     """
+    memo = {} if memo is None else memo
     dg = (c.presentation.dim(gamma),)
-    from_src = word_R(c, source, gamma, side)
-    to_tgt = word_R(c, target, gamma, side)
+    from_src = _recall(memo, c, source, gamma, side)
+    to_tgt = _recall(memo, c, target, gamma, side)
     if side == "left":
         return (pad_with_identity(W, dg, ()) @ from_src
                 - to_tgt @ pad_with_identity(W, (), dg))
@@ -107,14 +122,17 @@ def check_condition2(p: Presentation, c: CandidateR,
 
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
-    the presentation (computed on demand when omitted and shared across a
-    family by the callers that classify).
+    the presentation (made on demand when omitted and shared across a
+    family by the callers that classify); it deepens only as far as the
+    blocks need.  The laws share one word_R memo, dropped on return.
     """
     if witnesses is None:
-        witnesses = saturate(p, depth=depth)
+        witnesses = Saturation(p, depth=depth)
+    memo = {}
     reports = [
         defect_report(f"exchange-{side}:{rel.name}:{gamma}", exchange_defect(
-            c, rel.matrix, rel.source_word, rel.target_word, gamma, side))
+            c, rel.matrix, rel.source_word, rel.target_word, gamma, side,
+            memo))
         for rel in p.relations for gamma in p.non_unit()
         for side in ("left", "right")]
     for (a, b), block in sorted(c.blocks.items()):
@@ -240,7 +258,7 @@ def classify(p: Presentation, family, mode: ConjMode = None,
     the presentation has a conjugation making the star check meaningful.
     """
     if witnesses is None:
-        witnesses = saturate(p, depth=depth)
+        witnesses = Saturation(p, depth=depth)
     unique = []
     seen = set()
     for cand in family:

@@ -308,8 +308,11 @@ class _Parser(TokenParser):
                 s = self.scalar_power() if tok.text != "(" else self.scalar_atom()
                 # allow rationals like 1/2 before the '*'
                 while self.peek().text == "/":
-                    self.next()
-                    s = s / self.scalar_power()
+                    op = self.next()
+                    w = self.scalar_power()
+                    if w.is_zero():
+                        self.zero_division(op, "division by zero")
+                    s = s / w
                 coeff = s if coeff is None else coeff * s
                 self.expect("punct", "*")
                 continue

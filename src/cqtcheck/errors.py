@@ -41,6 +41,10 @@ class ParseError(CqtError):
         self.expected = tuple(expected)
 
 
+class ZeroDivisionInText(ParseError, DivisionByZero):
+    """A scalar text divides by zero; the position is the operator's."""
+
+
 class UnknownGenerator(CqtError):
     """A word references a generator that was never declared."""
 

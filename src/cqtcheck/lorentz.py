@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import cqt
 from .errors import AxiomViolation, ForbiddenParameter, NotInvertible
 from .presentation import (CandidateR, GeneratorSpec, Presentation, Relation,
-                           Saturation, saturate)
+                           Saturation)
 from .scalars import ConjMode, Gaussian, Scalar
 from .tensor import Tensor, flip, pad_with_identity, tauconj
 
@@ -209,7 +209,7 @@ def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None):
     divergence is flagged in that report, never suppressed.
     """
     if witnesses is None:
-        witnesses = saturate(d.presentation)
+        witnesses = Saturation(d.presentation)
     result = cqt.classify(d.presentation, lorentz_family(d), mode=d.mode,
                           witnesses=witnesses)
     ref = reference_counts(d)

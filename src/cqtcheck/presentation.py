@@ -11,11 +11,13 @@ The module also hosts:
 * CandidateR   -- a family of candidate exchange blocks R[a,b], one per pair
   of generators, with unit blocks fixed to identities;
 * FunctionalHom -- a matrix-valued multiplicative functional on free words;
-* mor_saturate -- a bounded search producing certified elements of the
-  intertwiner spaces Mor(source, target) generated by the relation matrices
-  and identities under composition and tensoring.  Its output is a lower
-  bound for the true space: "witnessed" membership is a proof, absence of a
-  witness at a given depth proves nothing.
+* Saturation   -- a bounded search, one round at a time, producing
+  certified elements of the intertwiner spaces Mor(source, target)
+  generated by the relation matrices and identities under composition and
+  tensoring; `saturate` runs every round and `mor_saturate` reads one
+  space.  The witnessed span is a lower bound for the true space:
+  "witnessed" membership is a proof, absence of a witness at a given depth
+  proves nothing.
 """
 
 from __future__ import annotations
@@ -204,19 +206,79 @@ class FunctionalHom:
 # ---------------------------------------------------------------------------
 
 class Saturation:
-    """All intertwiners found between bounded words, with span bookkeeping.
+    """Intertwiners between bounded words, closed round by round.
+
+    Making the object takes the relation matrices and their identity
+    paddings id (x) A (x) id.  Each call of `deepen` then runs one round: one
+    layer of pairwise compositions and tensor products that touch the
+    frontier (the elements the previous round added), followed by the
+    paddings of what the round kept.  Rounds run in a fixed order, so after
+    d rounds the state is the same whichever call asked for them.
+
+    `contains` deepens on demand: it runs rounds only until the queried
+    matrix is witnessed or `depth` rounds have run.  `basis` and `saturate`
+    always run to `depth`.  A round only adds to the witnessed span of every
+    Mor(src, dst), so a matrix witnessed after d <= depth rounds is witnessed
+    by the eager saturation too, and one not witnessed after `depth` rounds
+    is not witnessed by it either: every verdict is the eager verdict.  A
+    witness is a proof; its absence proves nothing.
 
     Identity morphisms on every word are present implicitly and are not
-    stored; `elements` holds only the interesting finds.
+    stored; `elements` holds only the interesting finds, each list ending
+    with the frontier of its (src, dst).
+
+    Words have at most max_len letters and max_space total dimension.
+    Products whose source AND target both exceed max_end_len letters are not
+    stored (identity paddings are always kept as connectors): a chain
+    between short words refolds through short-ended partial products, so
+    this keeps the search useful for the short spaces the checks consume
+    while avoiding the large interior spaces.  Pass max_end_len=max_len to
+    disable the pruning.
+
+    A round forms each product of two frontier elements once, at the first
+    place the order of the loops reaches it; the second copy would be an
+    exact duplicate.  It forms the tensor product A (x) B, for A: s1 -> d1
+    and B: s2 -> d2, only when no padding route reaches it.  By the
+    interchange law A (x) B = (A (x) 1_d2) . (1_s1 (x) B)
+    = (1_d1 (x) B) . (A (x) 1_s2), through the middle word s1 d2 or d1 s2.
+    A route lies inside the bounds the paddings obey when its middle word is
+    within max_space and each padding, the padded element's longer end plus
+    the pad, is within max_len.  Then both paddings were witnessed before
+    the round began, every pair of stored elements is composed by the end
+    of the round's compositions, and the composite has the key
+    (s1 s2, d1 d2), which passes the max_end_len test exactly when the
+    product does.  So A (x) B is witnessed before the product would be
+    formed, and skipping it changes no stored element.  Neither route need
+    fit: for generators a (dim 3), h (dim 1), g (dim 200), relations
+    A: a -> h h and B: h h h h -> g, max_len 5 and max_end_len 3, the route
+    through a g needs 600 dimensions and the one through h^6 needs 6
+    letters, and only the tensor product witnesses A (x) B.
     """
 
-    def __init__(self, p: Presentation, depth: int, max_len: int):
+    def __init__(self, p: Presentation, depth: int = 3, max_len: int = 4,
+                 max_space: int = 400, max_end_len: int = 2):
         self.presentation = p
         self.depth = depth
         self.max_len = max_len
+        self.max_space = max_space
+        self.max_end_len = max_end_len
         self.elements = {}  # (src, dst) -> list of Tensor
         self.spans = {}     # (src, dst) -> SpanBasis
         self._seen = set()  # exact-duplicate screen, cheaper than elimination
+        self.words = [()]   # every word within the bounds: the paddings
+        layer, alphabet = [()], p.non_unit()
+        for _ in range(max_len):
+            layer = [w + (a,) for w in layer for a in alphabet
+                     if p.word_dim(w + (a,)) <= max_space]
+            self.words.extend(layer)
+        found = []
+        for r in p.relations:
+            if len(r.source_word) <= max_len and len(r.target_word) <= max_len:
+                if self.add(r.source_word, r.target_word, r.matrix):
+                    found.append((r.source_word, r.target_word, r.matrix))
+        self._pad(found)
+        self.frontier = {k: list(v) for k, v in self.elements.items()}
+        self.reached = 0    # rounds run so far
 
     def add(self, src, dst, t: Tensor) -> bool:
         if t.is_zero():
@@ -237,8 +299,80 @@ class Saturation:
             return True
         return False
 
+    def deepen(self) -> bool:
+        """Run the next round; False once `depth` rounds have run or the
+        last round added nothing."""
+        if self.reached >= self.depth or not self.frontier:
+            return False
+        self.reached += 1
+        p, front = self.presentation, self.frontier
+        fresh = []
+
+        def register(src, dst, t):
+            if self.add(src, dst, t):
+                fresh.append((src, dst, t))
+
+        def older(key, items):
+            return items[:len(items) - len(front.get(key, ()))]
+
+        stored = [(k, list(v)) for k, v in self.elements.items()]
+        by_src, by_dst = {}, {}
+        for (src, dst), items in stored:
+            by_src.setdefault(src, []).append((dst, items))
+            by_dst.setdefault(dst, []).append((src, items))
+        place = {k: i for i, k in enumerate(front)}
+        # compositions touching the frontier; identity factors are redundant.
+        # Frontier b . frontier a is formed in the first loop at a's key or
+        # in the second at b's, whichever place comes first.
+        for i, ((src, dst), items) in enumerate(front.items()):
+            for dst2, items2 in by_src.get(dst, ()):
+                if self._wanted(src, dst2):
+                    if place.get((dst, dst2), i) < i:
+                        items2 = older((dst, dst2), items2)
+                    for a in items:
+                        for b in items2:
+                            register(src, dst2, b @ a)
+            for src0, items0 in by_dst.get(src, ()):
+                if self._wanted(src0, dst):
+                    if place.get((src0, src), i + 1) <= i:
+                        items0 = older((src0, src), items0)
+                    for a in items0:
+                        for b in items:
+                            register(src0, dst, b @ a)
+        # tensor products touching the frontier that no padding route
+        # reaches; tensors with identities are the paddings, already taken
+        front_items = list(front.items())
+        for left, right in ((front_items, stored), (stored, front_items)):
+            for (s1, d1), items1 in left:
+                if left is stored:  # frontier (x) frontier came first
+                    items1 = older((s1, d1), items1)
+                for (s2, d2), items2 in right:
+                    nsrc, ndst = s1 + s2, d1 + d2
+                    if (len(nsrc) > self.max_len or len(ndst) > self.max_len
+                            or not self._wanted(nsrc, ndst)
+                            or p.word_dim(nsrc) > self.max_space
+                            or p.word_dim(ndst) > self.max_space
+                            or self._padding_route(s1, d1, s2, d2)):
+                        continue
+                    for a in items1:
+                        for b in items2:
+                            register(nsrc, ndst, kron(a, b))
+        fresh.extend(self._pad(fresh))
+        self.frontier = {}
+        for src, dst, t in fresh:
+            self.frontier.setdefault((src, dst), []).append(t)
+        return True
+
+    def complete(self) -> "Saturation":
+        """Run every remaining round up to `depth`."""
+        while self.deepen():
+            pass
+        return self
+
     def basis(self, src, dst):
-        """Basis of the witnessed span, including the identity on a word."""
+        """Basis of the span witnessed at `depth`, including the identity on
+        a word."""
+        self.complete()
         src, dst = tuple(src), tuple(dst)
         out = list(self.elements.get((src, dst), ()))
         if src == dst:
@@ -246,13 +380,58 @@ class Saturation:
         return out
 
     def contains(self, src, dst, t: Tensor) -> bool:
+        """Whether t is witnessed in Mor(src, dst), running rounds only until
+        it is or `depth` rounds have run."""
         src, dst = tuple(src), tuple(dst)
+        while not self._witnessed(src, dst, t):
+            if not self.deepen():
+                return False
+        return True
+
+    def _witnessed(self, src, dst, t: Tensor) -> bool:
         span = self.spans.get((src, dst))
         if span is None:
             if src == dst:
                 return _is_scalar_multiple_of_identity(t)
             return t.is_zero()
         return span.contains(t)
+
+    def _wanted(self, src, dst) -> bool:
+        return min(len(src), len(dst)) <= self.max_end_len
+
+    def _padding_route(self, s1, d1, s2, d2) -> bool:
+        """Whether A (x) B, for A: s1 -> d1 and B: s2 -> d2, is a composite of
+        two paddings inside the bounds: B padded by pre on the left and A by
+        post on the right, through the middle word pre + post."""
+        m1, m2 = max(len(s1), len(d1)), max(len(s2), len(d2))
+        return any(len(pre) + m2 <= self.max_len
+                   and len(post) + m1 <= self.max_len
+                   and self.presentation.word_dim(pre + post) <= self.max_space
+                   for pre, post in ((s1, d2), (d1, s2)))
+
+    def _pad(self, queue):
+        """Add all identity paddings of the queued elements; return the new
+        ones."""
+        p, added = self.presentation, []
+        for src, dst, t in queue:
+            span = max(len(src), len(dst))
+            for pre in self.words:
+                if len(pre) + span > self.max_len:
+                    continue
+                for post in self.words:
+                    if len(pre) + len(post) + span > self.max_len:
+                        continue
+                    if not pre and not post:
+                        continue
+                    nsrc, ndst = pre + src + post, pre + dst + post
+                    if (p.word_dim(nsrc) > self.max_space
+                            or p.word_dim(ndst) > self.max_space):
+                        continue
+                    padded = pad_with_identity(t, p.word_dims(pre),
+                                               p.word_dims(post))
+                    if self.add(nsrc, ndst, padded):
+                        added.append((nsrc, ndst, padded))
+        return added
 
 
 def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
@@ -261,126 +440,16 @@ def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
 
 def saturate(p: Presentation, depth: int = 3, max_len: int = 4,
              max_space: int = 400, max_end_len: int = 2) -> Saturation:
-    """Close relations and identities under composition and tensoring.
-
-    Words are bounded by max_len letters and max_space total dimension.
-    Identity paddings (id (x) A (x) id) are free and taken eagerly; each
-    depth round performs one layer of pairwise compositions and tensor
-    products over everything found so far, so the witnessed span grows
-    monotonically with depth.
-
-    Products whose source AND target both exceed max_end_len letters are
-    not stored (identity paddings are always kept as connectors): a chain
-    between short words refolds through short-ended partial products, so
-    this keeps the search useful for the short spaces the checks consume
-    while avoiding the large interior spaces.  Pass max_end_len=max_len to
-    disable the pruning.
-    """
-    sat = Saturation(p, depth, max_len)
-    alphabet = p.non_unit()
-
-    def wanted(src, dst):
-        return min(len(src), len(dst)) <= max_end_len
-
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (a,) for w in frontier for a in alphabet
-                    if p.word_dim(w + (a,)) <= max_space]
-        words.extend(frontier)
-
-    pending = []
-    for r in p.relations:
-        if len(r.source_word) <= max_len and len(r.target_word) <= max_len:
-            if sat.add(r.source_word, r.target_word, r.matrix):
-                pending.append((r.source_word, r.target_word, r.matrix))
-
-    def pad_closure(queue):
-        """Add all identity paddings of the queued elements; return the new ones."""
-        added = []
-        for src, dst, t in queue:
-            span = max(len(src), len(dst))
-            for pre in words:
-                if len(pre) + span > max_len:
-                    continue
-                for post in words:
-                    if len(pre) + len(post) + span > max_len:
-                        continue
-                    if not pre and not post:
-                        continue
-                    nsrc, ndst = pre + src + post, pre + dst + post
-                    if (p.word_dim(nsrc) > max_space
-                            or p.word_dim(ndst) > max_space):
-                        continue
-                    padded = pad_with_identity(t, p.word_dims(pre),
-                                               p.word_dims(post))
-                    if sat.add(nsrc, ndst, padded):
-                        added.append((nsrc, ndst, padded))
-        return added
-
-    pad_closure(list(pending))
-    # frontier = everything the last round produced (plus its pads); pairs of
-    # strictly older elements were already combined in an earlier round
-    frontier = {k: list(v) for k, v in sat.elements.items()}
-    for _ in range(depth):
-        fresh = []
-
-        def register(src, dst, t):
-            if sat.add(src, dst, t):
-                fresh.append((src, dst, t))
-
-        all_items = [(k, list(v)) for k, v in sat.elements.items()]
-        front_items = [(k, list(v)) for k, v in frontier.items()]
-        by_src = {}
-        for (src, dst), items in all_items:
-            by_src.setdefault(src, []).append((dst, items))
-        by_dst = {}
-        for (src, dst), items in all_items:
-            by_dst.setdefault(dst, []).append((src, items))
-        # compositions touching the frontier; identity factors are redundant
-        for (src, dst), items in front_items:
-            for (dst2, items2) in by_src.get(dst, ()):
-                if not wanted(src, dst2):
-                    continue
-                for a in items:
-                    for b in items2:
-                        register(src, dst2, b @ a)
-            for (src0, items0) in by_dst.get(src, ()):
-                if not wanted(src0, dst):
-                    continue
-                for a in items0:
-                    for b in items:
-                        register(src0, dst, b @ a)
-        # tensor products touching the frontier; tensors with identities are
-        # exactly the paddings and were already taken
-        for left_first in (True, False):
-            pairs = (front_items, all_items) if left_first else (all_items, front_items)
-            for (s1, d1), items1 in pairs[0]:
-                for (s2, d2), items2 in pairs[1]:
-                    if (len(s1) + len(s2) > max_len
-                            or len(d1) + len(d2) > max_len):
-                        continue
-                    nsrc, ndst = s1 + s2, d1 + d2
-                    if not wanted(nsrc, ndst):
-                        continue
-                    if (p.word_dim(nsrc) > max_space
-                            or p.word_dim(ndst) > max_space):
-                        continue
-                    for a in items1:
-                        for b in items2:
-                            register(nsrc, ndst, kron(a, b))
-        if not fresh:
-            break
-        fresh.extend(pad_closure(list(fresh)))
-        frontier = {}
-        for src, dst, t in fresh:
-            frontier.setdefault((tuple(src), tuple(dst)), []).append(t)
-    return sat
+    """The saturation with all `depth` rounds run, for callers that read
+    whole bases, as `mor` does; the checks deepen a `Saturation` lazily
+    instead.  See `Saturation` for the bounds, the `kron` restriction and
+    why a lazy verdict is the eager one."""
+    return Saturation(p, depth, max_len, max_space, max_end_len).complete()
 
 
 def mor_saturate(p: Presentation, src, dst, depth: int = 3,
                  max_len: int = None) -> list:
-    """Basis of the witnessed span of Mor(src, dst); see `saturate`."""
+    """Basis of the witnessed span of Mor(src, dst); see `Saturation`."""
     for name in (*src, *dst):
         if name not in p.generators:
             raise UnknownGenerator(f"{name!r} in a Mor word; generators: "

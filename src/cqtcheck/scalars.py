@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DivisionByZero, EvaluationPole, NumberTooLong, ParseError
+from .errors import (DivisionByZero, EvaluationPole, NumberTooLong, ParseError,
+                     ZeroDivisionInText)
 
 _new = object.__new__
 
@@ -773,15 +774,18 @@ class TokenParser:
             v = v + w if op == "+" else v - w
         return v
 
+    def zero_division(self, op: Token, msg: str):
+        raise ZeroDivisionInText(f"{msg} in scalar expression", op.line, op.col)
+
     def scalar_product(self) -> Scalar:
         v = self.scalar_unary()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             w = self.scalar_unary()
-            if op == "*":
+            if op.text == "*":
                 v = v * w
             elif w.is_zero():
-                raise DivisionByZero("division by zero in scalar expression")
+                self.zero_division(op, "division by zero")
             else:
                 v = v / w
         return v
@@ -798,11 +802,13 @@ class TokenParser:
     def scalar_power(self) -> Scalar:
         v = self.scalar_atom()
         while self.peek().text == "^":
-            self.next()
+            op = self.next()
             neg = self.peek().text == "-"
             if neg:
                 self.next()
             k = self.expect_int()
+            if neg and k and v.is_zero():
+                self.zero_division(op, "zero to a negative power")
             v = v ** (-k if neg else k)
         return v
 

@@ -1,12 +1,16 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cqtcheck import cli
 
 RUN = [sys.executable, "-m", "cqtcheck.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, **kw):
@@ -141,10 +145,18 @@ def test_lorentz_user_file(tmp_path):
     assert out.returncode == 0, out.stdout + out.stderr
 
 
-def test_dispatch_in_process():
+def test_dispatch_in_process(capsys):
     # the python API mirrors the subprocess behavior
     rc = cli.main(["check", "builtin:slq2", "--suite", "classify"])
     assert rc == 0
+    printed = capsys.readouterr().out
+    # emit_report prints to an explicit stream, and to stdout by default
+    code, rows, summary = cli.dispatch(cli.RunConfig(
+        "builtin:slq2", suites=("classify",)))
+    stream = io.StringIO()
+    assert cli.emit_report(rows, "builtin:slq2", summary, stream=stream) == 0
+    assert capsys.readouterr().out == ""
+    assert stream.getvalue() == printed
 
 
 def test_missing_document_exits_2(tmp_path):
@@ -276,3 +288,28 @@ def test_number_too_long_to_print_exits_2(tmp_path, entry):
     assert out.stderr.strip().splitlines() == [
         f"error: NumberTooLong: an integer of more than "
         f"{sys.get_int_max_str_digits()} digits is too long to print"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args,rc", [
+    (["show", "builtin:lorentz-flip", "X"], 0),
+    (["check", "tests/data/flip-outside-span.qg", "--json", "{json}"], 1),
+], ids=["show", "check-fails"])
+def test_closed_stdout_ends_quietly_with_the_command_status(tmp_path, args, rc,
+                                                            unbuffered):
+    # the read end is closed before the command starts, so every write to
+    # its stdout meets a broken pipe, in print or in the flush at exit
+    report = tmp_path / "report.json"
+    args = [a.format(json=report) for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            RUN + args, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=ROOT, env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (rc, "")
+    if "--json" in args:
+        golden = ROOT / "tests" / "golden" / "doc-outside-span-d3.json"
+        assert report.read_bytes() == golden.read_bytes()

@@ -7,8 +7,12 @@ per-datum CLI dispatcher that preceded the suite table, the next three
 Fraction-based scalar layer that preceded the integer one, and the last
 (the three-letter ``mor`` of slq2, which pins the order of the basis that
 saturation returns) by the code that preceded the exchange-law form of the
-Poincare checks. Each case reruns the CLI from the repository root and
-compares the report byte for byte.
+Poincare checks, and the last four by the eager saturation that preceded
+the resumable one: a document whose candidate block lies outside the
+witnessed span (its intertwiner row fails with "no witness at depth d"), at
+depths 3 and 1, the three-letter ``mor`` of slq2 at t = i, and the
+beta-minus Lorentz classification at t = i. Each case reruns the CLI from
+the repository root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
 """
@@ -22,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 DOC = "src/cqtcheck/data/slq2.qg"
+OUTSIDE = "tests/data/flip-outside-span.qg"
 
 CASES = [
     ("slq2", ["check", "builtin:slq2"], 0),
@@ -48,6 +53,13 @@ CASES = [
     ("mor-lorentz-flip",
      ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3"], 0),
     ("mor-slq2-www", ["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"], 0),
+    ("doc-outside-span-d3", ["check", OUTSIDE, "--depth", "3"], 1),
+    ("doc-outside-span-d1", ["check", OUTSIDE, "--depth", "1"], 1),
+    ("mor-slq2-www-ti",
+     ["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3", "--eval", "t=i"],
+     0),
+    ("lorentz-beta-minus-ti",
+     ["check", "builtin:lorentz-beta-minus", "--eval", "t=i"], 0),
 ]
 
 

@@ -2,7 +2,8 @@
 
 Scalar text parses the same through parse_scalar, a param line and a mat
 entry; token soup from the DSL alphabet never escapes the package's error
-types; a bad token in a mat entry is reported at its own line and column;
+types; a bad token in a mat entry is reported at its own line and column,
+and a division by zero at its operator's;
 dumps writes text that parses back to the same document.
 Integers are single digits and texts short, since exponents and dimensions
 in the input multiply the work the parser does.
@@ -16,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.dsl import Document, dumps, parse_presentation  # noqa: E402
-from cqtcheck.errors import CqtError, ParseError  # noqa: E402
+from cqtcheck.errors import CqtError, DivisionByZero, ParseError  # noqa: E402
 from cqtcheck.scalars import parse_scalar  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None, database=None)
@@ -25,18 +26,25 @@ atoms = st.sampled_from(["0", "1", "2", "3", "i", "t", "q"])
 nonzero_atoms = st.sampled_from(["1", "2", "3", "i", "t", "q"])
 
 
-def expressions(atom, depth, ops="+-*/"):
-    """Well-formed scalar texts nested at most depth deep."""
+def expressions(atom, depth, ops="+-*/", zero_powers=True):
+    """Well-formed scalar texts nested at most depth deep.
+
+    With zero_powers=False no base that evaluates to zero is raised to a
+    negative power.
+    """
     if depth == 0:
         return atom
-    sub = expressions(atom, depth - 1, ops)
+    sub = expressions(atom, depth - 1, ops, zero_powers)
+    powers = st.tuples(sub, st.sampled_from(["0", "1", "2", "3", "-1", "-2"]))
+    if not zero_powers:
+        powers = powers.filter(lambda p: not (p[1].startswith("-")
+                                              and parse_scalar(p[0]).is_zero()))
     return st.one_of(
         atom,
         st.tuples(sub, st.sampled_from(ops), sub).map(" ".join),
         sub.map(lambda e: f"({e})"),
         sub.map(lambda e: f"-{e}"),
-        st.tuples(sub, st.sampled_from(["0", "1", "2", "3", "-1", "-2"])).map(
-            lambda p: f"({p[0]})^{p[1]}"),
+        powers.map(lambda p: f"({p[0]})^{p[1]}"),
     )
 
 
@@ -99,7 +107,7 @@ PREAMBLE = ["", "# a comment", "param c = 1/2", "gen v : 1"]
 @PROPS
 @given(st.lists(st.sampled_from(PREAMBLE), max_size=3, unique=True),
        st.integers(0, 3),
-       expressions(nonzero_atoms, 2, ops="+-*"),
+       expressions(nonzero_atoms, 2, ops="+-*", zero_powers=False),
        st.sampled_from(["x", "w", "@", ")", ";", "}", "*"]))
 def test_bad_mat_entry_token_reported_at_its_position(lines, indent, expr,
                                                       bad):
@@ -108,6 +116,19 @@ def test_bad_mat_entry_token_reported_at_its_position(lines, indent, expr,
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert (err.value.line, err.value.col) == (len(lines) + 2, len(head) + 1)
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("gen w : 2\nmat A : [w] -> [w] { 1,1 = (1 - 1)^-1 + x }\n", (2, 35)),
+    ("gen w : 2\nmat A : [w] -> [w] { 1,1 = 2 + 3 / (t - t) }\n", (2, 34)),
+    ("param c = 1\nparam d = q / (2 - 2)\n", (2, 13)),
+    ("param c = (i - i)^-2\n", (1, 18)),
+])
+def test_zero_division_is_reported_at_its_operator(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.col) == pos
+    assert isinstance(err.value, DivisionByZero)
 
 
 def test_mat_entry_error_points_at_the_bad_token():
