@@ -14,8 +14,7 @@ and every generator g, the two exchange laws
 
 hold, and every block is an intertwiner of the corresponding word spaces.
 The intertwiner requirement is certified constructively against a bounded
-saturation of the relation matrices; blocks may instead be declared trusted
-by the datum (for maps the presentation itself designates as intertwiners).
+saturation of the relation matrices.
 
 The same candidate induces matrix evaluation maps (one per generator) that
 must preserve every relation; this is an equivalent formulation and both
@@ -139,8 +138,6 @@ def check_condition2(p: Presentation, c: CandidateR,
         cid = f"intertwiner:{a}:{b}"
         if witnesses.contains((a, b), (b, a), block):
             reports.append(CheckReport(cid, "pass", None, "witnessed"))
-        elif (a, b) in c.trusted:
-            reports.append(CheckReport(cid, "pass", None, "trusted"))
         else:
             reports.append(CheckReport(
                 cid, "fail", block.first_nonzero(),
@@ -238,7 +235,6 @@ class ClassifyResult:
     star_passing: list
     ct_passing: list
     ct_star_passing: list
-    reports: dict             # index -> list of CheckReport
 
     def counts(self):
         return {
@@ -247,6 +243,14 @@ class ClassifyResult:
             "ct": len(self.ct_passing),
             "ct_star": len(self.ct_star_passing),
         }
+
+
+def distinct(family) -> list:
+    """The members of a family with pairwise different blocks, in order."""
+    unique = {}
+    for cand in family:
+        unique.setdefault(cand.key(), cand)
+    return list(unique.values())
 
 
 def classify(p: Presentation, family, mode: ConjMode = None,
@@ -259,33 +263,17 @@ def classify(p: Presentation, family, mode: ConjMode = None,
     """
     if witnesses is None:
         witnesses = Saturation(p, depth=depth)
-    unique = []
-    seen = set()
-    for cand in family:
-        k = cand.key()
-        if k not in seen:
-            seen.add(k)
-            unique.append(cand)
+    unique = distinct(family)
     passing, star_passing, ct_passing, ct_star = [], [], [], []
-    reports = {}
     for idx, cand in enumerate(unique):
-        rs = check_condition2(p, cand, witnesses)
-        reports[idx] = rs
-        if not all_pass(rs):
+        if not all_pass(check_condition2(p, cand, witnesses)):
             continue
         passing.append(idx)
-        star_ok = False
-        if mode is not None:
-            star_reports = check_star(cand, mode)
-            reports[idx] = rs + star_reports
-            star_ok = all_pass(star_reports)
-            if star_ok:
-                star_passing.append(idx)
-        ct_reports = check_ct(cand)
-        reports[idx] = reports[idx] + ct_reports
-        if all_pass(ct_reports):
+        star_ok = mode is not None and all_pass(check_star(cand, mode))
+        if star_ok:
+            star_passing.append(idx)
+        if all_pass(check_ct(cand)):
             ct_passing.append(idx)
             if star_ok:
                 ct_star.append(idx)
-    return ClassifyResult(unique, passing, star_passing, ct_passing,
-                          ct_star, reports)
+    return ClassifyResult(unique, passing, star_passing, ct_passing, ct_star)

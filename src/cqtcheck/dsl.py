@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
                      UnknownGenerator)
 from .presentation import CandidateR, GeneratorSpec, Presentation, Relation
-from .scalars import SYMBOLS, ConjMode, Scalar, TokenParser
+from .scalars import SYMBOLS, T, ConjMode, Scalar, TokenParser, tokenize
 from .tensor import Tensor, flip, kron, tauconj
 
 _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
@@ -57,22 +57,31 @@ class Document:
     param_texts: dict
 
     def subs(self, value) -> "Document":
-        """The document with t specialized at a constant; texts are kept."""
+        """The document with t specialized at a constant, texts included."""
         mats = {name: MatDef(name, m.source_word, m.target_word,
                              m.matrix.subs(value),
                              {k: v.subs(value) for k, v in m.entries.items()})
                 for name, m in self.mats.items()}
         cands = {} if self.candidate is None else {
             k: m.subs(value) for k, m in self.candidate.blocks.items()}
+        text = _subs_text(value)
         tables = {name: (g.subs(value), h.subs(value) if h is not None else None,
-                         gt, ht)
+                         text(gt), ht and text(ht))
                   for name, (g, h, gt, ht) in self.tables.items()}
         return _assemble(
             self.mode,
             [self.presentation.generators[n] for n in self.presentation.non_unit()],
-            mats, self.relation_names, cands, dict(self.cand_exprs), tables,
+            mats, self.relation_names, cands,
+            {k: text(v) for k, v in self.cand_exprs.items()}, tables,
             {k: v.subs(value) for k, v in self.params.items()},
-            dict(self.param_texts))
+            {k: text(v) for k, v in self.param_texts.items()})
+
+
+def _subs_text(value):
+    """The rewrite of a space-joined expression text at t = value."""
+    v = " ".join(tok.text for tok in tokenize(str(T.eval_at(value)))[:-1])
+    spelled = {"t": f"( {v} )", "q": f"( {v} ) ^ 2"}
+    return lambda text: " ".join(spelled.get(tok, tok) for tok in text.split(" "))
 
 
 class _Parser(TokenParser):
@@ -305,7 +314,7 @@ class _Parser(TokenParser):
                 continue
             if self._starts_scalar() or (tok.text == "(" and
                                          self._paren_is_scalar()):
-                s = self.scalar_power() if tok.text != "(" else self.scalar_atom()
+                s = self.scalar_power()
                 # allow rationals like 1/2 before the '*'
                 while self.peek().text == "/":
                     op = self.next()

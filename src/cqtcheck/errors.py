@@ -32,10 +32,10 @@ class NotInvertible(CqtError):
 
 
 class ParseError(CqtError):
-    """Syntax error in the DSL, with position and expected-token info."""
+    """Syntax error in the DSL, with its position (if any) and expected tokens."""
 
-    def __init__(self, msg, line=0, col=0, expected=()):
-        super().__init__(f"{line}:{col}: {msg}")
+    def __init__(self, msg, line=None, col=None, expected=()):
+        super().__init__(msg if line is None else f"{line}:{col}: {msg}")
         self.line = line
         self.col = col
         self.expected = tuple(expected)

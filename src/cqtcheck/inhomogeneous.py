@@ -7,8 +7,11 @@ column T; group-like data for other representations live in a table of
 
     G[(i,C),(D,j)] = f_ij(rep_CD),    H[(i,C),(D)] = eta_i(rep_CD),
 
-where f and eta are the structure functionals.  The five-dimensional
-extended representation P carries the exchange matrix
+where f and eta are the structure functionals; the vector representation
+is the entry LAM = (R, Z).  The twist obstruction on one rep is
+`tau_on_rep`; on the vector rep, read as an N^3 x N array, it is the F
+that the antisymmetrizer must kill.  The five-dimensional extended
+representation P carries the exchange matrix
 
     R_P = [ R    Z   -R.Z  (R-1)T ]      (sectors: vv, v+, +v, ++)
           [ 0    0    1     0     ]
@@ -36,11 +39,11 @@ in the abstract mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cqt
-from .errors import (AbstractLambdaMode, AxiomViolation, MissingRep,
-                     ShapeError, StructureViolation)
+from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
+                     MissingRep, ShapeError, StructureViolation)
 from .lorentz import LorentzDatum, W, WB, candidate_L, lorentz_family
 from .presentation import CandidateR, GeneratorSpec, Presentation
 from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
@@ -186,9 +189,11 @@ def abstract_datum(R: Tensor, Z: Tensor = None, T: Tensor = None,
     N = R.cod[0]
     Z = Z if Z is not None else Tensor.zeros((N, N), (N,))
     T = T if T is not None else Tensor.zeros((N, N), ())
-    table = {LAM: RepEntry(R.with_legs((N, N), (N, N)), Z.with_legs((N, N), (N,)))}
-    for name, entry in (reps or {}).items():
-        table[name] = entry
+    reps = reps or {}
+    if LAM in reps:
+        raise DuplicateName(f"rep {LAM!r} is the vector rep, given by R and Z")
+    table = {LAM: RepEntry(R.with_legs((N, N), (N, N)), Z.with_legs((N, N), (N,))),
+             **reps}
     datum = InhomDatum(N, R, Z, T, table, list(invariants), mode=mode)
     _validate_ingestion(datum)
     return datum
@@ -273,23 +278,6 @@ def _contract_twice(G: Tensor, col: Tensor) -> Tensor:
     return outer.slice_legs((2, 0), (1, 3))
 
 
-def compute_F_tilde(d: InhomDatum) -> Tensor:
-    """The N^3 x N array of twist obstructions evaluated on the vector rep.
-
-    F[(i,j,k),m'] = sum_{m,n} (R-1)[(i,j),(m,n)] bracket[(m,n),(k,m')] with
-    bracket = sum_a Z[(n,k),a] Z[(m,a),m'] - sum_s Z[(m,n),s] Z[(s,k),m']
-              + T[m,n] delta_km' - sum R[(n,k),(c,b)] R[(m,c),(m',a)] T[a,b].
-    """
-    N = d.N
-    Z, T = d.Z, d.T
-    Rm1 = d.R - Tensor.identity((N, N))
-    zz_first = (Z @ Z.slice_legs((1,), (0, 2))).slice_legs((2, 0), (1, 3))
-    zz_second = Z @ Z.slice_legs((0,), (1, 2))
-    bracket = (zz_first - zz_second + kron(T, _delta_row(N))
-               - _contract_twice(d.R, T))
-    return (Rm1 @ bracket).slice_legs((0, 1, 2), (3,))
-
-
 def tau_on_rep(d: InhomDatum, name: str) -> Tensor:
     """The twist obstruction evaluated on the matrix entries of one rep.
 
@@ -325,7 +313,10 @@ def check_structure(d: InhomDatum):
     a3 = antisymmetrizer3(d)
     zt = (pad_with_identity(d.Z, (), (N,)) - pad_with_identity(d.Z, (N,), ())) @ d.T
     reports.append(cqt.defect_report("structure:antisym-shift", a3 @ zt))
-    reports.append(cqt.defect_report("structure:antisym-twist", a3 @ compute_F_tilde(d)))
+    tau = {name: tau_on_rep(d, name) for name in d.reps}
+    # on the vector rep, tau is the N^3 x N array F[(i,j,k),m']
+    reports.append(cqt.defect_report(
+        "structure:antisym-twist", a3 @ tau[LAM].slice_legs((0, 1, 2), (3,))))
     for idx, m in enumerate(d.invariants):
         reports.append(cqt.defect_report(f"structure:invariant-fixed:{idx}",
                                    d.R @ m - m))
@@ -336,7 +327,7 @@ def check_structure(d: InhomDatum):
         if not has_eta:
             reports.append(cqt.CheckReport(cid, "skipped", None, "no eta data"))
             continue
-        reports.append(cqt.defect_report(cid, tau_on_rep(d, name)))
+        reports.append(cqt.defect_report(cid, tau[name]))
     reports.sort(key=lambda r: r.check_id)
     return reports
 
@@ -486,18 +477,15 @@ def check_R_v_Lambda(d: InhomDatum, cand: PoincareCandidate):
     V, Vinv = d.V, d.V.inverse()
     reports = []
     for v in (W, WB):
-        dv = 2
-        rv_word = cqt.word_R(cand.base, (W, WB), v, "right")
-        r_v_lam = (pad_with_identity(Vinv, (), (dv,)) @ rv_word
-                   @ pad_with_identity(V, (dv,), ()))
         g = d.rep(v).G
-        reports.append(cqt.defect_report(f"vector-normalization:{v}:P",
-                                   r_v_lam - g))
-        lv_word = cqt.word_R(cand.base, (W, WB), v, "left")
-        r_lam_v = (pad_with_identity(Vinv, (dv,), ()) @ lv_word
-                   @ pad_with_identity(V, (), (dv,)))
-        reports.append(cqt.defect_report(f"vector-normalization:P:{v}",
-                                   r_lam_v - g.inverse()))
+        # R[v, P] reproduces G and R[P, v] its inverse, through V
+        for side, cid, ends, want in (
+                ("right", f"vector-normalization:{v}:P", ((), (2,)), g),
+                ("left", f"vector-normalization:P:{v}", ((2,), ()), g.inverse())):
+            word = cqt.word_R(cand.base, (W, WB), v, side)
+            got = (pad_with_identity(Vinv, *ends) @ word
+                   @ pad_with_identity(V, *reversed(ends)))
+            reports.append(cqt.defect_report(cid, got - want))
     return reports
 
 
@@ -530,7 +518,6 @@ class PoincareClassification:
     per_k: dict                       # k -> list of CheckReport
     star_samples: dict                # sample label -> CheckReport
     ct_reports: dict                  # k -> list of CheckReport
-    notes: list = field(default_factory=list)
 
     def reports(self):
         out = list(self.structure)
@@ -588,43 +575,36 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
     else:
         # scan all sign assignments; only the two coherent ones survive the
         # vector-rep normalization
-        seen = set()
-        for candidate in lorentz_family(d.lorentz):
-            key = candidate.key()
-            if key in seen:
-                continue
-            seen.add(key)
+        for candidate in cqt.distinct(lorentz_family(d.lorentz)):
             pc = PoincareCandidate(candidate, 0)
             if cqt.all_pass(check_R_v_Lambda(d, pc)):
                 survivors.append(candidate.label)
         m0 = build_m0(d)
+        # rows that do not depend on the sign k
+        invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0)]
+        for name in (W, WB):
+            invariance.append(cqt.defect_report(
+                f"invariance:counit:{name}", counit_invariance_defect(d, name, m0)))
+        rp, mp = build_RP(d), build_mP(d, m0)
+        rp_squared = rp @ rp - Tensor.identity(rp.cod)
+        obstruction = rp @ mp + mp @ rp
         for k in (1, -1):
             pc = poincare_candidate(d, k)
-            rs = check_R_v_Lambda(d, pc) + check_braid_hexagons(d, pc)
-            rs.append(cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0))
-            for name in (W, WB):
-                rs.append(cqt.defect_report(f"invariance:counit:{name}",
-                                      counit_invariance_defect(d, name, m0)))
+            rs = check_R_v_Lambda(d, pc) + check_braid_hexagons(d, pc) + invariance
             per_k[k] = [cqt.CheckReport(f"k={k:+d}:{r.check_id}", r.status,
                                         r.witness, r.note) for r in rs]
-
-            base_star = cqt.check_star(pc.base, d.mode)
-            base_ct = cqt.check_ct(pc.base)
-            ct = [cqt.CheckReport(f"ct:base:k={k:+d}",
-                                  "pass" if cqt.all_pass(base_ct) else "fail")]
-            rq0 = build_RQ(d, None)
-            ct.append(cqt.defect_report(f"ct:extended-at-zero:k={k:+d}",
-                                  rq0 @ rq0 - Tensor.identity(rq0.cod)))
-            obstruction = build_RP(d) @ build_mP(d, m0) + build_mP(d, m0) @ build_RP(d)
-            ct.append(cqt.CheckReport(
-                f"ct:coefficient-obstruction:k={k:+d}",
-                "pass" if not obstruction.is_zero() else "fail",
-                None,
-                "nonzero linear term forces the coefficient to vanish"))
-            ct_reports[k] = ct
+            ct_reports[k] = [
+                cqt.CheckReport(f"ct:base:k={k:+d}", "pass" if cqt.all_pass(
+                    cqt.check_ct(pc.base)) else "fail"),
+                cqt.defect_report(f"ct:extended-at-zero:k={k:+d}", rp_squared),
+                cqt.CheckReport(
+                    f"ct:coefficient-obstruction:k={k:+d}",
+                    "pass" if not obstruction.is_zero() else "fail", None,
+                    "nonzero linear term forces the coefficient to vanish")]
             if k == 1:
                 star_reports["star:base"] = cqt.CheckReport(
-                    "star:base", "pass" if cqt.all_pass(base_star) else "fail")
+                    "star:base", "pass" if cqt.all_pass(
+                        cqt.check_star(pc.base, d.mode)) else "fail")
         star_reports["star:m-hermitian"] = check_m_star(d, m0, "star:m-hermitian")
         for sample in star_samples:
             if isinstance(sample, tuple):

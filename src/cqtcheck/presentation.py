@@ -119,14 +119,11 @@ class CandidateR:
 
     Block (a, b) maps the (a, b) word space to the (b, a) word space.  Blocks
     with the unit in either slot are identities and need not be stored.
-    Pairs listed in `trusted` are accepted as intertwiners by fiat when no
-    saturation witness is found.
     """
 
-    def __init__(self, p: Presentation, blocks, trusted=(), label: str = ""):
+    def __init__(self, p: Presentation, blocks, label: str = ""):
         self.presentation = p
         self.blocks = {}
-        self.trusted = set(trusted)
         self.label = label
         for (a, b), m in blocks.items():
             da, db = p.dim(a), p.dim(b)
@@ -154,7 +151,6 @@ class CandidateR:
         return CandidateR(
             self.presentation,
             {k: m.subs(value) for k, m in self.blocks.items()},
-            trusted=self.trusted,
             label=self.label,
         )
 
@@ -166,19 +162,22 @@ class FunctionalHom:
     """Matrix-valued unital multiplicative functional on free words.
 
     `values` maps letters to size x size tensors; a word evaluates to the
-    ordered product of its letter values and the empty word to the identity.
-    Letters are arbitrary hashable keys; presentations use (generator, row,
-    column) triples.
+    ordered product of its letter values and the empty word to the identity
+    on the legs of the letter values.  Letters are arbitrary hashable keys;
+    presentations use (generator, row, column) triples.  Every word's value
+    is cached, and a one-letter word is its letter value.
     """
 
     def __init__(self, size: int, values, label: str = ""):
         self.size = size
         self.values = dict(values)
         self.label = label
-        self._cache = {(): Tensor.identity((size,))}
         for k, v in self.values.items():
             if v.nrows != size or v.ncols != size:
                 raise ShapeError(f"value for letter {k!r} is not {size}x{size}")
+        legs = next(iter(self.values.values())).cod if self.values else (size,)
+        self._cache = {(): Tensor.identity(legs)}
+        self._cache.update(((k,), v) for k, v in self.values.items())
 
     def value(self, word) -> Tensor:
         word = tuple(word)
@@ -194,7 +193,8 @@ class FunctionalHom:
 
     def value_free(self, element) -> Tensor:
         """Evaluate a free element {word: coefficient}."""
-        out = Tensor.zeros((self.size,), (self.size,))
+        unit = self._cache[()]
+        out = Tensor.zeros(unit.cod, unit.dom)
         for word, coef in element.items():
             if coef.num:
                 out = out + self.value(word) * coef

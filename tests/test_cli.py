@@ -264,6 +264,16 @@ def test_oversized_integer_literal_is_a_parse_error(tmp_path, where):
         f"parse error: {position}: integer literal of 5000 digits is too long"]
 
 
+@pytest.mark.parametrize("expr,shown", [("q", "t^2"), ("t=1+t", "t+1")])
+def test_nonconstant_eval_is_a_parse_error_without_a_position(capsys, expr,
+                                                              shown):
+    assert cli.main(["check", "builtin:slq2", "--eval", expr]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip().splitlines() == [
+        f"parse error: --eval needs a constant, got {shown}"]
+
+
 @pytest.mark.parametrize("args", [
     ["builtin:slq2", "--with-n", "E"],
     ["builtin:poincare-twisted", "--suite", "poincare", "--with-n", "R"],

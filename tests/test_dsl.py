@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from cqtcheck import dsl, lorentz
 from cqtcheck.errors import (DuplicateName, ParseError, ShapeError,
                              UnknownGenerator)
-from cqtcheck.scalars import ConjMode, ONE, Q, Scalar, T
+from cqtcheck.scalars import G_I, ConjMode, ONE, Q, Scalar, T
 from cqtcheck.tensor import Tensor, flip, kron, tauconj
 
 SLQ2 = """
@@ -29,15 +31,24 @@ def test_parse_shipped_fixture():
 
 
 def test_round_trip_is_identity():
-    doc = dsl.parse_presentation(SLQ2)
-    text = dsl.dumps(doc)
-    doc2 = dsl.parse_presentation(text)
-    assert dsl.dumps(doc2) == text
-    assert doc2.candidate.block("w", "w") == doc.candidate.block("w", "w")
-    assert [r.name for r in doc2.presentation.relations] == \
-        [r.name for r in doc.presentation.relations]
-    for name in doc.mats:
-        assert doc2.mats[name].matrix == doc.mats[name].matrix
+    generic = dsl.parse_presentation(
+        SLQ2 + "table rep w { G = q * E . Ep ; H = t^-1 * E }\n"
+        "param c = q - 1/t\n")
+    for value in (None, 1, G_I, Fraction(3, 2)):
+        doc = generic if value is None else generic.subs(value)
+        text = dsl.dumps(doc)
+        doc2 = dsl.parse_presentation(text)
+        assert dsl.dumps(doc2) == text
+        if value is not None:   # past the field line, which names the variable
+            body = text.split("\n", 1)[1].split()
+            assert "t" not in body and "q" not in body
+        assert doc2.candidate.block("w", "w") == doc.candidate.block("w", "w")
+        assert [r.name for r in doc2.presentation.relations] == \
+            [r.name for r in doc.presentation.relations]
+        for name in doc.mats:
+            assert doc2.mats[name].matrix == doc.mats[name].matrix
+        assert doc2.tables["w"][:2] == doc.tables["w"][:2]
+        assert doc2.params == doc.params
 
 
 def test_empty_relation_list_is_valid_presentation():

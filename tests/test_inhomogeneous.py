@@ -6,7 +6,8 @@ import pytest
 
 from cqtcheck import cqt, lorentz
 from cqtcheck import inhomogeneous as inh
-from cqtcheck.errors import AbstractLambdaMode, AxiomViolation, StructureViolation
+from cqtcheck.errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
+                             StructureViolation)
 from cqtcheck.scalars import (ConjMode, G_I, G_ONE, Gaussian, ONE, Q, Scalar,
                               ZERO)
 from cqtcheck.tensor import Tensor, flip, kron, pad_with_identity
@@ -56,6 +57,14 @@ def test_invariant_column(classical):
     assert inh.check_m_star(classical, m0, "x").status == "pass"
     for name in ("w", "wb"):
         assert inh.counit_invariance_defect(classical, name, m0).is_zero()
+
+
+def test_abstract_datum_rejects_a_table_entry_for_the_vector_rep():
+    # the vector rep is (R, Z) by definition; an entry of its own would
+    # silently change the twist the structure checks read
+    entry = inh.RepEntry(twisted_R(), Tensor.zeros((4, 4), (4,)))
+    with pytest.raises(DuplicateName):
+        inh.abstract_datum(flip(4, 4), reps={inh.LAM: entry})
 
 
 def test_abstract_mode_has_no_distinguished_invariant():
@@ -110,14 +119,14 @@ def test_shift_hermiticity_enforced():
 
 
 def test_twist_vanishes_for_classical(classical):
-    assert inh.compute_F_tilde(classical).is_zero()
+    assert inh.tau_on_rep(classical, inh.LAM).slice_legs((0, 1, 2), (3,)).is_zero()
     for name in classical.reps:
         assert inh.tau_on_rep(classical, name).is_zero()
 
 
 def test_twist_formula_against_direct_expansion():
     # independent oracle: expand the twist on the vector rep entrywise from
-    # its defining convolution data, then compare with compute_F_tilde
+    # its defining convolution data, then compare with tau on the vector rep
     R = twisted_R()
     rng = random.Random(6)
     zent = [Scalar.from_int(rng.randrange(-1, 2)) for _ in range(64)]
@@ -127,7 +136,7 @@ def test_twist_formula_against_direct_expansion():
             for b in range(4)]
     T = Tensor((4, 4), (), tent)
     d = inh.abstract_datum(R, Z=Z, T=T)
-    got = inh.compute_F_tilde(d)
+    got = inh.tau_on_rep(d, inh.LAM).slice_legs((0, 1, 2), (3,))
     N = 4
     for idx in [(0, 1, 2, 3), (1, 1, 0, 0), (3, 2, 1, 0), (0, 0, 0, 0)]:
         i, j, k, m2 = idx
@@ -236,7 +245,7 @@ def test_twisted_shift_breaks_braid_and_hexagon():
     ent[2 * 4 + 1] = -i_s
     T = Tensor((4, 4), (), ent)
     d = inh.abstract_datum(R, T=T)
-    assert not inh.compute_F_tilde(d).is_zero()
+    assert not inh.tau_on_rep(d, inh.LAM).slice_legs((0, 1, 2), (3,)).is_zero()
     reports = inh.check_braid_hexagons(d, None)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "braid:extended" in failed
