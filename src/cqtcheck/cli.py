@@ -39,6 +39,10 @@ SUITES = ("validate", "cqt", "star", "ct", "classify", "poincare", "uea")
 OPT_IN = ("star", "ct")          # run only when named with --suite
 CLASSIFY = ("classify", "poincare")
 NEEDS_CANDIDATE = ("cqt", "star", "ct", "classify")
+# work budgets: saturation rounds, and the uea word length (the Poincare
+# data have 20^n words of length n)
+MAX_DEPTH = 8
+MAX_LEN = 3
 
 
 @dataclass
@@ -69,14 +73,16 @@ def main(argv=None) -> int:
             p.add_argument("--json", dest="json_path", metavar="PATH",
                            help="write the structured report to PATH")
             p.add_argument("--depth", type=int, default=3,
-                           help="intertwiner saturation depth")
+                           help="intertwiner saturation depth "
+                                f"(0 to {MAX_DEPTH})")
         return p
 
     p_check = command("check", run_check, "run check suites")
     p_check.add_argument("--suite", action="append", choices=SUITES,
                          help="suite to run (repeatable; default per datum)")
     p_check.add_argument("--max-len", type=int, default=2,
-                         help="word length bound for functional checks")
+                         help="word length bound for functional checks "
+                              f"(1 to {MAX_LEN})")
     p_check.add_argument("--with-n", dest="with_n", metavar="NAME",
                          help="row invariant (a named matrix of the datum) "
                               "for the twisted exchange variant of the uea "
@@ -146,12 +152,14 @@ def _eval_value(expr):
 
 
 def _check_work(depth, max_len=None):
-    """Reject work bounds that would make every check vacuous."""
-    if depth < 0:
-        raise ForbiddenParameter(f"--depth {depth}: the depth must be at least 0")
-    if max_len is not None and max_len < 1:
+    """Reject work bounds that would make every check vacuous, or that are
+    over the work budget."""
+    if not 0 <= depth <= MAX_DEPTH:
         raise ForbiddenParameter(
-            f"--max-len {max_len}: the word length must be at least 1")
+            f"--depth {depth}: the depth must be from 0 to {MAX_DEPTH}")
+    if max_len is not None and not 1 <= max_len <= MAX_LEN:
+        raise ForbiddenParameter(
+            f"--max-len {max_len}: the word length must be from 1 to {MAX_LEN}")
 
 
 def load_input(name: str, value):

@@ -18,6 +18,10 @@ composition operator `.`; scalar literals follow the shared syntax of the
 scalars module (integers, rationals, i, t, q = t^2, ^ with integer
 exponents).
 
+Integers that size an allocation have a work budget: a generator
+dimension is at most MAX_GEN_DIM (16) and each flip argument at most
+MAX_FLIP_DIM (256); a larger one is a parse error at its token.
+
 Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 """
 
@@ -33,6 +37,11 @@ from .tensor import Tensor, flip, kron, tauconj
 
 _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
              "conj", "var"}
+
+# work budgets for the integers that size an allocation: a word of k
+# generators spans up to MAX_GEN_DIM^k indices, flip(d1,d2) has d1*d2 entries
+MAX_GEN_DIM = 16
+MAX_FLIP_DIM = MAX_GEN_DIM ** 2
 
 
 @dataclass
@@ -97,6 +106,15 @@ class _Parser(TokenParser):
         self.params = {}
         self.param_texts = {}
 
+    def expect_size(self, limit: int, what: str) -> int:
+        """An integer literal that sizes an allocation, at most limit."""
+        tok = self.peek()
+        n = self.expect_int()
+        if n > limit:
+            raise ParseError(f"{what} {n} is over the limit of {limit}",
+                             tok.line, tok.col)
+        return n
+
     # -- statements ----------------------------------------------------------
 
     def parse(self) -> Document:
@@ -144,7 +162,7 @@ class _Parser(TokenParser):
         self.next()
         name = self.expect("name").text
         self.expect("punct", ":")
-        dim = self.expect_int()
+        dim = self.expect_size(MAX_GEN_DIM, "generator dimension")
         conj = name
         if self.peek().text == "conj":
             self.next()
@@ -369,9 +387,9 @@ class _Parser(TokenParser):
         if tok.text == "flip":
             self.next()
             self.expect("punct", "(")
-            d1 = self.expect_int()
+            d1 = self.expect_size(MAX_FLIP_DIM, "flip dimension")
             self.expect("punct", ",")
-            d2 = self.expect_int()
+            d2 = self.expect_size(MAX_FLIP_DIM, "flip dimension")
             self.expect("punct", ")")
             return flip(d1, d2)
         if tok.text == "inv":

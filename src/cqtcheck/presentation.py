@@ -177,6 +177,7 @@ class FunctionalHom:
                 raise ShapeError(f"value for letter {k!r} is not {size}x{size}")
         legs = next(iter(self.values.values())).cod if self.values else (size,)
         self._cache = {(): Tensor.identity(legs)}
+        self._zero = Tensor.zeros(legs, legs)
         self._cache.update(((k,), v) for k, v in self.values.items())
 
     def value(self, word) -> Tensor:
@@ -184,10 +185,15 @@ class FunctionalHom:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
+        prefix = self.value(word[:-1])
         try:
-            out = self.value(word[:-1]) @ self.values[word[-1]]
+            letter = self.values[word[-1]]
         except KeyError:
             raise MissingRep(f"no value for letter {word[-1]!r}") from None
+        # every zero value is one shared tensor, and extends with no product
+        out = prefix if prefix.is_zero() else prefix @ letter
+        if out.is_zero():
+            out = self._zero
         self._cache[word] = out
         return out
 

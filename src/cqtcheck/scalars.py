@@ -19,6 +19,13 @@ t^min(k, valuation of the other argument), and division by c*t^k is a
 shift and a scale.  Other arguments go through the Euclidean algorithm and
 schoolbook long division.
 
+Constants take a fast path.  When both operands of a product, a sum or a
+difference are constants (a one-coefficient numerator over 1), and for the
+inverse of a constant, the result is formed from the Gaussians directly,
+without the polynomial kernels: a product of nonzero Gaussians is nonzero,
+and a sum that cancels is the canonical zero.  A constant stays (g,) / 1,
+so at a specialized t every scalar is one Gaussian and no gcd runs.
+
 Two conjugation modes are supported:
 
 * real       -- t is fixed (q real), i goes to -i;
@@ -135,7 +142,7 @@ class Gaussian:
         return self * other.inverse()
 
     def conj(self):
-        return _g(self.a, -self.b, self.d)
+        return _g(self.a, -self.b, self.d) if self.b else self
 
     def __eq__(self, other):
         return (
@@ -465,6 +472,10 @@ class Scalar:
         if not other.num:
             return self
         if self.den == other.den:
+            if self.den == P_ONE and len(self.num) == 1 == len(other.num):
+                # constant + constant: zero when the Gaussians cancel
+                g = self.num[0] + other.num[0]
+                return Scalar((g,), P_ONE) if g else ZERO
             num = padd(self.num, other.num)
             if not num:
                 return ZERO
@@ -491,8 +502,11 @@ class Scalar:
         other = _coerce(other)
         if not self.num or not other.num:
             return ZERO
-        # polynomial * polynomial stays in lowest terms
         if self.den == P_ONE and other.den == P_ONE:
+            # constant * constant: nonzero Gaussians have a nonzero product
+            if len(self.num) == 1 == len(other.num):
+                return Scalar((self.num[0] * other.num[0],), P_ONE)
+            # polynomial * polynomial stays in lowest terms
             return Scalar(pmul(self.num, other.num), P_ONE)
         # constant factors cannot disturb coprimality
         if len(self.num) == 1 and self.den == P_ONE:
@@ -523,6 +537,8 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self.num:
             raise DivisionByZero("inverse of zero scalar")
+        if self.den == P_ONE and len(self.num) == 1:
+            return Scalar((self.num[0].inverse(),), P_ONE)
         num, den = self.den, self.num
         lead = den[-1]
         if lead != G_ONE:

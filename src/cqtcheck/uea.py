@@ -94,14 +94,13 @@ def _sample_points(d: InhomDatum, cand: PoincareCandidate, count: int = 4):
     return INTERP_POINTS[:count]
 
 
-def _functionals(d: InhomDatum, cand: PoincareCandidate):
-    """(functional, label suffix, twisted): l at three sample coefficients,
-    then the antipode-twisted X."""
+def _sample_functionals(d: InhomDatum, cand: PoincareCandidate):
+    """(coefficient, label suffix): l at three sample coefficients, then
+    None for the antipode-twisted X."""
     points = _sample_points(d, cand, count=3)
     for c in points:
-        suffix = f" at coefficient {c}" if len(points) > 1 else ""
-        yield build_l(d, c=c), suffix, False
-    yield build_X(d), "", True
+        yield c, f" at coefficient {c}" if len(points) > 1 else ""
+    yield None, ""
 
 
 def build_l(d: InhomDatum, c: Scalar = None) -> FunctionalHom:
@@ -183,6 +182,35 @@ class ConvTable(FunctionalHom):
         return super().value(word)
 
 
+class Functionals:
+    """The functionals of one datum and their convolution tables.
+
+    hom(c) is l at coefficient c and hom(None) is X; conv(c) is the
+    ConvTable of hom(c).  Each is built on first use and then shared, so
+    the checks of one uea_suite run build every (functional, coefficient)
+    table once; the tables go when the object does.
+    """
+
+    def __init__(self, d: InhomDatum):
+        self.d = d
+        self.cop = CoproductTable(d.N)
+        self._homs = {}
+        self._convs = {}
+
+    def hom(self, c: Scalar = None) -> FunctionalHom:
+        h = self._homs.get(c)
+        if h is None:
+            h = build_X(self.d) if c is None else build_l(self.d, c=c)
+            self._homs[c] = h
+        return h
+
+    def conv(self, c: Scalar = None) -> ConvTable:
+        table = self._convs.get(c)
+        if table is None:
+            table = self._convs[c] = ConvTable(self.hom(c), self.cop)
+        return table
+
+
 def _words(cop: CoproductTable, max_len: int):
     letters = cop.letters()
     out = []
@@ -247,11 +275,13 @@ class _Merge:
         return out
 
 
-def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2):
+def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
+              fns: Functionals = None):
     """Exchange relation of l against R_Q, full and in block form."""
+    fns = fns or Functionals(d)
     N = d.N
     P = N + 1
-    cop = CoproductTable(N)
+    cop = fns.cop
     F = flip(P, P)
     FN = flip(N, N)
     inv = d.invariant
@@ -261,11 +291,11 @@ def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2):
     points = _sample_points(d, cand)
     merge = _Merge()
     for c in points:
-        lhom = build_l(d, c=c)
+        lhom = fns.hom(c)
         rq = build_RQ(d, inv, c)
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
-        conv = ConvTable(lhom, cop)
+        conv = fns.conv(c)
         suffix = f" at coefficient {c}" if len(points) > 1 else ""
         for word in _words(cop, max_len):
             label = _word_label(word) + suffix
@@ -325,10 +355,12 @@ def build_K(d: InhomDatum) -> Tensor:
     return d.R.place_legs(sq, sq, (2, 3, 0, 1)) + corner_frame(d.N)
 
 
-def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None):
+def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
+              fns: Functionals = None):
     """Exchange relation of the X functional against K (and K + row block)."""
-    cop = CoproductTable(d.N)
-    conv = ConvTable(build_X(d), cop)
+    fns = fns or Functionals(d)
+    cop = fns.cop
+    conv = fns.conv()
     variants = [("xkx:base", build_K(d))]
     if n is not None:
         # a row invariant sits in the same corner block as an invariant
@@ -343,7 +375,8 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None):
 
 
 def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
-                   k: Tensor = None, n: Tensor = None, max_len: int = 2):
+                   k: Tensor = None, n: Tensor = None, max_len: int = 2,
+                   fns: Functionals = None):
     """Invariance of stored pairings under the convolution action.
 
     k is a column invariant ((vector rep (x) vector rep) k = k) and n a row
@@ -351,8 +384,9 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
     run against l at the sample coefficients; the antipode-twisted versions
     run against X.
     """
+    fns = fns or Functionals(d)
     N = d.N
-    cop = CoproductTable(N)
+    cop = fns.cop
     merge = _Merge()
     # legs of B: (x, y) x (u, v); each pairing is a leg permutation of B on
     # the vector range, applied to the invariant column
@@ -363,9 +397,9 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
                              tuple(vector[leg] for leg in dom)) @ col
                 - col * eps)
 
-    for h, suffix, twisted in _functionals(d, cand):
-        conv = ConvTable(h, cop)
-        tag, legs = (("-twisted", ((2, 3), (0, 1))) if twisted
+    for c, suffix in _sample_functionals(d, cand):
+        conv = fns.conv(c)
+        tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
                      else ("", ((1, 0), (3, 2))))
         for word in _words(cop, max_len):
             B = conv.value(word)
@@ -431,15 +465,18 @@ def _acc(elt, word, coef):
     elt[word] = coef if cur is None else cur + coef
 
 
-def check_ideal_killed(d: InhomDatum, cand: PoincareCandidate = None):
+def check_ideal_killed(d: InhomDatum, cand: PoincareCandidate = None,
+                       fns: Functionals = None):
     """Both functionals must annihilate every defining relation element."""
+    fns = fns or Functionals(d)
     elements = {"mixed": ideal_elements_mixed(d),
                 "quadratic": ideal_elements_quadratic(d)}
     merge = _Merge()
-    for h, suffix, twisted in _functionals(d, cand):
+    for c, suffix in _sample_functionals(d, cand):
+        h = fns.hom(c)
         for kind, elts in elements.items():
             for key, elt in elts.items():
-                merge.feed(f"ideal:{kind}:{'X' if twisted else 'l'}",
+                merge.feed(f"ideal:{kind}:{'l' if c is not None else 'X'}",
                            f"{key}{suffix}", h.value_free(elt))
     return merge.reports()
 
@@ -464,8 +501,9 @@ def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
               with_row: Tensor = None):
     """All functional checks, plus the span-dimension diagnostic; a
     with_row must have passed check_row_shape."""
+    fns = Functionals(d)
     reports = []
-    reports.extend(check_rll(d, cand, max_len))
+    reports.extend(check_rll(d, cand, max_len, fns))
     k_col = d.invariant
     n_row = with_row
     if n_row is None and k_col is not None:
@@ -473,12 +511,13 @@ def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
         # transposed exchange matrix
         if d.R.transpose() @ k_col == k_col:
             n_row = k_col
-    reports.extend(check_xkx(d, max_len, n=n_row))
-    reports.extend(check_pairings(d, cand, k=k_col, n=n_row, max_len=max_len))
-    reports.extend(check_ideal_killed(d, cand))
+    reports.extend(check_xkx(d, max_len, n=n_row, fns=fns))
+    reports.extend(check_pairings(d, cand, k=k_col, n=n_row, max_len=max_len,
+                                  fns=fns))
+    reports.extend(check_ideal_killed(d, cand, fns))
     reports.append(cqt.CheckReport(
         "uea:letter-span", "pass", None,
-        f"l letters span dimension {letter_span_dim(build_l(d, c=Scalar.from_int(1)))}, "
-        f"X letters span dimension {letter_span_dim(build_X(d))}"))
+        f"l letters span dimension {letter_span_dim(fns.hom(ONE))}, "
+        f"X letters span dimension {letter_span_dim(fns.hom())}"))
     reports.sort(key=lambda r: r.check_id)
     return reports

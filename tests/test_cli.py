@@ -193,6 +193,40 @@ def test_work_bounds_below_range_exit_2_before_any_check(argv):
     assert out.stderr.startswith(f"error: ForbiddenParameter: {flag} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "builtin:slq2", "--suite", "cqt", "--depth", "9"],
+    ["classify", "builtin:slq2", "--depth", "9"],
+    ["mor", "builtin:slq2", "w w", "w w", "--depth", "9"],
+    # slq2 reads no --max-len, so a code without the budget ends at once
+    ["check", "builtin:slq2", "--suite", "cqt", "--max-len", "4"],
+], ids=["check-depth", "classify-depth", "mor-depth", "max-len"])
+def test_work_bounds_over_budget_exit_2_before_any_check(argv):
+    out = run_cli(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    flag = "--depth" if "--depth" in argv else "--max-len"
+    limit = cli.MAX_DEPTH if flag == "--depth" else cli.MAX_LEN
+    assert out.stderr.startswith(f"error: ForbiddenParameter: {flag} ")
+    assert out.stderr.rstrip().endswith(f"from {int(flag == '--max-len')} "
+                                        f"to {limit}")
+
+
+@pytest.mark.parametrize("text,pos,what", [
+    ("gen w : 17\n", (1, 9), "generator dimension 17"),
+    ("gen w : 2\ncand w w = flip(257,1)\n", (2, 17), "flip dimension 257"),
+    ("gen w : 2\ncand w w = flip(2, 257)\n", (2, 20), "flip dimension 257"),
+], ids=["gen", "flip-first", "flip-second"])
+def test_allocating_integers_over_budget_exit_2_at_their_token(tmp_path, text,
+                                                                 pos, what):
+    doc = tmp_path / "big.qg"
+    doc.write_text(text)
+    out = run_cli(["check", str(doc)])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"parse error: {pos[0]}:{pos[1]}: {what} is "
+                                 "over the limit of ")
+
+
 def test_with_n_of_wrong_shape_exits_2():
     out = run_cli(["check", "builtin:poincare-twisted", "--suite", "uea",
                    "--with-n", "R"])

@@ -96,6 +96,18 @@ def test_parse_error_carries_position():
     assert err.value.expected
 
 
+def test_allocating_integers_at_their_budget_parse():
+    big = dsl.MAX_GEN_DIM
+    doc = dsl.parse_presentation(f"gen w : {big}\n"
+                                 f"cand w w = flip({big},{big})\n")
+    assert doc.candidate.blocks[("w", "w")] == flip(big, big)
+    for text in (f"gen w : {big + 1}\n",
+                 f"gen w : 2\ncand w w = flip({dsl.MAX_FLIP_DIM + 1},1)\n"):
+        with pytest.raises(ParseError) as err:
+            dsl.parse_presentation(text)
+        assert "is over the limit of" in str(err.value)
+
+
 def test_tensor_expressions():
     doc = dsl.parse_presentation(
         "gen w : 2\n"

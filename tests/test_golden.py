@@ -7,12 +7,16 @@ per-datum CLI dispatcher that preceded the suite table, the next three
 Fraction-based scalar layer that preceded the integer one, and the last
 (the three-letter ``mor`` of slq2, which pins the order of the basis that
 saturation returns) by the code that preceded the exchange-law form of the
-Poincare checks, and the last four by the eager saturation that preceded
+Poincare checks, the next four by the eager saturation that preceded
 the resumable one: a document whose candidate block lies outside the
 witnessed span (its intertwiner row fails with "no witness at depth d"), at
 depths 3 and 1, the three-letter ``mor`` of slq2 at t = i, and the
-beta-minus Lorentz classification at t = i. Each case reruns the CLI from
-the repository root and compares the report byte for byte.
+beta-minus Lorentz classification at t = i. The last three were written
+by the polynomial-path scalar arithmetic that preceded the constant fast
+paths: the flip Lorentz classification, slq2 and the Lorentz ``mor`` at
+t = 3/2 (q = 9/4, the one benchmarked point whose constants have
+denominators other than 1). Each case reruns the CLI from the repository
+root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
 """
@@ -60,6 +64,11 @@ CASES = [
      0),
     ("lorentz-beta-minus-ti",
      ["check", "builtin:lorentz-beta-minus", "--eval", "t=i"], 0),
+    ("lorentz-flip-t32", ["check", "builtin:lorentz-flip", "--eval", "t=3/2"], 0),
+    ("slq2-t32", ["check", "builtin:slq2", "--eval", "t=3/2"], 0),
+    ("mor-lorentz-flip-t32",
+     ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3",
+      "--eval", "t=3/2"], 0),
 ]
 
 

@@ -17,8 +17,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.errors import EvaluationPole  # noqa: E402
 from cqtcheck.scalars import (ConjMode, ONE, P_ONE, ZERO, Gaussian,  # noqa: E402
-                              Scalar, gaussian_sqrt, parse_scalar, pdivmod,
-                              pgcd, pmonomial, pmul)
+                              Scalar, gaussian_sqrt, padd, parse_scalar,
+                              pdivmod, pgcd, pmonomial, pmul, pneg)
 
 LAWS = settings(max_examples=50, deadline=None, database=None)
 COEFFICIENT_LAWS = settings(max_examples=300, deadline=None, database=None)
@@ -224,6 +224,60 @@ def test_scalars_are_canonical(a):
     assert _ref_gcd(a.num, a.den) == (ONE_PAIR,)
     assert Scalar.normalize(a.num, a.den) == a
     assert hash(Scalar.normalize(a.num, a.den)) == hash(a)
+
+
+# -- constants: the fast paths against the polynomial path ------------------
+
+constants = st.builds(Scalar.from_gaussian, gaussians)
+
+
+def _general_sum(a, b):
+    return Scalar.normalize(padd(pmul(a.num, b.den), pmul(b.num, a.den)),
+                            pmul(a.den, b.den))
+
+
+def _general_product(a, b):
+    return Scalar.normalize(pmul(a.num, b.num), pmul(a.den, b.den))
+
+
+def _same(got, want):
+    """Equal parts, field for field: a zero must be () over 1, not (0,)."""
+    assert (got.num, got.den) == (want.num, want.den)
+    assert not got.num or got.num[-1]
+    assert got.den[-1] == Gaussian(1)
+
+
+@COEFFICIENT_LAWS
+@given(constants, constants)
+def test_constant_arithmetic_matches_the_polynomial_path(a, b):
+    neg_b = Scalar(pneg(b.num), b.den)
+    _same(a * b, _general_product(a, b))
+    _same(a + b, _general_sum(a, b))
+    _same(a - b, _general_sum(a, neg_b))
+    # cancelled sums and differences are the canonical zero
+    for zero in (a - a, a + (-a), (a + b) - (b + a), a * b - b * a):
+        _same(zero, ZERO)
+        assert zero.num == () and zero.den == P_ONE
+    for c in (a * b, a + b, a - b):
+        assert len(c.num) <= 1 and c.den == P_ONE
+    if a:
+        _same(a.inverse(), Scalar.normalize(a.den, a.num))
+        _same(b / a, _general_product(b, Scalar.normalize(a.den, a.num)))
+        assert a.inverse().den == P_ONE
+
+
+@LAWS
+@given(constants, scalars())
+def test_mixed_constant_arithmetic_matches_the_polynomial_path(c, a):
+    neg_a = Scalar(pneg(a.num), a.den)
+    for x, y in ((c, a), (a, c)):
+        _same(x * y, _general_product(x, y))
+        _same(x + y, _general_sum(x, y))
+    _same(c - a, _general_sum(c, neg_a))
+    _same(a - c, _general_sum(a, Scalar(pneg(c.num), c.den)))
+    _same((a + c) - a, _general_sum(c, ZERO))
+    if a:
+        _same(c / a, _general_product(c, Scalar.normalize(a.den, a.num)))
 
 
 @LAWS
