@@ -39,10 +39,12 @@ SUITES = ("validate", "cqt", "star", "ct", "classify", "poincare", "uea")
 OPT_IN = ("star", "ct")          # run only when named with --suite
 CLASSIFY = ("classify", "poincare")
 NEEDS_CANDIDATE = ("cqt", "star", "ct", "classify")
-# work budgets: saturation rounds, and the uea word length (the Poincare
-# data have 20^n words of length n)
+# work budgets: saturation rounds, the uea word length (the Poincare data
+# have 20^n words of length n), and the letters of a mor word (mor saturates
+# words two letters longer)
 MAX_DEPTH = 8
 MAX_LEN = 3
+MAX_MOR_WORD = 3
 
 
 @dataclass
@@ -151,7 +153,7 @@ def _eval_value(expr):
     return value.constant_value()
 
 
-def _check_work(depth, max_len=None):
+def _check_work(depth, max_len=None, words=()):
     """Reject work bounds that would make every check vacuous, or that are
     over the work budget."""
     if not 0 <= depth <= MAX_DEPTH:
@@ -160,6 +162,11 @@ def _check_work(depth, max_len=None):
     if max_len is not None and not 1 <= max_len <= MAX_LEN:
         raise ForbiddenParameter(
             f"--max-len {max_len}: the word length must be from 1 to {MAX_LEN}")
+    for word in words:
+        if len(word) > MAX_MOR_WORD:
+            raise ForbiddenParameter(
+                f"mor word {' '.join(word)!r}: a word must have from 0 to "
+                f"{MAX_MOR_WORD} letters")
 
 
 def load_input(name: str, value):
@@ -432,12 +439,12 @@ def run_check(args) -> int:
 
 
 def run_mor(args) -> int:
-    _check_work(args.depth)
+    src, dst = tuple(args.src.split()), tuple(args.dst.split())
+    _check_work(args.depth, words=(src, dst))
     datum = load_input(args.input, _eval_value(args.eval_expr))
     if "cqt" not in _kind(datum).suites:  # the presented data
         print("error: mor needs a presented datum", file=sys.stderr)
         return 2
-    src, dst = tuple(args.src.split()), tuple(args.dst.split())
     basis = mor_saturate(datum.presentation, src, dst, depth=args.depth)
     print(f"Mor({args.src or '1'}, {args.dst or '1'}): "
           f"witnessed dimension {len(basis)} at depth {args.depth}")

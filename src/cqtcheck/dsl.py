@@ -20,7 +20,9 @@ exponents).
 
 Integers that size an allocation have a work budget: a generator
 dimension is at most MAX_GEN_DIM (16) and each flip argument at most
-MAX_FLIP_DIM (256); a larger one is a parse error at its token.
+MAX_FLIP_DIM (256); a larger one is a parse error at its token.  A mat word
+spans at most MAX_WORD_DIM (256) indices, the product of its generators'
+dimensions; a longer one is a parse error at the word.
 
 Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 """
@@ -28,6 +30,7 @@ Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
                      UnknownGenerator)
@@ -39,9 +42,12 @@ _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
              "conj", "var"}
 
 # work budgets for the integers that size an allocation: a word of k
-# generators spans up to MAX_GEN_DIM^k indices, flip(d1,d2) has d1*d2 entries
+# generators spans up to MAX_GEN_DIM^k indices, flip(d1,d2) has d1*d2 entries,
+# and a mat between two words of MAX_WORD_DIM indices has as many entries as
+# flip(MAX_GEN_DIM, MAX_GEN_DIM)
 MAX_GEN_DIM = 16
 MAX_FLIP_DIM = MAX_GEN_DIM ** 2
+MAX_WORD_DIM = MAX_GEN_DIM ** 2
 
 
 @dataclass
@@ -179,14 +185,21 @@ class _Parser(TokenParser):
         self.expect("punct", "]")
         return tuple(out)
 
-    def _gen_dims(self, word, context):
+    def mat_word(self, context):
+        """A word and its generators' dimensions, spanning at most
+        MAX_WORD_DIM indices."""
+        tok = self.peek()
+        word = self.word()
         dims = []
         table = {g.name: g.dim for g in self.gens}
         for name in word:
             if name not in table:
                 raise UnknownGenerator(f"{context}: unknown generator {name!r}")
             dims.append(table[name])
-        return tuple(dims)
+        if prod(dims) > MAX_WORD_DIM:
+            raise ParseError(f"mat word dimension {prod(dims)} is over the "
+                             f"limit of {MAX_WORD_DIM}", tok.line, tok.col)
+        return word, tuple(dims)
 
     def stmt_mat(self):
         self.next()
@@ -194,17 +207,10 @@ class _Parser(TokenParser):
         if name in self.mats:
             raise DuplicateName(f"mat {name!r}")
         self.expect("punct", ":")
-        source = self.word()
+        source, sdims = self.mat_word(f"mat {name}")
         self.expect("arrow")
-        target = self.word()
-        sdims = self._gen_dims(source, f"mat {name}")
-        tdims = self._gen_dims(target, f"mat {name}")
-        nrows = 1
-        for d in tdims:
-            nrows *= d
-        ncols = 1
-        for d in sdims:
-            ncols *= d
+        target, tdims = self.mat_word(f"mat {name}")
+        nrows, ncols = prod(tdims), prod(sdims)
         entries = {}
         self.expect("punct", "{")
         while self.peek().text != "}":

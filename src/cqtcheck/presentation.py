@@ -14,10 +14,11 @@ The module also hosts:
 * Saturation   -- a bounded search, one round at a time, producing
   certified elements of the intertwiner spaces Mor(source, target)
   generated by the relation matrices and identities under composition and
-  tensoring; `saturate` runs every round and `mor_saturate` reads one
-  space.  The witnessed span is a lower bound for the true space:
-  "witnessed" membership is a proof, absence of a witness at a given depth
-  proves nothing.
+  tensoring; `saturate` runs every round for every space, and
+  `mor_saturate` reads one space from a saturation aimed at it.  The
+  witnessed span is a lower bound for the true space: "witnessed"
+  membership is a proof, absence of a witness at a given depth proves
+  nothing.
 """
 
 from __future__ import annotations
@@ -259,15 +260,42 @@ class Saturation:
     A: a -> h h and B: h h h h -> g, max_len 5 and max_end_len 3, the route
     through a g needs 600 dimensions and the one through h^6 needs 6
     letters, and only the tensor product witnesses A (x) B.
+
+    A saturation made with a `goal` (src, dst) answers only for Mor(src,
+    dst): `basis` or `contains` for any other key raises, and what it
+    stores at other keys is partial.  The construction and every round but
+    the last two add to every key.  With `left` the rounds still to run
+    after the current one, the last two add to a key (s, d) only when
+      left == 0: (s, d) is the goal or pads into it: pre s post is the
+                 goal's src and pre d post its dst, one pre and one post
+                 on both sides;
+      left == 1: s is a contiguous factor of the goal's src, or d one of
+                 the goal's dst.
+    A skipped composition, tensor product or padding forms no matrix, and
+    the goal's elements are those of the unaimed saturation, in the same
+    order.  A last-round element of the goal is formed at the goal, or is
+    the padding of one formed at a key that pads into it; a composition or
+    tensor product landing at such a key has factors whose src or dst is a
+    factor of the goal's, which the round before kept.  Both kept sets are
+    closed under unpadding, so no kept key loses a padding or a `kron`
+    part.  Dropping whole keys keeps the relative order of the `front` and
+    `place` loops, and the duplicate screen and the span are per key, so
+    every kept key meets the same products, in the same order, as without
+    a goal.  The round before the last must keep every factor, not only
+    the goal's own words: for generators a (dim 2), h (dim 2), g (dim 300)
+    and relations A: a -> g, B: g -> g, C: g -> a, Mor(a h, a h) at depth 2
+    needs C . A in Mor(a, a) from round 1, and no padding route through
+    g h (600 dimensions) fits.
     """
 
     def __init__(self, p: Presentation, depth: int = 3, max_len: int = 4,
-                 max_space: int = 400, max_end_len: int = 2):
+                 max_space: int = 400, max_end_len: int = 2, goal=None):
         self.presentation = p
         self.depth = depth
         self.max_len = max_len
         self.max_space = max_space
         self.max_end_len = max_end_len
+        self.goal = None if goal is None else tuple(map(tuple, goal))
         self.elements = {}  # (src, dst) -> list of Tensor
         self.spans = {}     # (src, dst) -> SpanBasis
         self._seen = set()  # exact-duplicate screen, cheaper than elimination
@@ -312,7 +340,10 @@ class Saturation:
             return False
         self.reached += 1
         p, front = self.presentation, self.frontier
-        fresh = []
+        fresh, aim = [], self._aim()
+
+        def wanted(src, dst):
+            return self._wanted(src, dst) and (aim is None or aim(src, dst))
 
         def register(src, dst, t):
             if self.add(src, dst, t):
@@ -332,14 +363,14 @@ class Saturation:
         # in the second at b's, whichever place comes first.
         for i, ((src, dst), items) in enumerate(front.items()):
             for dst2, items2 in by_src.get(dst, ()):
-                if self._wanted(src, dst2):
+                if wanted(src, dst2):
                     if place.get((dst, dst2), i) < i:
                         items2 = older((dst, dst2), items2)
                     for a in items:
                         for b in items2:
                             register(src, dst2, b @ a)
             for src0, items0 in by_dst.get(src, ()):
-                if self._wanted(src0, dst):
+                if wanted(src0, dst):
                     if place.get((src0, src), i + 1) <= i:
                         items0 = older((src0, src), items0)
                     for a in items0:
@@ -355,7 +386,7 @@ class Saturation:
                 for (s2, d2), items2 in right:
                     nsrc, ndst = s1 + s2, d1 + d2
                     if (len(nsrc) > self.max_len or len(ndst) > self.max_len
-                            or not self._wanted(nsrc, ndst)
+                            or not wanted(nsrc, ndst)
                             or p.word_dim(nsrc) > self.max_space
                             or p.word_dim(ndst) > self.max_space
                             or self._padding_route(s1, d1, s2, d2)):
@@ -363,7 +394,7 @@ class Saturation:
                     for a in items1:
                         for b in items2:
                             register(nsrc, ndst, kron(a, b))
-        fresh.extend(self._pad(fresh))
+        fresh.extend(self._pad(fresh, aim))
         self.frontier = {}
         for src, dst, t in fresh:
             self.frontier.setdefault((src, dst), []).append(t)
@@ -378,8 +409,8 @@ class Saturation:
     def basis(self, src, dst):
         """Basis of the span witnessed at `depth`, including the identity on
         a word."""
+        src, dst = self._query(src, dst)
         self.complete()
-        src, dst = tuple(src), tuple(dst)
         out = list(self.elements.get((src, dst), ()))
         if src == dst:
             out.insert(0, Tensor.identity(self.presentation.word_dims(src)))
@@ -394,7 +425,17 @@ class Saturation:
                 return False
         return True
 
+    def _query(self, src, dst):
+        """The key (src, dst) as tuples; a saturation aimed at a goal
+        refuses any other."""
+        key = (tuple(src), tuple(dst))
+        if self.goal is not None and key != self.goal:
+            raise ValueError(f"a saturation aimed at Mor{self.goal} cannot "
+                             f"answer for Mor{key}")
+        return key
+
     def _witnessed(self, src, dst, t: Tensor) -> bool:
+        src, dst = self._query(src, dst)
         span = self.spans.get((src, dst))
         if span is None:
             if src == dst:
@@ -404,6 +445,23 @@ class Saturation:
 
     def _wanted(self, src, dst) -> bool:
         return min(len(src), len(dst)) <= self.max_end_len
+
+    def _aim(self):
+        """The test (src, dst) -> bool a key passes to be added in this
+        round, or None when every key may be."""
+        left = self.depth - self.reached
+        if self.goal is None or left > 1:
+            return None
+        gsrc, gdst = self.goal
+        if left == 0:
+            n = min(len(gsrc), len(gdst))
+            into = {(gsrc[i:len(gsrc) - j], gdst[i:len(gdst) - j])
+                    for i in range(n + 1) for j in range(n + 1 - i)
+                    if gsrc[:i] == gdst[:i]
+                    and gsrc[len(gsrc) - j:] == gdst[len(gdst) - j:]}
+            return lambda src, dst: (src, dst) in into
+        src_parts, dst_parts = _factors(gsrc), _factors(gdst)
+        return lambda src, dst: src in src_parts or dst in dst_parts
 
     def _padding_route(self, s1, d1, s2, d2) -> bool:
         """Whether A (x) B, for A: s1 -> d1 and B: s2 -> d2, is a composite of
@@ -415,9 +473,9 @@ class Saturation:
                    and self.presentation.word_dim(pre + post) <= self.max_space
                    for pre, post in ((s1, d2), (d1, s2)))
 
-    def _pad(self, queue):
-        """Add all identity paddings of the queued elements; return the new
-        ones."""
+    def _pad(self, queue, aim=None):
+        """Add all identity paddings of the queued elements whose key passes
+        `aim`, if given; return the new ones."""
         p, added = self.presentation, []
         for src, dst, t in queue:
             span = max(len(src), len(dst))
@@ -430,6 +488,8 @@ class Saturation:
                     if not pre and not post:
                         continue
                     nsrc, ndst = pre + src + post, pre + dst + post
+                    if aim is not None and not aim(nsrc, ndst):
+                        continue
                     if (p.word_dim(nsrc) > self.max_space
                             or p.word_dim(ndst) > self.max_space):
                         continue
@@ -440,6 +500,12 @@ class Saturation:
         return added
 
 
+def _factors(word) -> set:
+    """Every contiguous factor of a word, the empty one included."""
+    return {word[i:j] for i in range(len(word) + 1)
+            for j in range(i, len(word) + 1)}
+
+
 def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
     return t.nrows == t.ncols and t == Tensor.identity((t.nrows,)) * t[0, 0]
 
@@ -447,21 +513,23 @@ def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
 def saturate(p: Presentation, depth: int = 3, max_len: int = 4,
              max_space: int = 400, max_end_len: int = 2) -> Saturation:
     """The saturation with all `depth` rounds run, for callers that read
-    whole bases, as `mor` does; the checks deepen a `Saturation` lazily
-    instead.  See `Saturation` for the bounds, the `kron` restriction and
-    why a lazy verdict is the eager one."""
+    whole bases of any space; `mor` aims one at its space, and the checks
+    deepen a `Saturation` lazily instead.  See `Saturation` for the bounds,
+    the `kron` restriction and why a lazy verdict is the eager one."""
     return Saturation(p, depth, max_len, max_space, max_end_len).complete()
 
 
 def mor_saturate(p: Presentation, src, dst, depth: int = 3,
                  max_len: int = None) -> list:
-    """Basis of the witnessed span of Mor(src, dst); see `Saturation`."""
+    """Basis of the witnessed span of Mor(src, dst), from a saturation
+    aimed at it: element for element, in order, the basis that `saturate`
+    reads at the same bounds.  See `Saturation` for why."""
     for name in (*src, *dst):
         if name not in p.generators:
             raise UnknownGenerator(f"{name!r} in a Mor word; generators: "
                                    f"{', '.join(p.non_unit())}")
     if max_len is None:
         max_len = max(len(src), len(dst), 2) + 2
-    sat = saturate(p, depth=depth, max_len=max_len,
-                   max_end_len=max(len(src), len(dst), 2))
+    sat = Saturation(p, depth=depth, max_len=max_len,
+                     max_end_len=max(len(src), len(dst), 2), goal=(src, dst))
     return sat.basis(src, dst)

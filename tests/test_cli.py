@@ -215,7 +215,12 @@ def test_work_bounds_over_budget_exit_2_before_any_check(argv):
     ("gen w : 17\n", (1, 9), "generator dimension 17"),
     ("gen w : 2\ncand w w = flip(257,1)\n", (2, 17), "flip dimension 257"),
     ("gen w : 2\ncand w w = flip(2, 257)\n", (2, 20), "flip dimension 257"),
-], ids=["gen", "flip-first", "flip-second"])
+    # a dense view of this mat, as `show` prints, has 2^40 entries
+    (f"gen w : 2\nmat A : [{'w ' * 40}] -> [] {{ 1,1 = 1 }}\n", (2, 9),
+     f"mat word dimension {2 ** 40}"),
+    (f"gen w : 2\nmat A : [] -> [{'w ' * 9}] {{ 1,1 = 1 }}\n", (2, 15),
+     f"mat word dimension {2 ** 9}"),
+], ids=["gen", "flip-first", "flip-second", "mat-source", "mat-target"])
 def test_allocating_integers_over_budget_exit_2_at_their_token(tmp_path, text,
                                                                  pos, what):
     doc = tmp_path / "big.qg"
@@ -225,6 +230,20 @@ def test_allocating_integers_over_budget_exit_2_at_their_token(tmp_path, text,
     assert out.stdout == ""
     assert out.stderr.startswith(f"parse error: {pos[0]}:{pos[1]}: {what} is "
                                  "over the limit of ")
+
+
+@pytest.mark.parametrize("argv", [
+    # a missing document: the budget is checked before any input is read
+    ["mor", "no-such-document.qg", "w w w w", "w"],
+    ["mor", "builtin:slq2", "w w w", "w w w w", "--depth", "1"],
+], ids=["source", "target"])
+def test_mor_word_over_budget_exit_2_before_any_input_is_read(argv):
+    out = run_cli(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(
+        "error: ForbiddenParameter: mor word 'w w w w': a word must have "
+        f"from 0 to {cli.MAX_MOR_WORD} letters")
 
 
 def test_with_n_of_wrong_shape_exits_2():

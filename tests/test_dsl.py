@@ -101,8 +101,15 @@ def test_allocating_integers_at_their_budget_parse():
     doc = dsl.parse_presentation(f"gen w : {big}\n"
                                  f"cand w w = flip({big},{big})\n")
     assert doc.candidate.blocks[("w", "w")] == flip(big, big)
+    # a mat between two words of MAX_WORD_DIM indices
+    word = " ".join(["w"] * 8)
+    doc = dsl.parse_presentation(f"gen w : 2\nmat A : [{word}] -> [{word}] "
+                                 "{ 256,1 = 1 }\n")
+    assert 2 ** 8 == dsl.MAX_WORD_DIM
+    assert doc.mats["A"].matrix.nrows == doc.mats["A"].matrix.ncols == 256
     for text in (f"gen w : {big + 1}\n",
-                 f"gen w : 2\ncand w w = flip({dsl.MAX_FLIP_DIM + 1},1)\n"):
+                 f"gen w : 2\ncand w w = flip({dsl.MAX_FLIP_DIM + 1},1)\n",
+                 f"gen w : 2\nmat A : [{word} w] -> [] {{ 1,1 = 1 }}\n"):
         with pytest.raises(ParseError) as err:
             dsl.parse_presentation(text)
         assert "is over the limit of" in str(err.value)

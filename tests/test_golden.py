@@ -11,12 +11,15 @@ Poincare checks, the next four by the eager saturation that preceded
 the resumable one: a document whose candidate block lies outside the
 witnessed span (its intertwiner row fails with "no witness at depth d"), at
 depths 3 and 1, the three-letter ``mor`` of slq2 at t = i, and the
-beta-minus Lorentz classification at t = i. The last three were written
+beta-minus Lorentz classification at t = i. The next three were written
 by the polynomial-path scalar arithmetic that preceded the constant fast
 paths: the flip Lorentz classification, slq2 and the Lorentz ``mor`` at
 t = 3/2 (q = 9/4, the one benchmarked point whose constants have
-denominators other than 1). Each case reruns the CLI from the repository
-root and compares the report byte for byte.
+denominators other than 1). The last two, the beta-minus Lorentz ``mor``
+of Mor(w wb, wb w) and the flip Lorentz ``mor`` of Mor(w w, w w) at t = 1,
+were written by the saturation that ran every round to every key, before
+``mor`` aimed its last rounds at the one space it prints. Each case reruns
+the CLI from the repository root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
 """
@@ -69,6 +72,11 @@ CASES = [
     ("mor-lorentz-flip-t32",
      ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3",
       "--eval", "t=3/2"], 0),
+    ("mor-lorentz-beta-minus",
+     ["mor", "builtin:lorentz-beta-minus", "w wb", "wb w", "--depth", "3"], 0),
+    ("mor-lorentz-flip-ww-t1",
+     ["mor", "builtin:lorentz-flip", "w w", "w w", "--depth", "3",
+      "--eval", "t=1"], 0),
 ]
 
 
