@@ -184,13 +184,15 @@ def load_input(name: str, value):
 @dataclass
 class _Run:
     """One run over a datum: its parameters, summary lines and the results
-    suites share, each computed at most once and only when a suite asks."""
+    suites share, each computed at most once and only when a suite asks;
+    `table` holds the cqt, star and ct reports decided (see the cqt module)."""
 
     datum: object
     depth: int = 3
     max_len: int = 2
     with_row: object = None
     summary: list = field(default_factory=list)
+    table: dict = field(default_factory=dict)
 
     @cached_property
     def witnesses(self):
@@ -207,31 +209,30 @@ class _Run:
 
 def _cqt(run):
     p, cand = run.datum.presentation, run.candidate
-    reports = cqt.check_condition2(p, cand, run.witnesses)
+    reports = cqt.check_condition2(p, cand, run.witnesses, table=run.table)
     for beta in p.generators:
         reports += cqt.check_relations_preserved(cqt.eval_hom(p, cand, beta), p)
     return reports
 
 
 def _star(run):
-    return cqt.check_star(run.candidate, run.datum.mode)
+    return cqt.check_star(run.candidate, run.datum.mode, run.table)
 
 
 def _ct(run):
-    return cqt.check_ct(run.candidate)
+    return cqt.check_ct(run.candidate, run.table)
 
 
 def _classified(run, result: cqt.ClassifyResult, *extra):
     counts = result.counts()
     names = {"cqt": "CQT", "cqt_star": "CQT*", "ct": "CT", "ct_star": "CT*"}
     run.summary += [f"{names[k]} candidates: {counts[k]}" for k in names]
-    reports = [cqt.CheckReport(f"classify:{k.replace('_', '-')}-count", "pass",
-                               None, str(counts[k])) for k in names]
-    for idx, cand in enumerate(result.candidates):
-        reports.append(cqt.CheckReport(
+    return [cqt.CheckReport(f"classify:{k.replace('_', '-')}-count", "pass",
+                            None, str(counts[k])) for k in names] + [
+        cqt.CheckReport(
             f"classify:member:{cand.label or f'candidate-{idx}'}", "pass", None,
-            "admissible" if idx in result.passing else "rejected"))
-    return reports + list(extra)
+            "admissible" if idx in result.passing else "rejected")
+        for idx, cand in enumerate(result.candidates)] + list(extra)
 
 
 def _poincare(run):
@@ -277,9 +278,9 @@ SUITE_TABLE = {
                 (lorentz.SUQ2, 4), (lorentz.SLQ2R, 1))],
         "ct": lambda run: [
             cqt.CheckReport(f"{r.check_id}:{c.label}", r.status, r.witness)
-            for c in lorentz.sl2_family(run.datum) for r in cqt.check_ct(c)],
-        "classify": lambda run: _classified(
-            run, lorentz.classify_sl2(run.datum, run.witnesses)),
+            for c in lorentz.sl2_family(run.datum) for r in cqt.check_ct(c, run.table)],
+        "classify": lambda run: _classified(run, lorentz.classify_sl2(
+            run.datum, run.witnesses, table=run.table)),
     }),
     lorentz.LorentzDatum: _Kind(
         lambda d: lorentz.candidate_blocks(d, 1, 3, 1, 1),
@@ -289,8 +290,8 @@ SUITE_TABLE = {
             "cqt": _cqt,
             "star": _star,
             "ct": _ct,
-            "classify": lambda run: _classified(
-                run, *lorentz.classify_lorentz(run.datum, run.witnesses)),
+            "classify": lambda run: _classified(run, *lorentz.classify_lorentz(
+                run.datum, run.witnesses, run.table)),
         }),
     inhomog.InhomDatum: _Kind(
         lambda d: None if d.abstract else inhomog.poincare_candidate(d, 1),
@@ -309,12 +310,13 @@ SUITE_TABLE = {
                 f"{len(run.datum.presentation.generators) - 1} generators, "
                 f"{len(run.datum.presentation.relations)} relations")],
             "cqt": lambda run: cqt.check_condition2(
-                run.datum.presentation, run.candidate, run.witnesses),
+                run.datum.presentation, run.candidate, run.witnesses,
+                table=run.table),
             "star": _star,
             "ct": _ct,
             "classify": lambda run: _classified(run, cqt.classify(
                 run.datum.presentation, [run.candidate], mode=run.datum.mode,
-                witnesses=run.witnesses)),
+                witnesses=run.witnesses, table=run.table)),
         }),
 }
 
@@ -368,8 +370,7 @@ def dispatch(cfg: RunConfig, lenient=False):
         else:
             reports = runner(run)
         rows += [(suite, r) for r in reports]
-    failed = any(r.status == "fail" for _, r in rows)
-    return (1 if failed else 0), rows, run.summary
+    return int(any(r.status == "fail" for _, r in rows)), rows, run.summary
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,28 @@ code paths are exposed so they can be played against each other in tests.
 The star check compares each block with the swapped conjugate of the block
 of the conjugate pair, and the cotriangularity check compares each block's
 inverse with the opposite block.
+
+An exchange law is a value (`Law`): its check id (relation, generator g,
+side) and the block pairs it reads, R[a, g] on the left and R[g, a] on the
+right for each letter a of the relation's words.  A table, kept for one run
+over one datum, maps a check id and the key() of each block the check reads
+to its report; the checks decide only the keys they have not seen, so a
+classification decides each distinct law, intertwiner and star/ct
+comparison once, not once per member.  This is exact: a report is a
+function of its defect (of the saturation's verdict at its fixed depth, for
+an intertwiner), and the defect is a function of the blocks in the key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
-from .presentation import CandidateR, FunctionalHom, Presentation, Saturation
-from .scalars import ConjMode, Scalar
+from .errors import NotInvertible
+from .presentation import (CandidateR, FunctionalHom, Presentation, Relation,
+                           Saturation)
+from .scalars import ConjMode
 from .tensor import Tensor, pad_with_identity, tauconj
 
 
@@ -52,9 +65,7 @@ def all_pass(reports) -> bool:
 
 def defect_report(check_id: str, defect: Tensor, note: str = "") -> CheckReport:
     w = defect.first_nonzero()
-    if w is None:
-        return CheckReport(check_id, "pass", None, note)
-    return CheckReport(check_id, "fail", w, note)
+    return CheckReport(check_id, "pass" if w is None else "fail", w, note)
 
 
 def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:
@@ -70,18 +81,15 @@ def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:
     word = tuple(word)
     if not word:
         return Tensor.identity((dg,))
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     head, last = word[:-1], word[-1]
-    head_dims = p.word_dims(head)
-    dlast = p.dim(last)
+    rec = pad_with_identity(_recall(memo, c, head, gamma, side), (),
+                            (p.dim(last),))
+    hd = p.word_dims(head)
     if side == "left":
-        rec = _recall(memo, c, head, gamma, "left")
-        return (pad_with_identity(rec, (), (dlast,))
-                @ pad_with_identity(c.block(last, gamma), head_dims, ()))
-    if side == "right":
-        rec = _recall(memo, c, head, gamma, "right")
-        return (pad_with_identity(c.block(gamma, last), head_dims, ())
-                @ pad_with_identity(rec, (), (dlast,)))
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        return rec @ pad_with_identity(c.block(last, gamma), hd, ())
+    return pad_with_identity(c.block(gamma, last), hd, ()) @ rec
 
 
 def _recall(memo, c: CandidateR, word, gamma: str, side: str) -> Tensor:
@@ -115,33 +123,61 @@ def exchange_defect(c: CandidateR, W: Tensor, source, target, gamma: str,
             - pad_with_identity(W, (), dg) @ from_src)
 
 
+class Law(NamedTuple):
+    """An exchange law of a relation against a generator, on one side."""
+    check_id: str
+    relation: Relation
+    gamma: str
+    side: str
+    reads: tuple               # the block pairs the law reads
+
+
+def exchange_laws(p: Presentation):
+    """The exchange laws of p, one per (relation, generator, side)."""
+    return [Law(f"exchange-{side}:{rel.name}:{gamma}", rel, gamma, side, tuple(
+        (a, gamma) if side == "left" else (gamma, a)
+        for a in dict.fromkeys((*rel.source_word, *rel.target_word))))
+        for rel in p.relations for gamma in p.non_unit()
+        for side in ("left", "right")]
+
+
+def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
+    """The report of check cid on c's blocks at pairs: table's, or decide()."""
+    if table is None:
+        return decide()
+    key = (cid,) + tuple(c.block_key(a, b) for a, b in pairs)
+    if key not in table:
+        table[key] = decide()
+    return table[key]
+
+
 def check_condition2(p: Presentation, c: CandidateR,
-                     witnesses: Saturation = None, depth: int = 3):
+                     witnesses: Saturation = None, depth: int = 3,
+                     table: dict = None):
     """Exchange-law and intertwiner reports for one candidate family.
 
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
     the presentation (made on demand when omitted and shared across a
     family by the callers that classify); it deepens only as far as the
-    blocks need.  The laws share one word_R memo, dropped on return.
+    blocks need.  `table` holds the reports already decided in the run.
+    The laws decided here share one word_R memo, dropped on return.
     """
     if witnesses is None:
         witnesses = Saturation(p, depth=depth)
     memo = {}
-    reports = [
-        defect_report(f"exchange-{side}:{rel.name}:{gamma}", exchange_defect(
-            c, rel.matrix, rel.source_word, rel.target_word, gamma, side,
-            memo))
-        for rel in p.relations for gamma in p.non_unit()
-        for side in ("left", "right")]
+    reports = [_decided(table, c, law.check_id, law.reads, lambda: defect_report(
+        law.check_id, exchange_defect(
+            c, law.relation.matrix, law.relation.source_word,
+            law.relation.target_word, law.gamma, law.side, memo)))
+        for law in exchange_laws(p)]
     for (a, b), block in sorted(c.blocks.items()):
         cid = f"intertwiner:{a}:{b}"
-        if witnesses.contains((a, b), (b, a), block):
-            reports.append(CheckReport(cid, "pass", None, "witnessed"))
-        else:
-            reports.append(CheckReport(
+        reports.append(_decided(table, c, cid, [(a, b)], lambda: CheckReport(
+            cid, "pass", None, "witnessed")
+            if witnesses.contains((a, b), (b, a), block) else CheckReport(
                 cid, "fail", block.first_nonzero(),
-                f"no witness at depth {witnesses.depth} (not a disproof)"))
+                f"no witness at depth {witnesses.depth} (not a disproof)")))
     reports.sort(key=lambda r: r.check_id)
     return reports
 
@@ -153,79 +189,79 @@ def eval_hom(p: Presentation, c: CandidateR, beta: str) -> FunctionalHom:
     entry is R[a,beta][(k,i),(j,l)]; for beta the unit this is the counit
     pattern delta_ij.
     """
-    db = p.dim(beta)
-    values = {}
-    for a in p.non_unit():
-        da = p.dim(a)
-        block = c.block(a, beta)
-        for i in range(da):
-            for j in range(da):
-                values[(a, i, j)] = block.slice_legs((0,), (3,), {1: i, 2: j})
-    return FunctionalHom(db, values, label=f"eval:{beta}")
+    values = {(a, i, j): c.block(a, beta).slice_legs((0,), (3,), {1: i, 2: j})
+              for a in p.non_unit() for i in range(p.dim(a))
+              for j in range(p.dim(a))}
+    return FunctionalHom(p.dim(beta), values, label=f"eval:{beta}")
 
 
 def check_relations_preserved(h: FunctionalHom, p: Presentation):
     """Apply an evaluation map entrywise to both sides of every relation."""
     reports = []
     for rel in p.relations:
-        sdims = p.word_dims(rel.source_word)
-        tdims = p.word_dims(rel.target_word)
+        sdims, tdims = p.word_dims(rel.source_word), p.word_dims(rel.target_word)
         rows, cols = {}, {}
         for multi, coef in sorted(rel.matrix.with_legs(tdims, sdims).items()):
             im, jm = multi[:len(tdims)], multi[len(tdims):]
             rows.setdefault(im, []).append((jm, coef))
             cols.setdefault(jm, []).append((im, coef))
-        defect_witness = None
-        for im in product(*map(range, tdims)):
-            for jm in product(*map(range, sdims)):
-                lhs = {}
-                for km, coef in rows.get(im, ()):
-                    word = tuple(zip(rel.source_word, km, jm))
-                    lhs[word] = lhs.get(word, Scalar.from_int(0)) + coef
-                rhs = {}
-                for km, coef in cols.get(jm, ()):
-                    word = tuple(zip(rel.target_word, im, km))
-                    rhs[word] = rhs.get(word, Scalar.from_int(0)) + coef
-                defect = h.value_free(lhs) - h.value_free(rhs)
-                if defect_witness is None:
-                    fz = defect.first_nonzero()
-                    if fz is not None:
-                        defect_witness = ((im, jm) + fz[0], fz[1])
-        cid = f"preserved:{rel.name}:{h.label.removeprefix('eval:')}"
-        if defect_witness is None:
-            reports.append(CheckReport(cid, "pass"))
-        else:
-            reports.append(CheckReport(cid, "fail", defect_witness))
+        witness = None
+        for im, jm in product(product(*map(range, tdims)),
+                              product(*map(range, sdims))):
+            # distinct matrix entries give distinct words
+            lhs = {tuple(zip(rel.source_word, km, jm)): coef
+                   for km, coef in rows.get(im, ())}
+            rhs = {tuple(zip(rel.target_word, im, km)): coef
+                   for km, coef in cols.get(jm, ())}
+            fz = (h.value_free(lhs) - h.value_free(rhs)).first_nonzero()
+            if fz is not None:
+                witness = ((im, jm) + fz[0], fz[1])
+                break
+        reports.append(CheckReport(
+            f"preserved:{rel.name}:{h.label.removeprefix('eval:')}",
+            "pass" if witness is None else "fail", witness))
     return reports
 
 
-def check_star(c: CandidateR, mode: ConjMode):
+def _pair_checks(c: CandidateR, name: str, pairs, decide, table):
+    """Per generator pair (v, w), decide(cid, *the blocks at pairs(v, w))."""
+    gens = c.presentation.non_unit()
+    reports = []
+    for v in gens:
+        for w in gens:
+            cid, at = f"{name}:{v}:{w}", pairs(v, w)
+            reports.append(_decided(table, c, cid, at, lambda: decide(
+                cid, *(c.block(*ab) for ab in at))))
+    reports.sort(key=lambda r: r.check_id)
+    return reports
+
+
+def check_star(c: CandidateR, mode: ConjMode, table: dict = None):
     """Compatibility of the family with the star structure.
 
     For each pair (v, w) the block R[v,w] must equal the leg-swapped
-    entrywise conjugate of R[conj(w), conj(v)].
+    entrywise conjugate of R[conj(w), conj(v)].  `table` as in
+    check_condition2.
     """
     p = c.presentation
-    reports = []
-    for v in p.non_unit():
-        for w in p.non_unit():
-            partner = c.block(p.conj_name(w), p.conj_name(v))
-            defect = tauconj(partner, mode) - c.block(v, w)
-            reports.append(defect_report(f"star:{v}:{w}", defect))
-    reports.sort(key=lambda r: r.check_id)
-    return reports
+    return _pair_checks(
+        c, "star", lambda v, w: ((p.conj_name(w), p.conj_name(v)), (v, w)),
+        lambda cid, partner, block: defect_report(
+            cid, tauconj(partner, mode) - block), table)
 
 
-def check_ct(c: CandidateR):
-    """Cotriangularity: the inverse of each block is the opposite block."""
-    p = c.presentation
-    reports = []
-    for v in p.non_unit():
-        for w in p.non_unit():
-            defect = c.block(v, w).inverse() - c.block(w, v)
-            reports.append(defect_report(f"cotriangular:{v}:{w}", defect))
-    reports.sort(key=lambda r: r.check_id)
-    return reports
+def check_ct(c: CandidateR, table: dict = None):
+    """Cotriangularity: the inverse of each block is the opposite block, and
+    a singular block fails.  `table` as in check_condition2."""
+    return _pair_checks(c, "cotriangular", lambda v, w: ((v, w), (w, v)),
+                        _cotriangular, table)
+
+
+def _cotriangular(cid: str, block: Tensor, opposite: Tensor) -> CheckReport:
+    try:
+        return defect_report(cid, block.inverse() - opposite)
+    except NotInvertible:
+        return CheckReport(cid, "fail", None, "singular block")
 
 
 @dataclass
@@ -237,12 +273,9 @@ class ClassifyResult:
     ct_star_passing: list
 
     def counts(self):
-        return {
-            "cqt": len(self.passing),
-            "cqt_star": len(self.star_passing),
-            "ct": len(self.ct_passing),
-            "ct_star": len(self.ct_star_passing),
-        }
+        return {"cqt": len(self.passing), "cqt_star": len(self.star_passing),
+                "ct": len(self.ct_passing),
+                "ct_star": len(self.ct_star_passing)}
 
 
 def distinct(family) -> list:
@@ -254,25 +287,29 @@ def distinct(family) -> list:
 
 
 def classify(p: Presentation, family, mode: ConjMode = None,
-             witnesses: Saturation = None, depth: int = 3) -> ClassifyResult:
+             witnesses: Saturation = None, depth: int = 3,
+             table: dict = None) -> ClassifyResult:
     """Run the core, star and cotriangularity checks over a finite family.
 
     Duplicate members (equal block families) are merged before counting.
     The star tally is only computed when a conjugation mode is given and
     the presentation has a conjugation making the star check meaningful.
+    The members share `table` (see check_condition2), made here when
+    omitted.
     """
     if witnesses is None:
         witnesses = Saturation(p, depth=depth)
+    table = {} if table is None else table
     unique = distinct(family)
     passing, star_passing, ct_passing, ct_star = [], [], [], []
     for idx, cand in enumerate(unique):
-        if not all_pass(check_condition2(p, cand, witnesses)):
+        if not all_pass(check_condition2(p, cand, witnesses, table=table)):
             continue
         passing.append(idx)
-        star_ok = mode is not None and all_pass(check_star(cand, mode))
+        star_ok = mode is not None and all_pass(check_star(cand, mode, table))
         if star_ok:
             star_passing.append(idx)
-        if all_pass(check_ct(cand)):
+        if all_pass(check_ct(cand, table)):
             ct_passing.append(idx)
             if star_ok:
                 ct_star.append(idx)

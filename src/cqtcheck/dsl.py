@@ -22,7 +22,10 @@ Integers that size an allocation have a work budget: a generator
 dimension is at most MAX_GEN_DIM (16) and each flip argument at most
 MAX_FLIP_DIM (256); a larger one is a parse error at its token.  A mat word
 spans at most MAX_WORD_DIM (256) indices, the product of its generators'
-dimensions; a longer one is a parse error at the word.
+dimensions; a longer one is a parse error at the word.  A kron(a, b) has
+at most MAX_KRON_NZ (65,536, the largest flip's) nonzeros, the product of
+its factors' counts; more is a parse error at the kron, before any entry
+is formed.
 
 Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 """
@@ -30,7 +33,7 @@ Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isqrt, prod
 
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
                      UnknownGenerator)
@@ -48,6 +51,7 @@ _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
 MAX_GEN_DIM = 16
 MAX_FLIP_DIM = MAX_GEN_DIM ** 2
 MAX_WORD_DIM = MAX_GEN_DIM ** 2
+MAX_KRON_NZ = MAX_FLIP_DIM ** 2     # nonzeros of kron(a, b): a's times b's
 
 
 @dataclass
@@ -389,6 +393,10 @@ class _Parser(TokenParser):
             self.expect("punct", ",")
             b = self.tensor_expr()
             self.expect("punct", ")")
+            n = a.nnz() * b.nnz()
+            if n > MAX_KRON_NZ:
+                raise ParseError(f"kron nonzero count {n} is over the limit "
+                                 f"of {MAX_KRON_NZ}", tok.line, tok.col)
             return kron(a, b)
         if tok.text == "flip":
             self.next()
@@ -413,9 +421,7 @@ class _Parser(TokenParser):
             a = self.tensor_expr()
             self.expect("punct", ")")
             if len(a.cod) != 2 or len(a.dom) != 2:
-                from math import isqrt
-                n = isqrt(a.nrows)
-                m = isqrt(a.ncols)
+                n, m = isqrt(a.nrows), isqrt(a.ncols)
                 if n * n != a.nrows or m * m != a.ncols:
                     self.error("tauconj needs two legs on each side")
                 a = a.with_legs((n, n), (m, m))
@@ -439,13 +445,7 @@ def _assemble(mode, gens, mats, rels, cands, cand_exprs, tables, params,
         [Relation(n, mats[n].matrix, mats[n].source_word, mats[n].target_word)
          for n in rels],
     )
-    candidate = None
-    if cands:
-        blocks = {}
-        for (a, b), m in cands.items():
-            da, db = p.dim(a), p.dim(b)
-            blocks[(a, b)] = m.with_legs((db, da), (da, db))
-        candidate = CandidateR(p, blocks)
+    candidate = CandidateR(p, cands) if cands else None
     return Document(mode, p, mats, list(rels), candidate, cand_exprs, tables,
                     params, param_texts)
 

@@ -11,10 +11,12 @@ Candidate exchange blocks come in the one-parameter family
     L_i = r_i (1 + r_i^(-2) E E'),   r_{1,2} = +-t,  r_{3,4} = +-1/t,
 
 which is closed under inverses (L_3 = L_1^(-1), L_4 = L_2^(-1)); the blocks
-on mixed pairs are sign multiples of X and X^(-1).  Classification runs the
-full candidate family through the core engine and tallies which members are
-also star-compatible or cotriangular, deduplicating coincident members
-first (at q = +-1 the four L_i collapse pairwise).
+on mixed pairs are sign multiples of X and X^(-1).  The 64 members pick
+one of 4 x 4 x 2 x 2 blocks per pair, built once each (family_blocks).
+Classification runs the family through the core engine, which decides its
+1,280 laws as 80 distinct ones (see the cqt module), and tallies which
+members are also star-compatible or cotriangular, deduplicating coincident
+members first (at q = +-1 the four L_i collapse pairwise).
 
 Sign conditions on the deformation parameter (positivity of q for the
 compact real forms) are not field-theoretic; the real-form checks evaluate
@@ -90,9 +92,9 @@ def sl2_family(d: SL2Datum):
 
 
 def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
-                 mode: ConjMode = None) -> cqt.ClassifyResult:
+                 mode: ConjMode = None, table: dict = None) -> cqt.ClassifyResult:
     return cqt.classify(d.presentation, sl2_family(d), mode=mode,
-                        witnesses=witnesses)
+                        witnesses=witnesses, table=table)
 
 
 def validate_sl2(d: SL2Datum):
@@ -166,24 +168,29 @@ def make_lorentz(base: SL2Datum, X: Tensor, beta: Scalar,
     return LorentzDatum(base, X, beta, mode, Et, Ept, p)
 
 
-def candidate_blocks(d: LorentzDatum, i: int, j: int,
-                     eps_x: int, eps_xp: int) -> CandidateR:
-    """Blocks (L_i, swapped-conjugate of L_j^(-1), eps_x X, eps_xp X^(-1))."""
-    L = candidate_L(d.base, i)
-    Lt = tauconj(candidate_L(d.base, j).inverse().with_legs((2, 2), (2, 2)),
-                 d.mode)
-    return CandidateR(
-        d.presentation,
-        {(W, W): L,
-         (WB, WB): Lt,
-         (W, WB): d.X * eps_x,
-         (WB, W): d.X.inverse() * eps_xp},
-        label=f"L{i}:Lt{j}:x{eps_x:+d}:xi{eps_xp:+d}",
-    )
+def family_blocks(d: LorentzDatum):
+    """The distinct blocks of the family, each built once: L_1..L_4, the
+    swapped conjugates of their inverses, and +-X, +-X^(-1)."""
+    L = {i: candidate_L(d.base, i) for i in (1, 2, 3, 4)}
+    Lt = {j: tauconj(L[j].inverse().with_legs((2, 2), (2, 2)), d.mode)
+          for j in L}
+    Xi = d.X.inverse()
+    return L, Lt, {e: d.X * e for e in (1, -1)}, {e: Xi * e for e in (1, -1)}
+
+
+def candidate_blocks(d: LorentzDatum, i: int, j: int, eps_x: int, eps_xp: int,
+                     blocks=None) -> CandidateR:
+    """Blocks (L_i, swapped-conjugate of L_j^(-1), eps_x X, eps_xp X^(-1)),
+    taken from `blocks` (family_blocks(d), built when omitted)."""
+    L, Lt, X, Xi = blocks or family_blocks(d)
+    return CandidateR(d.presentation, {
+        (W, W): L[i], (WB, WB): Lt[j], (W, WB): X[eps_x], (WB, W): Xi[eps_xp]},
+        label=f"L{i}:Lt{j}:x{eps_x:+d}:xi{eps_xp:+d}")
 
 
 def lorentz_family(d: LorentzDatum):
-    return [candidate_blocks(d, i, j, ex, exp)
+    blocks = family_blocks(d)
+    return [candidate_blocks(d, i, j, ex, exp, blocks)
             for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)
             for ex in (1, -1) for exp in (1, -1)]
 
@@ -201,17 +208,16 @@ def reference_counts(d: LorentzDatum) -> dict:
             "ct": 0, "ct_star": 0}
 
 
-def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None):
-    """Brute-force tallies over the 64 sign/scale candidates.
+def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None,
+                     table: dict = None):
+    """Tallies over the 64 sign/scale candidates (`table` as in cqt).
 
     Returns the classification result together with a report comparing the
     computed counts against the reference tallies for admissible data; a
     divergence is flagged in that report, never suppressed.
     """
-    if witnesses is None:
-        witnesses = Saturation(d.presentation)
     result = cqt.classify(d.presentation, lorentz_family(d), mode=d.mode,
-                          witnesses=witnesses)
+                          witnesses=witnesses, table=table)
     ref = reference_counts(d)
     got = result.counts()
     if got == ref:
@@ -244,11 +250,6 @@ def validate_lorentz(d: LorentzDatum):
 
 
 SUQ2, SUQ11, SLQ2R = "suq2", "suq11", "slq2r"
-
-
-def _vanishes_for_real_q(s: Scalar, q0: Fraction) -> bool:
-    """Whether s(t0) = 0 for t0 = sqrt(q0), conjugation-corrected upstream."""
-    return s.vanishes_at_sqrt(Gaussian(q0))
 
 
 def _conj_value_real_q(s: Scalar, positive: bool) -> Scalar:
@@ -286,7 +287,7 @@ def real_form_check(d: SL2Datum, form: str, sample=None) -> cqt.CheckReport:
             for b in range(4):
                 herm = _conj_value_real_q(L1[b, a], q0 > 0)
                 defect = herm - L1[a, b]
-                if not _vanishes_for_real_q(defect, q0):
+                if not defect.vanishes_at_sqrt(Gaussian(q0)):
                     return cqt.CheckReport(cid, "fail",
                                            (((a,), (b,)), defect), "not hermitian")
         return cqt.CheckReport(cid, "pass", None, "hermitian")

@@ -126,6 +126,7 @@ class CandidateR:
         self.presentation = p
         self.blocks = {}
         self.label = label
+        self._keys = {}
         for (a, b), m in blocks.items():
             da, db = p.dim(a), p.dim(b)
             if m.nrows != db * da or m.ncols != da * db:
@@ -155,8 +156,14 @@ class CandidateR:
             label=self.label,
         )
 
+    def block_key(self, a: str, b: str):
+        """The key() of block (a, b), formed on the first call only."""
+        if (a, b) not in self._keys:
+            self._keys[a, b] = self.block(a, b).key()
+        return self._keys[a, b]
+
     def key(self):
-        return tuple(sorted((k, m.key()) for k, m in self.blocks.items()))
+        return tuple(sorted((k, self.block_key(*k)) for k in self.blocks))
 
 
 class FunctionalHom:

@@ -129,6 +129,9 @@ class Tensor:
             flatten(self.cod, row_multi) * self.ncols + flatten(self.dom, col_multi),
             ZERO)
 
+    def nnz(self) -> int:
+        return len(self.nz)
+
     def items(self):
         """(multi-index over the cod then dom legs, value) per nonzero entry."""
         legs = self.cod + self.dom

@@ -61,6 +61,16 @@ def test_check_failure_exits_1():
     assert "FAIL" in out.stdout
 
 
+def test_singular_block_fails_its_ct_row():
+    # a well-formed document whose block has no inverse is not cotriangular:
+    # a failing row and exit 1, not an error
+    doc = ROOT / "tests" / "data" / "singular-cand.qg"
+    out = run_cli(["check", str(doc), "--suite", "ct"])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ""
+    assert "FAIL  ct        cotriangular:w:w  singular block" in out.stdout
+
+
 def test_document_check(tmp_path):
     from cqtcheck.catalog import slq2_text
     f = tmp_path / "doc.qg"
@@ -220,7 +230,12 @@ def test_work_bounds_over_budget_exit_2_before_any_check(argv):
      f"mat word dimension {2 ** 40}"),
     (f"gen w : 2\nmat A : [] -> [{'w ' * 9}] {{ 1,1 = 1 }}\n", (2, 15),
      f"mat word dimension {2 ** 9}"),
-], ids=["gen", "flip-first", "flip-second", "mat-source", "mat-target"])
+    # just over the budget (16^2 * 16*17 nonzeros), cheap to form; the same
+    # budget stops kron(flip(256,256), flip(256,256)), 2^32 nonzeros
+    ("gen w : 2\ncand w w = kron(flip(16,16), flip(16,17))\n", (2, 12),
+     "kron nonzero count 69632"),
+], ids=["gen", "flip-first", "flip-second", "mat-source", "mat-target",
+        "kron"])
 def test_allocating_integers_over_budget_exit_2_at_their_token(tmp_path, text,
                                                                  pos, what):
     doc = tmp_path / "big.qg"

@@ -18,7 +18,10 @@ t = 3/2 (q = 9/4, the one benchmarked point whose constants have
 denominators other than 1). The last two, the beta-minus Lorentz ``mor``
 of Mor(w wb, wb w) and the flip Lorentz ``mor`` of Mor(w w, w w) at t = 1,
 were written by the saturation that ran every round to every key, before
-``mor`` aimed its last rounds at the one space it prints. Each case reruns
+``mor`` aimed its last rounds at the one space it prints. The beta-minus
+Lorentz star and ct suites at generic t, which fail with witnesses, were
+written by the member-by-member checks that preceded the per-run table of
+decided laws. Each case reruns
 the CLI from the repository root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.
@@ -77,6 +80,9 @@ CASES = [
     ("mor-lorentz-flip-ww-t1",
      ["mor", "builtin:lorentz-flip", "w w", "w w", "--depth", "3",
       "--eval", "t=1"], 0),
+    ("lorentz-beta-minus-star-ct",
+     ["check", "builtin:lorentz-beta-minus", "--suite", "star", "--suite",
+      "ct"], 1),
 ]
 
 

@@ -4,7 +4,9 @@ perfbench/layers.py wraps package functions and methods by name when a run
 is traced (--trace 1).  A rename that leaves a hook dangling would only
 show there; this test reads the hook tables, leaves the file as it is, and
 resolves each name the way the tracer does: module functions through the
-module, and Class.method in the class's own __dict__.
+module, and Class.method in the class's own __dict__.  A traced run of one
+command then checks that the hooks' probes still read the arguments and
+results of the functions they wrap.
 """
 
 import importlib
@@ -13,13 +15,19 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _hook_tables():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers")
     return {**layers.TIMED, **layers.COUNTED}
 
 
@@ -37,3 +45,15 @@ def test_hook_resolves(stem, module, attr):
         assert name in cls.__dict__, f"{stem}: {attr} is not defined on the class"
     else:
         assert callable(getattr(owner, name, None)), f"{stem}: no {module}.{name}"
+
+
+def test_traced_run_counts_the_classified_candidates(capsys):
+    from cqtcheck import cli
+    tr = _load("tracer").Tracer()
+    _load("layers").install(tr)
+    try:
+        code = cli.main(["check", "builtin:lorentz-flip", "--eval", "t=1"])
+    finally:
+        tr.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tr.counts["cqt.classify.candidates"] == 16
