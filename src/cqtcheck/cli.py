@@ -54,9 +54,7 @@ class RunConfig:
     eval_expr: str = None
     max_len: int = 2
     depth: int = 3
-    json_path: str = None
     with_n: str = None
-    verbose: bool = False
 
 
 def main(argv=None) -> int:
@@ -294,12 +292,10 @@ SUITE_TABLE = {
                 run.datum, run.witnesses, run.table)),
         }),
     inhomog.InhomDatum: _Kind(
-        lambda d: None if d.abstract else inhomog.poincare_candidate(d, 1),
-        _inhom_matrices, {
+        lambda d: None, _inhom_matrices, {
             "validate": lambda run: run.structure,
             "poincare": _poincare,
-            "uea": lambda run: uea.uea_suite(run.datum, run.candidate,
-                                             max_len=run.max_len,
+            "uea": lambda run: uea.uea_suite(run.datum, max_len=run.max_len,
                                              with_row=run.with_row),
         }),
     dsl.Document: _Kind(
@@ -431,12 +427,11 @@ def run_check(args) -> int:
         eval_expr=args.eval_expr,
         max_len=getattr(args, "max_len", 2),
         depth=args.depth,
-        json_path=args.json_path,
         with_n=getattr(args, "with_n", None),
-        verbose=getattr(args, "verbose", False),
     )
     _, rows, summary = dispatch(cfg, lenient=classify)
-    return emit_report(rows, cfg.input, summary, cfg.json_path, cfg.verbose)
+    return emit_report(rows, cfg.input, summary, args.json_path,
+                       getattr(args, "verbose", False))
 
 
 def run_mor(args) -> int:

@@ -152,19 +152,18 @@ def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
 
 
 def check_condition2(p: Presentation, c: CandidateR,
-                     witnesses: Saturation = None, depth: int = 3,
-                     table: dict = None):
+                     witnesses: Saturation = None, table: dict = None):
     """Exchange-law and intertwiner reports for one candidate family.
 
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
-    the presentation (made on demand when omitted and shared across a
+    the presentation (made at the default depth when omitted, and shared across a
     family by the callers that classify); it deepens only as far as the
     blocks need.  `table` holds the reports already decided in the run.
     The laws decided here share one word_R memo, dropped on return.
     """
     if witnesses is None:
-        witnesses = Saturation(p, depth=depth)
+        witnesses = Saturation(p)
     memo = {}
     reports = [_decided(table, c, law.check_id, law.reads, lambda: defect_report(
         law.check_id, exchange_defect(
@@ -287,8 +286,7 @@ def distinct(family) -> list:
 
 
 def classify(p: Presentation, family, mode: ConjMode = None,
-             witnesses: Saturation = None, depth: int = 3,
-             table: dict = None) -> ClassifyResult:
+             witnesses: Saturation = None, table: dict = None) -> ClassifyResult:
     """Run the core, star and cotriangularity checks over a finite family.
 
     Duplicate members (equal block families) are merged before counting.
@@ -298,7 +296,7 @@ def classify(p: Presentation, family, mode: ConjMode = None,
     omitted.
     """
     if witnesses is None:
-        witnesses = Saturation(p, depth=depth)
+        witnesses = Saturation(p)
     table = {} if table is None else table
     unique = distinct(family)
     passing, star_passing, ct_passing, ct_star = [], [], [], []

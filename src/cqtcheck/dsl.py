@@ -25,6 +25,8 @@ spans at most MAX_WORD_DIM (256) indices, the product of its generators'
 dimensions; a longer one is a parse error at the word.  A kron(a, b) has
 at most MAX_KRON_NZ (65,536, the largest flip's) nonzeros, the product of
 its factors' counts; more is a parse error at the kron, before any entry
+is formed.  A composition a . b has at most as many entries, a's rows
+times b's columns; more is a parse error at the `.`, before the product
 is formed.
 
 Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
@@ -51,7 +53,9 @@ _KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
 MAX_GEN_DIM = 16
 MAX_FLIP_DIM = MAX_GEN_DIM ** 2
 MAX_WORD_DIM = MAX_GEN_DIM ** 2
-MAX_KRON_NZ = MAX_FLIP_DIM ** 2     # nonzeros of kron(a, b): a's times b's
+# nonzeros of kron(a, b), a's times b's, and entries of a . b, a's rows
+# times b's columns
+MAX_KRON_NZ = MAX_FLIP_DIM ** 2
 
 
 @dataclass
@@ -323,8 +327,12 @@ class _Parser(TokenParser):
     def tensor_term(self) -> Tensor:
         v = self.tensor_factor()
         while self.peek().text == ".":
-            self.next()
+            tok = self.next()
             w = self.tensor_factor()
+            n = v.nrows * w.ncols
+            if v.ncols == w.nrows and n > MAX_KRON_NZ:
+                raise ParseError(f"composition entry count {n} is over the "
+                                 f"limit of {MAX_KRON_NZ}", tok.line, tok.col)
             try:
                 v = v @ w
             except ShapeError as exc:

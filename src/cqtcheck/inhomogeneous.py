@@ -19,10 +19,14 @@ representation P carries the exchange matrix
           [ 0    0    0     1     ]
 
 and candidate structures are R_Q = R_P + c * m_P, with m_P carrying one
-invariant column m in the (vv, ++) corner.  The braid identity for R_Q is a
-polynomial identity of degree at most 3 in c (each side holds three R_Q
-factors and m_P squares to zero), so it is verified exactly by
-interpolation at four rational points.
+invariant column m in the (vv, ++) corner.  Every c is decided at once: an
+identity that is a polynomial of degree below n in c holds for all c when
+it holds at n points, and `coefficient_points(d, n)` is the one place that
+picks them (here and in the uea module).  The braid identity for R_Q has
+degree at most 3 in c (each side holds three R_Q factors and m_P squares
+to zero), so it is verified exactly by interpolation at four rational
+points.  No check fixes c; the spinor blocks of sign k come from
+`poincare_candidate(d, k)`.
 
 The two hexagon families and the compatibility with the defining spinor
 intertwiners are exchange laws of one block table (`exchange_table`): the
@@ -56,13 +60,6 @@ LAM = "Lam"
 class RepEntry:
     G: Tensor  # legs (N, d) x (d, N)
     H: Tensor  # legs (N, d) x (d,)
-
-
-@dataclass
-class PoincareCandidate:
-    base: CandidateR       # blocks on the homogeneous presentation
-    k: int                 # +-1 overall sign
-    c: Scalar = None       # None means the whole one-parameter family
 
 
 @dataclass
@@ -249,12 +246,10 @@ def build_mP(d: InhomDatum, m: Tensor) -> Tensor:
     return m.place_legs(sq, sq, (0, 1), {2: d.N, 3: d.N})
 
 
-def build_RQ(d: InhomDatum, m: Tensor = None, c: Scalar = None) -> Tensor:
+def build_RQ(d: InhomDatum, m: Tensor, c: Scalar) -> Tensor:
+    """R_Q = R_P + c * m_P at one coefficient c; R_P when m is None."""
     rq = build_RP(d)
-    if m is not None:
-        mp = build_mP(d, m)
-        rq = rq + (mp if c is None else mp * c)
-    return rq
+    return rq if m is None else rq + build_mP(d, m) * c
 
 
 def build_m0(d: InhomDatum) -> Tensor:
@@ -350,6 +345,13 @@ INTERP_POINTS = tuple(Scalar.from_int(k) for k in (0, 1, 2, 3))
 EXT = "P"  # the letter of the extended representation in exchange tables
 
 
+def coefficient_points(d: InhomDatum, n: int):
+    """The coefficients at which an identity of degree below n in c is
+    decided for every c: the first n interpolation points, or 0 alone when
+    the datum has no invariant column (R_Q is then R_P)."""
+    return INTERP_POINTS[:n] if d.invariant is not None else INTERP_POINTS[:1]
+
+
 def braid_defect(RQ: Tensor) -> Tensor:
     single = RQ.cod[0]
     r1 = pad_with_identity(RQ, (), (single,))
@@ -357,7 +359,7 @@ def braid_defect(RQ: Tensor) -> Tensor:
     return r1 @ r2 @ r1 - r2 @ r1 @ r2
 
 
-def exchange_block(d: InhomDatum, cand: PoincareCandidate, v: str, w: str) -> Tensor:
+def exchange_block(d: InhomDatum, cand: CandidateR, v: str, w: str) -> Tensor:
     """R[v,w] for reps in the hexagon test set, the vector rep included."""
     if v == LAM and w == LAM:
         return d.R
@@ -371,10 +373,10 @@ def exchange_block(d: InhomDatum, cand: PoincareCandidate, v: str, w: str) -> Te
         return g.with_legs((dv, d.N), (d.N, dv))
     if cand is None:
         raise MissingRep("spinor pairs need a candidate family")
-    return cand.base.block(v, w)
+    return cand.block(v, w)
 
 
-def exchange_table(d: InhomDatum, cand: PoincareCandidate, rq: Tensor) -> CandidateR:
+def exchange_table(d: InhomDatum, cand: CandidateR, rq: Tensor) -> CandidateR:
     """Exchange blocks over the hexagon reps and the extended letter EXT.
 
     R[v,EXT] = N_v, R[EXT,EXT] = rq, and R[v,w] is the exchange block
@@ -400,38 +402,34 @@ def _first_failure(cid: str, points, defect_at, note: str = "") -> cqt.CheckRepo
     for c in points:
         fz = defect_at(c).first_nonzero()
         if fz is not None:
-            return cqt.CheckReport(
-                cid, "fail", fz, f"at coefficient {c}" if c is not None else "")
+            return cqt.CheckReport(cid, "fail", fz, f"at coefficient {c}")
     return cqt.CheckReport(cid, "pass", None, note)
 
 
-def check_braid_hexagons(d: InhomDatum, cand: PoincareCandidate = None):
+def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
     """Braid for R_Q, both hexagons, and the intertwiner compatibilities.
 
     The hexagons and the compatibilities are exchange laws of the block
     table: hexagon-one:v is the right law of R_Q against v, hexagon-two:v:w
     the left law of R[v,w] against EXT.  The braid defect is cubic in the
-    invariant coefficient c, so vanishing at the four interpolation points
+    invariant coefficient c, so vanishing at four coefficient points
     proves it for every c; the one-sided hexagon is affine in c and checked
     at two points; the mixed hexagon and the compatibility with the
-    defining intertwiners are c-free.
+    defining intertwiners are c-free.  cand holds the spinor blocks, for
+    the pairs of spinor reps.
     """
     m = d.invariant
-    if cand is not None and cand.c is not None:
-        if m is not None:
-            m = m * cand.c
-        points = (None,)
-    else:
-        points = INTERP_POINTS if m is not None else (Scalar.from_int(0),)
+    points = coefficient_points(d, 4)
     reports = [_first_failure(
         "braid:extended", points, lambda c: braid_defect(build_RQ(d, m, c)),
         "cubic interpolation over the invariant coefficient"
         if len(points) > 1 else "")]
-    tables = {c: exchange_table(d, cand, build_RQ(d, m, c)) for c in points[:2]}
+    tables = {c: exchange_table(d, cand, build_RQ(d, m, c))
+              for c in coefficient_points(d, 2)}
     pp = (EXT, EXT)
     for v in d.hexagon_reps():
         reports.append(_first_failure(
-            f"hexagon-one:{v}", points[:2], lambda c: cqt.exchange_defect(
+            f"hexagon-one:{v}", tables, lambda c: cqt.exchange_defect(
                 tables[c], tables[c].block(EXT, EXT), pp, pp, v, "right")))
     table = tables[points[0]]
     for v in d.hexagon_reps():
@@ -469,7 +467,7 @@ def _intertwiner_compat(d: InhomDatum, table: CandidateR):
     return out
 
 
-def check_R_v_Lambda(d: InhomDatum, cand: PoincareCandidate):
+def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
     """Candidate word blocks against the vector rep must reproduce G and G^(-1)."""
     if d.abstract:
         return [cqt.CheckReport("vector-normalization", "skipped", None,
@@ -482,14 +480,14 @@ def check_R_v_Lambda(d: InhomDatum, cand: PoincareCandidate):
         for side, cid, ends, want in (
                 ("right", f"vector-normalization:{v}:P", ((), (2,)), g),
                 ("left", f"vector-normalization:P:{v}", ((2,), ()), g.inverse())):
-            word = cqt.word_R(cand.base, (W, WB), v, side)
+            word = cqt.word_R(cand, (W, WB), v, side)
             got = (pad_with_identity(Vinv, *ends) @ word
                    @ pad_with_identity(V, *reversed(ends)))
             reports.append(cqt.defect_report(cid, got - want))
     return reports
 
 
-def poincare_candidate(d: InhomDatum, k: int, c: Scalar = None) -> PoincareCandidate:
+def poincare_candidate(d: InhomDatum, k: int) -> CandidateR:
     """Blocks (k L, k X, q k X^(-1), q k Ltilde) on the spinor presentation."""
     if d.abstract:
         raise AbstractLambdaMode("candidates with spinor blocks need a Lorentz datum")
@@ -502,8 +500,7 @@ def poincare_candidate(d: InhomDatum, k: int, c: Scalar = None) -> PoincareCandi
         (WB, W): ld.X.inverse() * (q * ks),
         (WB, WB): d.Ltilde * (q * ks),
     }
-    return PoincareCandidate(
-        CandidateR(ld.presentation, blocks, label=f"k={k:+d}"), k, c)
+    return CandidateR(ld.presentation, blocks, label=f"k={k:+d}")
 
 
 def check_m_star(d: InhomDatum, m: Tensor, cid: str) -> cqt.CheckReport:
@@ -544,14 +541,19 @@ class PoincareClassification:
         }
 
 
-def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
+# (coefficient, real): c * m0 is hermitian exactly for real c when m0 is
+STAR_SAMPLES = ((Scalar.from_int(2), True),
+                (Scalar.from_gaussian(Gaussian(1, 1)), False))
+
+
+def classify_poincare(d: InhomDatum, structure=None):
     """Existence and star/cotriangularity classification for one datum.
 
-    star_samples lists coefficient samples: plain rationals (real) and
-    (re, im) pairs; the star test passes exactly for the real ones when the
-    datum's invariant is hermitian.  Cotriangularity is tested as: base
-    family cotriangular and extended block family involutive at c = 0, with
-    the c-linear obstruction reported alongside.  structure takes the
+    The star rule is tested at STAR_SAMPLES: the star test passes exactly
+    for the real coefficients when the datum's invariant is hermitian.
+    Cotriangularity is tested as: base family cotriangular and extended
+    block family involutive at c = 0, with the c-linear obstruction
+    reported alongside.  structure takes the
     reports of check_structure(d) when the caller has them already.
     """
     if structure is None:
@@ -565,7 +567,7 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
     survivors = []
     star_reports = {}
     if d.abstract:
-        per_k[0] = check_braid_hexagons(d, None)
+        per_k[0] = check_braid_hexagons(d)
         m = d.invariant
         if m is not None:
             for name in d.reps:
@@ -576,8 +578,7 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
         # scan all sign assignments; only the two coherent ones survive the
         # vector-rep normalization
         for candidate in cqt.distinct(lorentz_family(d.lorentz)):
-            pc = PoincareCandidate(candidate, 0)
-            if cqt.all_pass(check_R_v_Lambda(d, pc)):
+            if cqt.all_pass(check_R_v_Lambda(d, candidate)):
                 survivors.append(candidate.label)
         m0 = build_m0(d)
         # rows that do not depend on the sign k
@@ -589,13 +590,14 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
         rp_squared = rp @ rp - Tensor.identity(rp.cod)
         obstruction = rp @ mp + mp @ rp
         for k in (1, -1):
-            pc = poincare_candidate(d, k)
-            rs = check_R_v_Lambda(d, pc) + check_braid_hexagons(d, pc) + invariance
+            cand = poincare_candidate(d, k)
+            rs = (check_R_v_Lambda(d, cand) + check_braid_hexagons(d, cand)
+                  + invariance)
             per_k[k] = [cqt.CheckReport(f"k={k:+d}:{r.check_id}", r.status,
                                         r.witness, r.note) for r in rs]
             ct_reports[k] = [
                 cqt.CheckReport(f"ct:base:k={k:+d}", "pass" if cqt.all_pass(
-                    cqt.check_ct(pc.base)) else "fail"),
+                    cqt.check_ct(cand)) else "fail"),
                 cqt.defect_report(f"ct:extended-at-zero:k={k:+d}", rp_squared),
                 cqt.CheckReport(
                     f"ct:coefficient-obstruction:k={k:+d}",
@@ -604,20 +606,12 @@ def classify_poincare(d: InhomDatum, star_samples=(2, (1, 1)), structure=None):
             if k == 1:
                 star_reports["star:base"] = cqt.CheckReport(
                     "star:base", "pass" if cqt.all_pass(
-                        cqt.check_star(pc.base, d.mode)) else "fail")
+                        cqt.check_star(cand, d.mode)) else "fail")
         star_reports["star:m-hermitian"] = check_m_star(d, m0, "star:m-hermitian")
-        for sample in star_samples:
-            if isinstance(sample, tuple):
-                cval = Scalar.from_gaussian(Gaussian(sample[0], sample[1]))
-                label = f"star:sample-nonreal:{cval}"
-                expected = False
-            else:
-                cval = Scalar.from_int(sample)
-                label = f"star:sample-real:{cval}"
-                expected = True
-            hermitian = check_m_star(d, m0 * cval, label).ok()
-            if hermitian == expected:
-                note = ("hermitian as required" if expected
+        for cval, real in STAR_SAMPLES:
+            label = f"star:sample-{'real' if real else 'nonreal'}:{cval}"
+            if check_m_star(d, m0 * cval, label).ok() == real:
+                note = ("hermitian as required" if real
                         else "correctly rejected: coefficient not real")
                 star_reports[label] = cqt.CheckReport(label, "pass", None, note)
             else:

@@ -92,9 +92,9 @@ def sl2_family(d: SL2Datum):
 
 
 def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
-                 mode: ConjMode = None, table: dict = None) -> cqt.ClassifyResult:
-    return cqt.classify(d.presentation, sl2_family(d), mode=mode,
-                        witnesses=witnesses, table=table)
+                 table: dict = None) -> cqt.ClassifyResult:
+    return cqt.classify(d.presentation, sl2_family(d), witnesses=witnesses,
+                        table=table)
 
 
 def validate_sl2(d: SL2Datum):

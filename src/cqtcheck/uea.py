@@ -12,7 +12,7 @@ homomorphisms are evaluated on such words:
 * l, sliced from the extended exchange matrix: l(Lam[a,b])[j,u] =
   R_Q[(j,a),(b,u)] and l(y[a])[j,u] = R_Q[(j,a),(+,u)], so its blocks on
   the vector range are R- and Z-slices, its last column is the column
-  s = (R-1)T + m, and its bottom row is the counit;
+  s = (R-1)T + c m, and its bottom row is the counit;
 * X, the antipode-twisted functional with X(Lam[a,b])[i,k] = R[(a,k),(i,b)]
   and X(y[u])[i,+] = delta_iu over the same bottom row.
 
@@ -24,10 +24,16 @@ implied rather than assumed.  All identities are evaluated on every free
 word up to a configurable length (default 2); that is exact on those words
 and a truncation of the full functional identity, and reported as such.
 
-Where the datum's invariant column enters (through s), checks run at
-interpolation points of its coefficient; each defect is polynomial of
-degree at most 3 in the coefficient, so four points decide the identity
-for all values.
+Where the datum's invariant column enters, checks run at its
+`coefficient_points`, enough to decide each identity for every
+coefficient c.  c enters l only in its last column (through s) and the
+bottom row of l is the counit, so a product of letter values stays affine
+in c: l(word) has degree at most 1, and the convolution matrix B(word),
+the sum of kron(l(u), l(v)) over the coproduct splits of the word, at
+most 2.  So the rll defects (B against R_Q) are at most cubic and four
+points decide them; the pairing values (B on a c-free column) are at most
+quadratic and the ideal values (l on a free element) affine, so three
+points decide them.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from dataclasses import dataclass
 
 from . import cqt
 from .errors import ForbiddenParameter, ShapeError
-from .inhomogeneous import (INTERP_POINTS, InhomDatum, PoincareCandidate,
-                            build_mP, build_RQ, corner_frame)
+from .inhomogeneous import (InhomDatum, build_mP, build_RQ,
+                            coefficient_points, corner_frame)
 from .presentation import FunctionalHom
 from .scalars import ONE, Scalar, ZERO
 from .tensor import SpanBasis, Tensor, flip, kron
@@ -86,26 +92,22 @@ class CoproductTable:
                 + [y(a) for a in range(self.N)])
 
 
-def _sample_points(d: InhomDatum, cand: PoincareCandidate, count: int = 4):
-    if cand is not None and cand.c is not None:
-        return (cand.c,)
-    if d.invariant is None:
-        return (Scalar.from_int(0),)
-    return INTERP_POINTS[:count]
+def _samples(d: InhomDatum, n: int):
+    """(coefficient, label suffix) at the datum's n coefficient points."""
+    points = coefficient_points(d, n)
+    return [(c, f" at coefficient {c}" if len(points) > 1 else "")
+            for c in points]
 
 
-def _sample_functionals(d: InhomDatum, cand: PoincareCandidate):
+def _sample_functionals(d: InhomDatum):
     """(coefficient, label suffix): l at three sample coefficients, then
     None for the antipode-twisted X."""
-    points = _sample_points(d, cand, count=3)
-    for c in points:
-        yield c, f" at coefficient {c}" if len(points) > 1 else ""
-    yield None, ""
+    return _samples(d, 3) + [(None, "")]
 
 
-def build_l(d: InhomDatum, c: Scalar = None) -> FunctionalHom:
+def build_l(d: InhomDatum, c: Scalar) -> FunctionalHom:
     """The exchange functional sliced from R_Q at one coefficient value."""
-    rq = build_RQ(d, d.invariant, c if c is not None else Scalar.from_int(0))
+    rq = build_RQ(d, d.invariant, c)
     N = d.N
     P = N + 1
     values = {}
@@ -275,8 +277,7 @@ class _Merge:
         return out
 
 
-def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
-              fns: Functionals = None):
+def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
     """Exchange relation of l against R_Q, full and in block form."""
     fns = fns or Functionals(d)
     N = d.N
@@ -288,15 +289,13 @@ def check_rll(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
     RF = d.R @ FN
     RZ = d.R @ d.Z
     RT = (d.R - Tensor.identity((N, N))) @ d.T
-    points = _sample_points(d, cand)
     merge = _Merge()
-    for c in points:
+    for c, suffix in _samples(d, 4):
         lhom = fns.hom(c)
         rq = build_RQ(d, inv, c)
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
         conv = fns.conv(c)
-        suffix = f" at coefficient {c}" if len(points) > 1 else ""
         for word in _words(cop, max_len):
             label = _word_label(word) + suffix
             B = conv.value(word)
@@ -374,9 +373,8 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
     return merge.reports()
 
 
-def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
-                   k: Tensor = None, n: Tensor = None, max_len: int = 2,
-                   fns: Functionals = None):
+def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
+                   max_len: int = 2, fns: Functionals = None):
     """Invariance of stored pairings under the convolution action.
 
     k is a column invariant ((vector rep (x) vector rep) k = k) and n a row
@@ -397,7 +395,7 @@ def check_pairings(d: InhomDatum, cand: PoincareCandidate = None,
                              tuple(vector[leg] for leg in dom)) @ col
                 - col * eps)
 
-    for c, suffix in _sample_functionals(d, cand):
+    for c, suffix in _sample_functionals(d):
         conv = fns.conv(c)
         tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
                      else ("", ((1, 0), (3, 2))))
@@ -465,14 +463,13 @@ def _acc(elt, word, coef):
     elt[word] = coef if cur is None else cur + coef
 
 
-def check_ideal_killed(d: InhomDatum, cand: PoincareCandidate = None,
-                       fns: Functionals = None):
+def check_ideal_killed(d: InhomDatum, fns: Functionals = None):
     """Both functionals must annihilate every defining relation element."""
     fns = fns or Functionals(d)
     elements = {"mixed": ideal_elements_mixed(d),
                 "quadratic": ideal_elements_quadratic(d)}
     merge = _Merge()
-    for c, suffix in _sample_functionals(d, cand):
+    for c, suffix in _sample_functionals(d):
         h = fns.hom(c)
         for kind, elts in elements.items():
             for key, elt in elts.items():
@@ -497,13 +494,12 @@ def check_row_shape(d: InhomDatum, row: Tensor):
             f"{row.cod} x {row.dom}")
 
 
-def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
-              with_row: Tensor = None):
+def uea_suite(d: InhomDatum, max_len: int = 2, with_row: Tensor = None):
     """All functional checks, plus the span-dimension diagnostic; a
     with_row must have passed check_row_shape."""
     fns = Functionals(d)
     reports = []
-    reports.extend(check_rll(d, cand, max_len, fns))
+    reports.extend(check_rll(d, max_len, fns))
     k_col = d.invariant
     n_row = with_row
     if n_row is None and k_col is not None:
@@ -512,9 +508,9 @@ def uea_suite(d: InhomDatum, cand: PoincareCandidate = None, max_len: int = 2,
         if d.R.transpose() @ k_col == k_col:
             n_row = k_col
     reports.extend(check_xkx(d, max_len, n=n_row, fns=fns))
-    reports.extend(check_pairings(d, cand, k=k_col, n=n_row, max_len=max_len,
+    reports.extend(check_pairings(d, k=k_col, n=n_row, max_len=max_len,
                                   fns=fns))
-    reports.extend(check_ideal_killed(d, cand, fns))
+    reports.extend(check_ideal_killed(d, fns))
     reports.append(cqt.CheckReport(
         "uea:letter-span", "pass", None,
         f"l letters span dimension {letter_span_dim(fns.hom(ONE))}, "

@@ -112,11 +112,11 @@ def test_criterion_6_star_and_ct_classification():
         mp = inh.build_mP(d, m0)
         assert not (rp @ mp + mp @ rp).is_zero()
         assert (mp @ mp).is_zero()
-        rq0 = inh.build_RQ(d, None)
+        rq0 = inh.build_RP(d)
         assert rq0 @ rq0 == Tensor.identity((5, 5))
         for k in (1, -1):
             cand = inh.poincare_candidate(d, k)
-            assert cqt.all_pass(cqt.check_ct(cand.base))
+            assert cqt.all_pass(cqt.check_ct(cand))
 
 
 def test_criterion_7_negative_controls():

@@ -234,8 +234,14 @@ def test_work_bounds_over_budget_exit_2_before_any_check(argv):
     # budget stops kron(flip(256,256), flip(256,256)), 2^32 nonzeros
     ("gen w : 2\ncand w w = kron(flip(16,16), flip(16,17))\n", (2, 12),
      "kron nonzero count 69632"),
+    # a . b is bounded by its output, a's rows times b's columns: 258 x 258
+    # here, just over and cheap to form; the same budget stops a 65,536 x 1
+    # column composed with a 1 x 65,536 row, 2^32 entries
+    ("gen w : 2\nmat c : [] -> [w] { 1,1 = 1 }\nmat r : [w] -> [] { 1,1 = 1 }\n"
+     "cand w w = kron(flip(1,129), c) . kron(flip(1,129), r)\n", (4, 33),
+     "composition entry count 66564"),
 ], ids=["gen", "flip-first", "flip-second", "mat-source", "mat-target",
-        "kron"])
+        "kron", "compose"])
 def test_allocating_integers_over_budget_exit_2_at_their_token(tmp_path, text,
                                                                  pos, what):
     doc = tmp_path / "big.qg"

@@ -204,10 +204,12 @@ def test_braid_and_hexagons_classical(classical):
         assert cqt.all_pass(reports)
 
 
-def test_braid_fixed_coefficient(classical):
-    cand = inh.poincare_candidate(classical, 1, c=Scalar.from_int(7))
-    reports = inh.check_braid_hexagons(classical, cand)
-    assert cqt.all_pass(reports)
+def test_coefficient_points(classical):
+    # n interpolation points with an invariant column, 0 alone without one
+    assert inh.coefficient_points(classical, 3) == inh.INTERP_POINTS[:3]
+    bare = inh.abstract_datum(flip(4, 4))
+    assert bare.invariant is None
+    assert inh.coefficient_points(bare, 4) == (Scalar.from_int(0),)
 
 
 def test_braid_interpolation_agrees_with_samples(classical):
@@ -265,7 +267,7 @@ def test_hexagon_failure_localizes_in_translation_sector():
     d = inh.abstract_datum(R, T=T)
     P, N = 5, 4
     nv = inh.build_N(d, "Lam")
-    rq = inh.build_RQ(d, None).with_legs((P, P), (P, P))
+    rq = inh.build_RP(d).with_legs((P, P), (P, P))
     lhs = (pad_with_identity(nv, (P,), ()) @ pad_with_identity(nv, (), (P,))
            @ pad_with_identity(rq, (N,), ()))
     rhs = (pad_with_identity(rq, (), (N,)) @ pad_with_identity(nv, (P,), ())
@@ -285,8 +287,7 @@ def test_vector_normalization(classical):
     for k in (1, -1):
         cand = inh.poincare_candidate(classical, k)
         assert cqt.all_pass(inh.check_R_v_Lambda(classical, cand))
-    mixed = inh.PoincareCandidate(
-        lorentz.candidate_blocks(classical.lorentz, 1, 1, -1, 1), 0)
+    mixed = lorentz.candidate_blocks(classical.lorentz, 1, 1, -1, 1)
     reports = inh.check_R_v_Lambda(classical, mixed)
     assert any(r.status == "fail" for r in reports)
 
@@ -302,10 +303,13 @@ def test_classify_poincare_classical(classical):
     assert cqt.all_pass(cls.reports())
 
 
-def test_classify_poincare_star_samples(classical):
-    cls = inh.classify_poincare(classical, star_samples=(2, 5, (1, 1), (0, 3)))
-    for label, rep in cls.star_samples.items():
-        assert rep.status == "pass", label
+def test_real_coefficient_rule_at_star_samples(classical):
+    # c * m0 is hermitian exactly for real c: 2 and 5 pass, 1+i and 3i fail
+    for (re, im), real in (((2, 0), True), ((5, 0), True), ((1, 1), False),
+                           ((0, 3), False)):
+        c = Scalar.from_gaussian(Gaussian(re, im))
+        report = inh.check_m_star(classical, classical.m0 * c, f"star:{c}")
+        assert (report.status == "pass") == real, c
 
 
 def test_classify_abstract_flip_free_invariant():

@@ -5,12 +5,15 @@ is traced (--trace 1).  A rename that leaves a hook dangling would only
 show there; this test reads the hook tables, leaves the file as it is, and
 resolves each name the way the tracer does: module functions through the
 module, and Class.method in the class's own __dict__.  A traced run of one
-command then checks that the hooks' probes still read the arguments and
-results of the functions they wrap.
+command, and of the uea suite on a Poincare datum, then check that the
+hooks' probes still read the arguments and results of the functions they
+wrap.
 """
 
 import importlib
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,17 @@ def _hook_tables():
     return {**layers.TIMED, **layers.COUNTED}
 
 
+def _traced(argv):
+    from cqtcheck import cli
+    tr = _load("tracer").Tracer()
+    _load("layers").install(tr)
+    try:
+        code = cli.main(argv)
+    finally:
+        tr.uninstall()
+    return code, tr
+
+
 HOOKS = [(stem, module, attr) for stem, (module, *attrs)
          in _hook_tables().items() for attr in attrs]
 
@@ -48,12 +62,21 @@ def test_hook_resolves(stem, module, attr):
 
 
 def test_traced_run_counts_the_classified_candidates(capsys):
-    from cqtcheck import cli
-    tr = _load("tracer").Tracer()
-    _load("layers").install(tr)
-    try:
-        code = cli.main(["check", "builtin:lorentz-flip", "--eval", "t=1"])
-    finally:
-        tr.uninstall()
+    code, tr = _traced(["check", "builtin:lorentz-flip", "--eval", "t=1"])
     assert code == 0, capsys.readouterr().err
     assert tr.counts["cqt.classify.candidates"] == 16
+
+
+def test_traced_uea_run_counts_its_evaluations(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code, tr = _traced(["check", "builtin:poincare-twisted", "--suite", "uea",
+                        "--max-len", "1", "--json", str(out)])
+    assert code == 0, capsys.readouterr().err
+    for name in ("check_rll", "check_xkx", "check_pairings",
+                 "check_ideal_killed"):
+        assert tr.calls[f"uea.{name}"] == 1, name
+    notes = [re.fullmatch(r"(\d+) evaluations", r["note"] or "")
+             for r in json.loads(out.read_text())["reports"]]
+    total = sum(int(m.group(1)) for m in notes if m)
+    assert total > 0
+    assert tr.counts["uea.evaluations"] == total

