@@ -531,7 +531,8 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
         i, k = divmod(f, a.ncols)
         r0, c0 = i * b.nrows, k * b.ncols
         for (j, l), y in bn:
-            out[(r0 + j) * nc + c0 + l] = x * y
+            out[(r0 + j) * nc + c0 + l] = (
+                x if y is ONE else (y if x is ONE else x * y))
     return Tensor._raw(a.cod + b.cod, a.dom + b.dom, nr, nc, out)
 
 

@@ -34,6 +34,19 @@ most 2.  So the rll defects (B against R_Q) are at most cubic and four
 points decide them; the pairing values (B on a c-free column) are at most
 quadratic and the ideal values (l on a free element) affine, so three
 points decide them.
+
+Each distinct defect is decided once, by the rule of `cqt._decided`: keyed
+by the `key()` of every tensor it reads.  At one coefficient point the
+rll defects of a word read only B(word), l(word) and eps(word) (R_Q, the
+R and Z slices and s are fixed per point), the xkx defects only B(word),
+and the pairing defects only B(word) and eps(word) (the invariant columns
+and the leg order are fixed per functional).  So each check keeps one
+table per point, and every word is still fed, in order and under its own
+label, the exact defects of its key: first failures, witnesses and
+evaluation counts are those of a word-by-word loop.  B alone would key
+the same: the bottom row of l is the counit, so by the counit axiom the
+block of B(word) at the translation index in both first slots is l(word),
+whose corner is eps(word).
 """
 
 from __future__ import annotations
@@ -247,18 +260,23 @@ def _sector(B: Tensor, N: int, first_plus: bool, second_plus: bool) -> Tensor:
 
 
 class _Merge:
-    """First-failure aggregation of one defect family into a report."""
+    """First-failure aggregation of one defect family into a report.
 
-    def __init__(self):
+    An evaluation of item is named name(item) + suffix, only on a first
+    failure.
+    """
+
+    def __init__(self, name=_word_label):
+        self.name = name
         self.slots = {}
 
-    def feed(self, cid: str, label: str, defect: Tensor):
+    def feed(self, cid: str, item, suffix: str, defect: Tensor):
         slot = self.slots.setdefault(cid, {"fail": None, "checked": 0})
         slot["checked"] += 1
         if slot["fail"] is None:
             fz = defect.first_nonzero()
             if fz is not None:
-                slot["fail"] = (label, fz)
+                slot["fail"] = (self.name(item) + suffix, fz)
 
     def get(self, cid):
         return self.slots.get(cid)
@@ -275,6 +293,9 @@ class _Merge:
                 out.append(cqt.CheckReport(cid, "fail", fz,
                                            f"first failure on {label}"))
         return out
+
+
+RLL_FORMS = ("full", "block-LL", "block-ML", "block-LM", "block-MM")
 
 
 def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
@@ -296,29 +317,31 @@ def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
         conv = fns.conv(c)
+        decided = {}
         for word in _words(cop, max_len):
-            label = _word_label(word) + suffix
             B = conv.value(word)
             lx = lhom.value(word)
-            Lx = lx.slice_legs(((0, N),), ((1, N),))
-            Mx = lx.slice_legs(((0, N),), (), {1: N})
             eps = cop.counit_word(word)
-            n = len(word)
-            C = F @ B
-            merge.feed(f"rll:full:len{n}", label, rq @ C - C @ frqf)
-            Bll = _sector(B, N, False, False)
-            BpN = _sector(B, N, True, False)   # columns (+, vector)
-            BNp = _sector(B, N, False, True)   # columns (vector, +)
-            Bpp = _sector(B, N, True, True)
-            fBf = FN @ Bll @ FN
-            merge.feed(f"rll:block-LL:len{n}", label, RF @ Bll - fBf @ RF)
-            merge.feed(f"rll:block-ML:len{n}", label,
-                       RF @ BpN + d.Z @ Lx - fBf @ d.Z - FN @ BNp)
-            merge.feed(f"rll:block-LM:len{n}", label,
-                       RF @ BNp - RZ @ Lx + fBf @ RZ - FN @ BpN)
-            merge.feed(f"rll:block-MM:len{n}", label,
-                       RF @ Bpp + d.Z @ Mx - RZ @ Mx + s_col * eps
-                       - fBf @ s_col - FN @ Bpp)
+            key = (B.key(), lx.key(), eps)
+            found = decided.get(key)
+            if found is None:
+                Lx = lx.slice_legs(((0, N),), ((1, N),))
+                Mx = lx.slice_legs(((0, N),), (), {1: N})
+                C = F @ B
+                Bll = _sector(B, N, False, False)
+                BpN = _sector(B, N, True, False)   # columns (+, vector)
+                BNp = _sector(B, N, False, True)   # columns (vector, +)
+                Bpp = _sector(B, N, True, True)
+                fBf = FN @ Bll @ FN
+                found = decided[key] = (
+                    rq @ C - C @ frqf,
+                    RF @ Bll - fBf @ RF,
+                    RF @ BpN + d.Z @ Lx - fBf @ d.Z - FN @ BNp,
+                    RF @ BNp - RZ @ Lx + fBf @ RZ - FN @ BpN,
+                    RF @ Bpp + d.Z @ Mx - RZ @ Mx + s_col * eps
+                    - fBf @ s_col - FN @ Bpp)
+            for form, defect in zip(RLL_FORMS, found):
+                merge.feed(f"rll:{form}:len{len(word)}", word, suffix, defect)
     reports = merge.reports()
     for n in range(1, max_len + 1):
         ll = merge.get(f"rll:block-LL:len{n}")
@@ -366,10 +389,15 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
         # column; its twisted invariance cancels the extra terms
         variants.append(("xkx:with-invariant-row", build_K(d) + build_mP(d, n)))
     merge = _Merge()
+    decided = {}
     for word in _words(cop, max_len):
         B = conv.value(word)
-        for name, K in variants:
-            merge.feed(f"{name}:len{len(word)}", _word_label(word), B @ K - K @ B)
+        key = B.key()
+        found = decided.get(key)
+        if found is None:
+            found = decided[key] = [B @ K - K @ B for _, K in variants]
+        for (name, _), defect in zip(variants, found):
+            merge.feed(f"{name}:len{len(word)}", word, "", defect)
     return merge.reports()
 
 
@@ -399,16 +427,20 @@ def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
         conv = fns.conv(c)
         tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
                      else ("", ((1, 0), (3, 2))))
+        pairings = [(f"pairing:{side}{tag}", ends, col) for side, ends, col
+                    in (("column", legs, k), ("row", legs[::-1], n))
+                    if col is not None]
+        decided = {}
         for word in _words(cop, max_len):
             B = conv.value(word)
             eps = cop.counit_word(word)
-            label = _word_label(word) + suffix
-            if k is not None:
-                merge.feed(f"pairing:column{tag}:len{len(word)}", label,
-                           pair(B, legs[0], legs[1], k, eps))
-            if n is not None:
-                merge.feed(f"pairing:row{tag}:len{len(word)}", label,
-                           pair(B, legs[1], legs[0], n, eps))
+            key = (B.key(), eps)
+            found = decided.get(key)
+            if found is None:
+                found = decided[key] = [pair(B, *ends, col, eps)
+                                        for _, ends, col in pairings]
+            for (name, _, _), defect in zip(pairings, found):
+                merge.feed(f"{name}:len{len(word)}", word, suffix, defect)
     return merge.reports()
 
 
@@ -468,13 +500,13 @@ def check_ideal_killed(d: InhomDatum, fns: Functionals = None):
     fns = fns or Functionals(d)
     elements = {"mixed": ideal_elements_mixed(d),
                 "quadratic": ideal_elements_quadratic(d)}
-    merge = _Merge()
+    merge = _Merge(str)
     for c, suffix in _sample_functionals(d):
         h = fns.hom(c)
         for kind, elts in elements.items():
             for key, elt in elts.items():
                 merge.feed(f"ideal:{kind}:{'l' if c is not None else 'X'}",
-                           f"{key}{suffix}", h.value_free(elt))
+                           key, suffix, h.value_free(elt))
     return merge.reports()
 
 

@@ -68,15 +68,22 @@ def test_traced_run_counts_the_classified_candidates(capsys):
 
 
 def test_traced_uea_run_counts_its_evaluations(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    code, tr = _traced(["check", "builtin:poincare-twisted", "--suite", "uea",
-                        "--max-len", "1", "--json", str(out)])
-    assert code == 0, capsys.readouterr().err
-    for name in ("check_rll", "check_xkx", "check_pairings",
-                 "check_ideal_killed"):
-        assert tr.calls[f"uea.{name}"] == 1, name
-    notes = [re.fullmatch(r"(\d+) evaluations", r["note"] or "")
-             for r in json.loads(out.read_text())["reports"]]
-    total = sum(int(m.group(1)) for m in notes if m)
-    assert total > 0
-    assert tr.counts["uea.evaluations"] == total
+    # the checks decide each distinct defect once, but their notes, and so
+    # uea.evaluations, still count one evaluation per word
+    for datum, max_len in (("poincare-twisted", 1), ("poincare-classical", 2)):
+        out = tmp_path / f"{datum}.json"
+        code, tr = _traced(["check", f"builtin:{datum}", "--suite", "uea",
+                            "--max-len", str(max_len), "--json", str(out)])
+        assert code == 0, capsys.readouterr().err
+        for name in ("check_rll", "check_xkx", "check_pairings",
+                     "check_ideal_killed"):
+            assert tr.calls[f"uea.{name}"] == 1, name
+        notes = {r["check_id"]: re.fullmatch(r"(\d+) evaluations",
+                                             r["note"] or "")
+                 for r in json.loads(out.read_text())["reports"]}
+        counts = {cid: int(m.group(1)) for cid, m in notes.items() if m}
+        assert sum(counts.values()) > 0
+        assert tr.counts["uea.evaluations"] == sum(counts.values())
+    # rll on poincare-classical: 5 forms at 4 points on 20 + 400 words
+    assert sum(v for cid, v in counts.items() if cid.startswith("rll:")) \
+        == 5 * 4 * 420

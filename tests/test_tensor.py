@@ -21,6 +21,18 @@ def test_kron_identities():
         Tensor.identity((2, 2))
 
 
+def test_kron_passes_one_through():
+    # as in a product: a factor that is the shared ONE costs no
+    # multiplication, and the other factor's entries are stored as they are
+    rng = random.Random(5)
+    m = rand_matrix(rng, 3, 2) * (t + 1)
+    own = {id(v) for v in m.nz.values()}
+    for n in (1, 2):
+        one = Tensor.identity((n,))
+        for k in (kron(one, m), kron(m, one)):
+            assert {id(v) for v in k.nz.values()} == own
+
+
 def test_kron_shape_law():
     E = Tensor.column([0, 1, -1, 0], cod=(2, 2))
     K = kron(E, E)
