@@ -469,6 +469,3 @@ def run_show(args) -> int:
     print(named[args.name].pretty())
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

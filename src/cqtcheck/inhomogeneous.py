@@ -44,6 +44,7 @@ in the abstract mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
@@ -61,8 +62,12 @@ class RepEntry:
     G: Tensor  # legs (N, d) x (d, N)
     H: Tensor  # legs (N, d) x (d,)
 
+    @cached_property
+    def G_inv(self) -> Tensor:
+        return self.G.inverse()
 
-@dataclass
+
+@dataclass(frozen=True)
 class InhomDatum:
     N: int
     R: Tensor                      # ((N,N),(N,N))
@@ -77,6 +82,10 @@ class InhomDatum:
     m0: Tensor = None
     L: Tensor = None
     Ltilde: Tensor = None
+
+    @cached_property
+    def V_inv(self) -> Tensor:
+        return self.V.inverse()
 
     @property
     def abstract(self) -> bool:
@@ -368,7 +377,7 @@ def exchange_block(d: InhomDatum, cand: CandidateR, v: str, w: str) -> Tensor:
         dv = g.cod[1]
         return g.with_legs((d.N, dv), (dv, d.N))
     if v == LAM:
-        g = d.rep(w).G.inverse()
+        g = d.rep(w).G_inv
         dv = g.cod[0]
         return g.with_legs((dv, d.N), (d.N, dv))
     if cand is None:
@@ -472,17 +481,16 @@ def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
     if d.abstract:
         return [cqt.CheckReport("vector-normalization", "skipped", None,
                                 "abstract mode")]
-    V, Vinv = d.V, d.V.inverse()
     reports = []
     for v in (W, WB):
-        g = d.rep(v).G
+        e = d.rep(v)
         # R[v, P] reproduces G and R[P, v] its inverse, through V
         for side, cid, ends, want in (
-                ("right", f"vector-normalization:{v}:P", ((), (2,)), g),
-                ("left", f"vector-normalization:P:{v}", ((2,), ()), g.inverse())):
+                ("right", f"vector-normalization:{v}:P", ((), (2,)), e.G),
+                ("left", f"vector-normalization:P:{v}", ((2,), ()), e.G_inv)):
             word = cqt.word_R(cand, (W, WB), v, side)
-            got = (pad_with_identity(Vinv, *ends) @ word
-                   @ pad_with_identity(V, *reversed(ends)))
+            got = (pad_with_identity(d.V_inv, *ends) @ word
+                   @ pad_with_identity(d.V, *reversed(ends)))
             reports.append(cqt.defect_report(cid, got - want))
     return reports
 

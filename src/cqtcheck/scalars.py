@@ -19,12 +19,16 @@ t^min(k, valuation of the other argument), and division by c*t^k is a
 shift and a scale.  Other arguments go through the Euclidean algorithm and
 schoolbook long division.
 
-Constants take a fast path.  When both operands of a product, a sum or a
-difference are constants (a one-coefficient numerator over 1), and for the
-inverse of a constant, the result is formed from the Gaussians directly,
-without the polynomial kernels: a product of nonzero Gaussians is nonzero,
-and a sum that cancels is the canonical zero.  A constant stays (g,) / 1,
-so at a specialized t every scalar is one Gaussian and no gcd runs.
+Laurent monomials c*t^e (c a nonzero Gaussian, e an integer) take a fast
+path; a scalar finds its e once and keeps it.  With a Laurent operand, a
+product, sum or inverse is formed without pmul or gcd, and is canonical as
+formed: cc'*t^(e+e') and c^-1*t^-e are one term over a power of t; against
+a canonical n/d, t^min(e, val d) cancels from d (e >= 0) or t^min(-e, val n)
+from n (e < 0), so a power of t is left only over a nonzero constant term
+and d stays monic; a sum of two is one term (or the canonical zero) when
+the exponents agree, else two over t^max(0, -e, -e'), the lower one then
+constant.  Constants (e = 0) are tested first, so at a specialized t every
+scalar stays one Gaussian over 1 and no gcd runs.
 
 Two conjugation modes are supported:
 
@@ -47,6 +51,7 @@ from .errors import (DivisionByZero, EvaluationPole, NumberTooLong, ParseError,
                      ZeroDivisionInText)
 
 _new = object.__new__
+_UNKNOWN = ...  # Scalar._exp until _laurent looks; a singleton, kept by copies
 
 
 def _g(a: int, b: int, d: int = 1) -> "Gaussian":
@@ -417,19 +422,46 @@ class ConjMode(enum.Enum):
     UNIMODULAR = "unimodular"  # t -> 1/t: |q| = 1
 
 
+def _monic(num, den) -> "Scalar":
+    """num/den over coprime num and den, scaled so that den is monic."""
+    lead = den[-1]
+    if lead == G_ONE:
+        return Scalar(num, den)
+    inv = lead.inverse()
+    return Scalar(pscale(num, inv), pscale(den, inv))
+
+
+def _laurent_scalar(c: Gaussian, e: int) -> "Scalar":
+    """c*t^e in canonical form, for a nonzero Gaussian c."""
+    if e >= 0:
+        return Scalar((G_ZERO,) * e + (c,), P_ONE, e)
+    return Scalar((c,), (G_ZERO,) * -e + P_ONE, e)
+
+
+def _shift_scale(c: Gaussian, e: int, num, den) -> "Scalar":
+    """c*t^e times the canonical num/den, cancelling powers of t only."""
+    if e >= 0:
+        k = min(e, _valuation(den))
+        return Scalar((G_ZERO,) * (e - k) + pscale(num, c), den[k:])
+    k = min(-e, _valuation(num))
+    return Scalar(pscale(num[k:], c), (G_ZERO,) * (-e - k) + den)
+
+
 class Scalar:
     """A rational function in t over Q(i), kept in canonical form.
 
     Construct through the classmethods or module constants; the raw
-    constructor trusts its inputs to be canonical already.
+    constructor trusts its inputs to be canonical already, and exp, if
+    given, to be e for a Laurent monomial c*t^e and None for other scalars.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_exp")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, exp=_UNKNOWN):
         self.num = num
         self.den = den
         self._hash = None
+        self._exp = exp
 
     @staticmethod
     def normalize(num, den) -> "Scalar":
@@ -442,18 +474,13 @@ class Scalar:
         if len(g) > 1:
             num = pdivmod(num, g)[0]
             den = pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != G_ONE:
-            inv = lead.inverse()
-            num = pscale(num, inv)
-            den = pscale(den, inv)
-        return Scalar(num, den)
+        return _monic(num, den)
 
     @classmethod
     def from_gaussian(cls, g: Gaussian) -> "Scalar":
         if not g:
             return ZERO
-        return cls((g,), P_ONE)
+        return cls((g,), P_ONE, 0)
 
     @classmethod
     def from_int(cls, n) -> "Scalar":
@@ -463,6 +490,16 @@ class Scalar:
     def from_fraction(cls, f) -> "Scalar":
         return cls.from_gaussian(Gaussian(f))
 
+    def _laurent(self):
+        """e when self (nonzero) is c*t^e, else None; found once, then kept."""
+        if self._exp is _UNKNOWN:
+            if len(self.den) == 1:
+                self._exp = _monomial_degree(self.num)
+            else:
+                k = _monomial_degree(self.den) if len(self.num) == 1 else None
+                self._exp = None if k is None else -k
+        return self._exp
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -471,26 +508,33 @@ class Scalar:
             return other
         if not other.num:
             return self
-        if self.den == other.den:
-            if self.den == P_ONE and len(self.num) == 1 == len(other.num):
-                # constant + constant: zero when the Gaussians cancel
-                g = self.num[0] + other.num[0]
-                return Scalar((g,), P_ONE) if g else ZERO
-            num = padd(self.num, other.num)
+        if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
+            # constant + constant: zero when the Gaussians cancel
+            g = self.num[0] + other.num[0]
+            return Scalar((g,), P_ONE, 0) if g else ZERO
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        e1, e2 = self._laurent(), other._laurent()
+        if e1 is not None and e2 is not None:
+            if e1 == e2:
+                c = n1[-1] + n2[-1]
+                return _laurent_scalar(c, e1) if c else ZERO
+            m = max(0, -e1, -e2)
+            num = [G_ZERO] * (max(e1, e2) + m + 1)
+            num[e1 + m], num[e2 + m] = n1[-1], n2[-1]
+            return Scalar(tuple(num), (G_ZERO,) * m + P_ONE, None)
+        if d1 == d2:
+            num = padd(n1, n2)
             if not num:
                 return ZERO
-            if self.den == P_ONE:
+            if d1 == P_ONE:
                 return Scalar(num, P_ONE)
-            return Scalar.normalize(num, self.den)
-        return Scalar.normalize(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+            return Scalar.normalize(num, d1)
+        return Scalar.normalize(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(pneg(self.num), self.den)
+        return Scalar(pneg(self.num), self.den, self._exp)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -502,19 +546,21 @@ class Scalar:
         other = _coerce(other)
         if not self.num or not other.num:
             return ZERO
-        if self.den == P_ONE and other.den == P_ONE:
+        if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
             # constant * constant: nonzero Gaussians have a nonzero product
-            if len(self.num) == 1 == len(other.num):
-                return Scalar((self.num[0] * other.num[0],), P_ONE)
-            # polynomial * polynomial stays in lowest terms
-            return Scalar(pmul(self.num, other.num), P_ONE)
-        # constant factors cannot disturb coprimality
-        if len(self.num) == 1 and self.den == P_ONE:
-            return Scalar(pscale(other.num, self.num[0]), other.den)
-        if len(other.num) == 1 and other.den == P_ONE:
-            return Scalar(pscale(self.num, other.num[0]), self.den)
-        # cross-reduce so no gcd of large products is ever taken
+            return Scalar((self.num[0] * other.num[0],), P_ONE, 0)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        e1, e2 = self._laurent(), other._laurent()
+        if e1 is not None:
+            if e2 is not None:
+                return _laurent_scalar(n1[-1] * n2[-1], e1 + e2)
+            return _shift_scale(n1[-1], e1, n2, d2)
+        if e2 is not None:
+            return _shift_scale(n2[-1], e2, n1, d1)
+        if d1 == P_ONE == d2:
+            # polynomial * polynomial stays in lowest terms
+            return Scalar(pmul(n1, n2), P_ONE)
+        # cross-reduce so no gcd of large products is ever taken
         g = pgcd(n1, d2)
         if len(g) > 1:
             n1 = pdivmod(n1, g)[0]
@@ -523,29 +569,17 @@ class Scalar:
         if len(g) > 1:
             n2 = pdivmod(n2, g)[0]
             d1 = pdivmod(d1, g)[0]
-        num = pmul(n1, n2)
-        den = pmul(d1, d2)
-        lead = den[-1]
-        if lead != G_ONE:
-            inv = lead.inverse()
-            num = pscale(num, inv)
-            den = pscale(den, inv)
-        return Scalar(num, den)
+        return _monic(pmul(n1, n2), pmul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self.num:
             raise DivisionByZero("inverse of zero scalar")
-        if self.den == P_ONE and len(self.num) == 1:
-            return Scalar((self.num[0].inverse(),), P_ONE)
-        num, den = self.den, self.num
-        lead = den[-1]
-        if lead != G_ONE:
-            inv = lead.inverse()
-            num = pscale(num, inv)
-            den = pscale(den, inv)
-        return Scalar(num, den)
+        e = self._laurent()
+        if e is not None:
+            return _laurent_scalar(self.num[-1].inverse(), -e)
+        return _monic(self.den, self.num)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -603,7 +637,7 @@ class Scalar:
 
     def conjugate(self, mode: ConjMode) -> "Scalar":
         if mode is ConjMode.REAL:
-            return Scalar(pconj(self.num), pconj(self.den))
+            return Scalar(pconj(self.num), pconj(self.den), self._exp)
         # t -> 1/t: p(1/t) = t^(-deg p) * reversed(p)
         num = tuple(reversed(pconj(self.num)))
         den = tuple(reversed(pconj(self.den)))
@@ -686,9 +720,9 @@ def _coerce(x) -> Scalar:
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
-ZERO = Scalar(P_ZERO, P_ONE)
-ONE = Scalar(P_ONE, P_ONE)
-I = Scalar((G_I,), P_ONE)
+ZERO = Scalar(P_ZERO, P_ONE, None)
+ONE = Scalar(P_ONE, P_ONE, 0)
+I = Scalar((G_I,), P_ONE, 0)
 T = Scalar((G_ZERO, G_ONE), P_ONE)
 Q = T * T  # q = t^2
 

@@ -9,7 +9,7 @@ import pytest
 
 from cqtcheck import cli
 
-RUN = [sys.executable, "-m", "cqtcheck.cli"]
+RUN = [sys.executable, "-m", "cqtcheck"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,6 +21,18 @@ def test_classify_slq2_prints_count():
     out = run_cli(["check", "builtin:slq2", "--suite", "classify"])
     assert out.returncode == 0
     assert "CQT candidates: 4" in out.stdout
+
+
+def test_the_package_runs_as_a_module():
+    # a checkout that has not been installed
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ok = subprocess.run([sys.executable, "-m", "cqtcheck", "check", "builtin:slq2"],
+                        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert ok.returncode == 0, ok.stderr
+    assert "CQT candidates: 4" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "cqtcheck", "check", "builtin:nope"],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr
 
 
 def test_classify_slq2_at_one():

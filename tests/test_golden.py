@@ -90,7 +90,7 @@ CASES = [
 def test_json_report_matches_golden(tmp_path, name, args, rc):
     path = tmp_path / f"{name}.json"
     out = subprocess.run(
-        [sys.executable, "-m", "cqtcheck.cli", *args, "--json", str(path)],
+        [sys.executable, "-m", "cqtcheck", *args, "--json", str(path)],
         capture_output=True, text=True, cwd=ROOT)
     assert out.returncode == rc, out.stderr
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

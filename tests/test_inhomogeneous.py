@@ -335,3 +335,31 @@ def test_hexagon_identity_blocks(classical):
     conj = (pad_with_identity(V.inverse(), (P,), ())
             @ composite @ pad_with_identity(V, (), (P,)))
     assert conj == inh.build_N(classical, "Lam")
+
+
+def test_poincare_inverts_each_datum_matrix_once(monkeypatch, capsys):
+    # V^(-1) and each G^(-1) are kept on the datum; 81 inverses when
+    # check_R_v_Lambda and exchange_block took them on every call
+    from cqtcheck import cli
+    calls = []
+    inverse = Tensor.inverse
+
+    def counted(self):
+        calls.append(1)
+        return inverse(self)
+
+    monkeypatch.setattr(Tensor, "inverse", counted)
+    assert cli.main(["check", "builtin:poincare-classical"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 25
+
+
+def test_a_replaced_matrix_brings_its_own_inverse(classical):
+    V2 = classical.V * Scalar.from_int(2)
+    assert classical.V_inv @ classical.V == Tensor.identity(classical.V.dom)
+    d = dataclasses.replace(classical, V=V2)
+    assert d.V_inv == classical.V_inv * Scalar.from_fraction(Fraction(1, 2))
+    w = classical.reps["w"]
+    assert w.G_inv @ w.G == Tensor.identity(w.G.dom)
+    e = inh.RepEntry(w.G * Scalar.from_int(3), w.H)
+    assert e.G_inv == w.G_inv * Scalar.from_fraction(Fraction(1, 3))

@@ -16,9 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.errors import EvaluationPole  # noqa: E402
-from cqtcheck.scalars import (ConjMode, ONE, P_ONE, ZERO, Gaussian,  # noqa: E402
-                              Scalar, gaussian_sqrt, padd, parse_scalar,
-                              pdivmod, pgcd, pmonomial, pmul, pneg)
+from cqtcheck.scalars import (ConjMode, ONE, P_ONE, T, ZERO,  # noqa: E402
+                              Gaussian, Scalar, gaussian_sqrt, padd,
+                              parse_scalar, pdivmod, pgcd, pmonomial, pmul,
+                              pneg)
 
 LAWS = settings(max_examples=50, deadline=None, database=None)
 COEFFICIENT_LAWS = settings(max_examples=300, deadline=None, database=None)
@@ -278,6 +279,92 @@ def test_mixed_constant_arithmetic_matches_the_polynomial_path(c, a):
     _same((a + c) - a, _general_sum(c, ZERO))
     if a:
         _same(c / a, _general_product(c, Scalar.normalize(a.den, a.num)))
+
+
+# -- Laurent monomials c*t^e: the direct paths against the polynomial path ----
+
+def _laurent(c, e):
+    """c*t^e built by normalize alone, so no arithmetic under test runs."""
+    return Scalar.normalize(pmonomial(max(e, 0), c), pmonomial(max(-e, 0)))
+
+
+exponents = st.integers(-4, 4)
+laurents = st.builds(_laurent, nonzero_gaussians, exponents)
+
+
+@st.composite
+def t_heavy_scalars(draw):
+    """n*t^j / (d*t^k): powers of t for the shift and scale to cancel."""
+    n = pmul(draw(nonzero_polys), pmonomial(draw(st.integers(0, 3))))
+    return Scalar.normalize(
+        n, pmul(draw(nonzero_polys), pmonomial(draw(st.integers(0, 3)))))
+
+
+def _neg(a):
+    return Scalar(pneg(a.num), a.den)
+
+
+def _is_laurent(a):
+    """a = c*t^e: a monomial over 1, or a constant over a power of t."""
+    return (bool(a.num) and not any(a.num[:-1]) and not any(a.den[:-1])
+            and 1 in (len(a.num), len(a.den)))
+
+
+def _same_laurent(got, want):
+    _same(got, want)
+    assert _is_laurent(got)
+    # the exponent a result carries is the one its parts give
+    assert got._laurent() == Scalar(got.num, got.den)._laurent()
+
+
+@COEFFICIENT_LAWS
+@given(laurents, laurents)
+def test_laurent_arithmetic_matches_the_polynomial_path(a, b):
+    _same_laurent(a * b, _general_product(a, b))
+    _same_laurent(a.inverse(), Scalar.normalize(a.den, a.num))
+    _same_laurent(a / b, _general_product(a, Scalar.normalize(b.den, b.num)))
+    _same(a + b, _general_sum(a, b))
+    _same(a - b, _general_sum(a, _neg(b)))
+    for s in (a + b, a - b):
+        assert not s or s._laurent() == Scalar(s.num, s.den)._laurent()
+
+
+@COEFFICIENT_LAWS
+@given(nonzero_gaussians, nonzero_gaussians, exponents)
+def test_laurent_sums_at_one_exponent(c, d, e):
+    a, b = _laurent(c, e), _laurent(d, e)
+    _same(a + b, _general_sum(a, b))
+    _same(a - b, _general_sum(a, _neg(b)))
+    if c + d:
+        _same_laurent(a + b, _general_sum(a, b))
+    # cancelled sums and differences are the canonical zero
+    for zero in (a - a, a + (-a), a + _laurent(-c, e), (a + b) - (b + a)):
+        _same(zero, ZERO)
+        assert zero.num == () and zero.den == P_ONE
+
+
+@LAWS
+@given(laurents, st.one_of(scalars(), t_heavy_scalars()))
+def test_mixed_laurent_arithmetic_matches_the_polynomial_path(c, a):
+    for x, y in ((c, a), (a, c)):
+        _same(x * y, _general_product(x, y))
+        _same(x + y, _general_sum(x, y))
+    _same(c - a, _general_sum(c, _neg(a)))
+    _same(a - c, _general_sum(a, _neg(c)))
+    _same(a / c, _general_product(a, Scalar.normalize(c.den, c.num)))
+    if a:
+        _same(c / a, _general_product(c, Scalar.normalize(a.den, a.num)))
+
+
+def test_shift_and_scale_cancels_powers_of_t():
+    g = Gaussian
+    x = Scalar.normalize((g(1), g(1)), pmonomial(2))          # (1 + t)/t^2
+    y = Scalar.normalize((g(0), g(0), g(3), g(1)), (g(2), g(1)))  # t^2(3+t)/(2+t)
+    t_inv = Scalar.normalize(P_ONE, pmonomial(1))
+    for c, a in ((T, x), (T * T * T, x), (t_inv, y), (t_inv * t_inv * t_inv, y)):
+        for got in (c * a, a * c):
+            _same(got, _general_product(c, a))
+    assert (T * x).den == pmonomial(1) and (t_inv * y).num == (g(0), g(3), g(1))
 
 
 @LAWS

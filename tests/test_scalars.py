@@ -186,3 +186,20 @@ def test_canonical_strings_are_exact():
     s = S("(t^2-1)/(t+2)")
     assert str(s) == "(t^2-1)/(t+2)"
     assert str(t / 2) == "(1/2)*t"
+
+
+def test_generic_lorentz_classification_takes_few_gcds(monkeypatch, capsys):
+    # products, sums and inverses with a Laurent monomial c*t^e take no gcd;
+    # the classification made 7,736 gcd calls when only constants did
+    from cqtcheck import cli, scalars
+    calls = []
+    pgcd = scalars.pgcd
+
+    def counted(a, b):
+        calls.append(1)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(scalars, "pgcd", counted)
+    assert cli.main(["check", "builtin:lorentz-flip", "--suite", "classify"]) == 0
+    assert "CQT candidates: 64" in capsys.readouterr().out
+    assert 0 < len(calls) <= 1000
