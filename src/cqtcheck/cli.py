@@ -234,14 +234,11 @@ def _classified(run, result: cqt.ClassifyResult, *extra):
 
 
 def _poincare(run):
-    cls = inhomog.classify_poincare(run.datum, structure=run.structure)
-    s = cls.summary()
-    signs = ""
-    if s["valid_signs"]:
-        signs = f" (signs {', '.join(f'{k:+d}' for k in s['valid_signs'])})"
-    run.summary.append("extended structures per coefficient: "
-                       f"{s['structures_per_coefficient']}{signs}")
-    return cls.reports()
+    reports, signs = inhomog.classify_poincare(run.datum, run.structure)
+    listed = f" (signs {', '.join(f'{k:+d}' for k in signs)})" if signs else ""
+    run.summary.append(
+        f"extended structures per coefficient: {len(signs)}{listed}")
+    return reports
 
 
 def _sl2_matrices(d):

@@ -63,9 +63,9 @@ def all_pass(reports) -> bool:
     return all(r.ok() for r in reports)
 
 
-def defect_report(check_id: str, defect: Tensor, note: str = "") -> CheckReport:
+def defect_report(check_id: str, defect: Tensor) -> CheckReport:
     w = defect.first_nonzero()
-    return CheckReport(check_id, "pass" if w is None else "fail", w, note)
+    return CheckReport(check_id, "pass" if w is None else "fail", w)
 
 
 def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:

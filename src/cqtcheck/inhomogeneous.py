@@ -49,7 +49,7 @@ from functools import cached_property
 from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
                      MissingRep, ShapeError, StructureViolation)
-from .lorentz import LorentzDatum, W, WB, candidate_L, lorentz_family
+from .lorentz import LorentzDatum, W, WB, candidate_L
 from .presentation import CandidateR, GeneratorSpec, Presentation
 from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
 from .tensor import Tensor, flip, kron, pad_with_identity
@@ -76,7 +76,6 @@ class InhomDatum:
     reps: dict                     # name -> RepEntry, always contains LAM
     invariants: list               # stored Mor(1, v (x) v) columns
     mode: ConjMode = ConjMode.REAL
-    sign_s: int = 1
     lorentz: LorentzDatum = None
     V: Tensor = None
     m0: Tensor = None
@@ -142,7 +141,7 @@ def build_N(d: InhomDatum, name: str) -> Tensor:
             + Tensor.identity((dv,)).place_legs(cod, dom, (1, 2), {0: N, 3: N}))
 
 
-def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
+def poincare_from_lorentz(ld: LorentzDatum) -> InhomDatum:
     """Derive the translation-extended datum from a Lorentz datum.
 
     The vector rep is the V-conjugate of w (x) wb; its G gives R, its H
@@ -155,9 +154,8 @@ def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
     V = pauli_V()
     Vinv = V.inverse()
     q = ld.q
-    X = ld.X
-    Xinv = X.inverse()
-    L = candidate_L(ld.base, 1) * sign_s
+    X, Xinv = ld.X, ld.X_inv
+    L = candidate_L(ld.base, 1)
     Lt = (flip(2, 2) @ L @ flip(2, 2)) * q
     G_w = (pad_with_identity(Vinv, (), (2,)) @ pad_with_identity(X, (2,), ())
            @ pad_with_identity(L, (), (2,)) @ pad_with_identity(V, (2,), ()))
@@ -180,8 +178,8 @@ def poincare_from_lorentz(ld: LorentzDatum, sign_s: int = 1) -> InhomDatum:
     tauE = (flip(2, 2) @ E).with_legs((2, 2), ())
     m0 = (kron(Vinv, Vinv) @ pad_with_identity(X, (2,), (2,))
           @ kron(E, tauE)).with_legs((N, N), ())
-    datum = InhomDatum(N, R, Z, T, reps, [m0], mode=ld.mode, sign_s=sign_s,
-                       lorentz=ld, V=V, m0=m0, L=L, Ltilde=Lt)
+    datum = InhomDatum(N, R, Z, T, reps, [m0], mode=ld.mode, lorentz=ld,
+                       V=V, m0=m0, L=L, Ltilde=Lt)
     _validate_ingestion(datum)
     return datum
 
@@ -505,7 +503,7 @@ def poincare_candidate(d: InhomDatum, k: int) -> CandidateR:
     blocks = {
         (W, W): d.L * ks,
         (W, WB): ld.X * ks,
-        (WB, W): ld.X.inverse() * (q * ks),
+        (WB, W): ld.X_inv * (q * ks),
         (WB, WB): d.Ltilde * (q * ks),
     }
     return CandidateR(ld.presentation, blocks, label=f"k={k:+d}")
@@ -516,39 +514,6 @@ def check_m_star(d: InhomDatum, m: Tensor, cid: str) -> cqt.CheckReport:
     return cqt.defect_report(cid, m - m.slice_legs((1, 0), ()).conjugate(d.mode))
 
 
-@dataclass
-class PoincareClassification:
-    structure: list
-    normalization_survivors: list     # sign vectors passing vector normalization
-    per_k: dict                       # k -> list of CheckReport
-    star_samples: dict                # sample label -> CheckReport
-    ct_reports: dict                  # k -> list of CheckReport
-
-    def reports(self):
-        out = list(self.structure)
-        for k in sorted(self.per_k):
-            out.extend(self.per_k[k])
-        out.extend(self.star_samples.values())
-        for k in sorted(self.ct_reports):
-            out.extend(self.ct_reports[k])
-        return out
-
-    def valid_k(self):
-        return [k for k, rs in self.per_k.items() if cqt.all_pass(rs)]
-
-    def summary(self) -> dict:
-        ks = self.valid_k()
-        return {
-            "structures_per_coefficient": len(ks),
-            "valid_signs": sorted(ks),
-            "normalization_survivors": len(self.normalization_survivors),
-            "star_classification_verified": all(
-                r.ok() for r in self.star_samples.values()),
-            "ct_at_zero_only": all(
-                cqt.all_pass(rs) for rs in self.ct_reports.values()),
-        }
-
-
 # (coefficient, real): c * m0 is hermitian exactly for real c when m0 is
 STAR_SAMPLES = ((Scalar.from_int(2), True),
                 (Scalar.from_gaussian(Gaussian(1, 1)), False))
@@ -557,75 +522,69 @@ STAR_SAMPLES = ((Scalar.from_int(2), True),
 def classify_poincare(d: InhomDatum, structure=None):
     """Existence and star/cotriangularity classification for one datum.
 
-    The star rule is tested at STAR_SAMPLES: the star test passes exactly
-    for the real coefficients when the datum's invariant is hermitian.
-    Cotriangularity is tested as: base family cotriangular and extended
-    block family involutive at c = 0, with the c-linear obstruction
-    reported alongside.  structure takes the
-    reports of check_structure(d) when the caller has them already.
+    Returns (reports, signs), as `lorentz.classify_lorentz` returns a
+    result and a flag.  reports are the structure rows; then the rows of
+    each sign k, prefixed `k=-1:` and `k=+1:` on a spinor datum (the two
+    `poincare_candidate`s) and unprefixed on abstract data, whose one sign
+    is 0; then the star and ct rows.  signs is the sorted list of the k
+    whose rows all pass.  The star rule is tested at STAR_SAMPLES: the
+    star test passes exactly for the real coefficients when the datum's
+    invariant is hermitian.  Cotriangularity is tested as: base family
+    cotriangular and extended block family involutive at c = 0, with the
+    c-linear obstruction reported alongside.  structure takes the reports
+    of check_structure(d) when the caller has them already.
     """
     if structure is None:
         structure = check_structure(d)
     if not cqt.all_pass(structure):
         bad = [r.check_id for r in structure if r.status == "fail"]
         raise StructureViolation(f"structure conditions fail: {', '.join(bad)}")
-
-    per_k = {}
-    ct_reports = {}
-    survivors = []
-    star_reports = {}
     if d.abstract:
-        per_k[0] = check_braid_hexagons(d)
+        rows = check_braid_hexagons(d)
         m = d.invariant
         if m is not None:
-            for name in d.reps:
-                per_k[0].append(cqt.defect_report(
-                    f"invariance:counit:{name}",
-                    counit_invariance_defect(d, name, m)))
-    else:
-        # scan all sign assignments; only the two coherent ones survive the
-        # vector-rep normalization
-        for candidate in cqt.distinct(lorentz_family(d.lorentz)):
-            if cqt.all_pass(check_R_v_Lambda(d, candidate)):
-                survivors.append(candidate.label)
-        m0 = build_m0(d)
-        # rows that do not depend on the sign k
-        invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0)]
-        for name in (W, WB):
-            invariance.append(cqt.defect_report(
-                f"invariance:counit:{name}", counit_invariance_defect(d, name, m0)))
-        rp, mp = build_RP(d), build_mP(d, m0)
-        rp_squared = rp @ rp - Tensor.identity(rp.cod)
-        obstruction = rp @ mp + mp @ rp
-        for k in (1, -1):
-            cand = poincare_candidate(d, k)
-            rs = (check_R_v_Lambda(d, cand) + check_braid_hexagons(d, cand)
-                  + invariance)
-            per_k[k] = [cqt.CheckReport(f"k={k:+d}:{r.check_id}", r.status,
-                                        r.witness, r.note) for r in rs]
-            ct_reports[k] = [
-                cqt.CheckReport(f"ct:base:k={k:+d}", "pass" if cqt.all_pass(
-                    cqt.check_ct(cand)) else "fail"),
-                cqt.defect_report(f"ct:extended-at-zero:k={k:+d}", rp_squared),
-                cqt.CheckReport(
-                    f"ct:coefficient-obstruction:k={k:+d}",
-                    "pass" if not obstruction.is_zero() else "fail", None,
-                    "nonzero linear term forces the coefficient to vanish")]
-            if k == 1:
-                star_reports["star:base"] = cqt.CheckReport(
-                    "star:base", "pass" if cqt.all_pass(
-                        cqt.check_star(cand, d.mode)) else "fail")
-        star_reports["star:m-hermitian"] = check_m_star(d, m0, "star:m-hermitian")
-        for cval, real in STAR_SAMPLES:
-            label = f"star:sample-{'real' if real else 'nonreal'}:{cval}"
-            if check_m_star(d, m0 * cval, label).ok() == real:
-                note = ("hermitian as required" if real
-                        else "correctly rejected: coefficient not real")
-                star_reports[label] = cqt.CheckReport(label, "pass", None, note)
-            else:
-                star_reports[label] = cqt.CheckReport(
-                    label, "fail", None,
-                    "sample disagrees with the real-coefficient rule")
+            rows += [cqt.defect_report(f"invariance:counit:{name}",
+                                       counit_invariance_defect(d, name, m))
+                     for name in d.reps]
+        return list(structure) + rows, [0] if cqt.all_pass(rows) else []
 
-    return PoincareClassification(structure, survivors, per_k,
-                                  star_reports, ct_reports)
+    m0 = build_m0(d)
+    # rows that do not depend on the sign k
+    invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0)]
+    for name in (W, WB):
+        invariance.append(cqt.defect_report(
+            f"invariance:counit:{name}", counit_invariance_defect(d, name, m0)))
+    rp, mp = build_RP(d), build_mP(d, m0)
+    rp_squared = rp @ rp - Tensor.identity(rp.cod)
+    obstruction = rp @ mp + mp @ rp
+    reports, signs, star, ct = list(structure), [], [], []
+    for k in (-1, 1):
+        cand = poincare_candidate(d, k)
+        rs = check_R_v_Lambda(d, cand) + check_braid_hexagons(d, cand) + invariance
+        reports += [cqt.CheckReport(f"k={k:+d}:{r.check_id}", r.status,
+                                    r.witness, r.note) for r in rs]
+        if cqt.all_pass(rs):
+            signs.append(k)
+        ct += [
+            cqt.CheckReport(f"ct:base:k={k:+d}", "pass" if cqt.all_pass(
+                cqt.check_ct(cand)) else "fail"),
+            cqt.defect_report(f"ct:extended-at-zero:k={k:+d}", rp_squared),
+            cqt.CheckReport(
+                f"ct:coefficient-obstruction:k={k:+d}",
+                "pass" if not obstruction.is_zero() else "fail", None,
+                "nonzero linear term forces the coefficient to vanish")]
+        if k == 1:
+            star.append(cqt.CheckReport("star:base", "pass" if cqt.all_pass(
+                cqt.check_star(cand, d.mode)) else "fail"))
+    star.append(check_m_star(d, m0, "star:m-hermitian"))
+    for cval, real in STAR_SAMPLES:
+        label = f"star:sample-{'real' if real else 'nonreal'}:{cval}"
+        if check_m_star(d, m0 * cval, label).ok() == real:
+            note = ("hermitian as required" if real
+                    else "correctly rejected: coefficient not real")
+            star.append(cqt.CheckReport(label, "pass", None, note))
+        else:
+            star.append(cqt.CheckReport(
+                label, "fail", None,
+                "sample disagrees with the real-coefficient rule"))
+    return reports + star + ct, signs

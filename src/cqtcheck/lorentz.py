@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import cqt
 from .errors import AxiomViolation, ForbiddenParameter, NotInvertible
@@ -113,7 +114,7 @@ def validate_sl2(d: SL2Datum):
     return reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class LorentzDatum:
     base: SL2Datum
     X: Tensor
@@ -122,6 +123,10 @@ class LorentzDatum:
     Etilde: Tensor
     Eptilde: Tensor
     presentation: Presentation
+
+    @cached_property
+    def X_inv(self) -> Tensor:
+        return self.X.inverse()
 
     @property
     def q(self) -> Scalar:
@@ -140,8 +145,19 @@ def make_lorentz(base: SL2Datum, X: Tensor, beta: Scalar,
     if not ee_scalar.num:
         raise AxiomViolation("pairing", witness=ee_scalar)
     X = X.with_legs((2, 2), (2, 2))
+    Et = (flip(2, 2) @ E.conjugate(mode)).with_legs((2, 2), ())
+    Ept = (Ep.conjugate(mode) @ flip(2, 2)).with_legs((), (2, 2))
+    p = Presentation(
+        [GeneratorSpec(W, 2, WB), GeneratorSpec(WB, 2, W)],
+        [Relation("E", E, (), (W, W)),
+         Relation("Et", Et, (), (WB, WB)),
+         Relation("Ep", Ep, (W, W), ()),
+         Relation("Ept", Ept, (WB, WB), ()),
+         Relation("X", X, (W, WB), (WB, W))],
+    )
+    d = LorentzDatum(base, X, beta, mode, Et, Ept, p)
     try:
-        Xinv = X.inverse()
+        d.X_inv  # the invertibility axiom; the inverse stays on the datum
     except NotInvertible as exc:
         raise AxiomViolation("invertibility", witness=exc.witness) from None
     lhs = (pad_with_identity(X, (), (2,)) @ pad_with_identity(X, (2,), ())
@@ -155,17 +171,7 @@ def make_lorentz(base: SL2Datum, X: Tensor, beta: Scalar,
     defect = tauconj(X, mode) - X * beta.inverse()
     if not defect.is_zero():
         raise AxiomViolation("conjugation", witness=defect.first_nonzero())
-    Et = (flip(2, 2) @ E.conjugate(mode)).with_legs((2, 2), ())
-    Ept = (Ep.conjugate(mode) @ flip(2, 2)).with_legs((), (2, 2))
-    p = Presentation(
-        [GeneratorSpec(W, 2, WB), GeneratorSpec(WB, 2, W)],
-        [Relation("E", E, (), (W, W)),
-         Relation("Et", Et, (), (WB, WB)),
-         Relation("Ep", Ep, (W, W), ()),
-         Relation("Ept", Ept, (WB, WB), ()),
-         Relation("X", X, (W, WB), (WB, W))],
-    )
-    return LorentzDatum(base, X, beta, mode, Et, Ept, p)
+    return d
 
 
 def family_blocks(d: LorentzDatum):
@@ -174,8 +180,8 @@ def family_blocks(d: LorentzDatum):
     L = {i: candidate_L(d.base, i) for i in (1, 2, 3, 4)}
     Lt = {j: tauconj(L[j].inverse().with_legs((2, 2), (2, 2)), d.mode)
           for j in L}
-    Xi = d.X.inverse()
-    return L, Lt, {e: d.X * e for e in (1, -1)}, {e: Xi * e for e in (1, -1)}
+    return (L, Lt, {e: d.X * e for e in (1, -1)},
+            {e: d.X_inv * e for e in (1, -1)})
 
 
 def candidate_blocks(d: LorentzDatum, i: int, j: int, eps_x: int, eps_xp: int,

@@ -91,12 +91,15 @@ def test_criterion_5_poincare_existence():
         assert cqt.all_pass(structure)
         rp = inh.build_RP(d)
         assert rp @ rp == Tensor.identity((5, 5))
-        cls = inh.classify_poincare(d)
-        assert cqt.all_pass(cls.reports())
-        summary = cls.summary()
-        assert summary["structures_per_coefficient"] == 2
-        assert summary["valid_signs"] == [-1, 1]
-        assert summary["normalization_survivors"] == 2
+        reports, signs = inh.classify_poincare(d)
+        assert cqt.all_pass(reports)
+        assert signs == [-1, 1]
+        # the two sign candidates are the only members of the Lorentz
+        # family that reproduce the vector representation
+        family = cqt.distinct(lorentz.lorentz_family(d.lorentz))
+        survivors = [c.label for c in family
+                     if cqt.all_pass(inh.check_R_v_Lambda(d, c))]
+        assert survivors == ["L1:Lt1:x+1:xi+1", "L2:Lt2:x-1:xi-1"]
 
 
 def test_criterion_6_star_and_ct_classification():

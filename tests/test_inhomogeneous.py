@@ -293,14 +293,33 @@ def test_vector_normalization(classical):
 
 
 def test_classify_poincare_classical(classical):
-    cls = inh.classify_poincare(classical)
-    summary = cls.summary()
-    assert summary["structures_per_coefficient"] == 2
-    assert summary["valid_signs"] == [-1, 1]
-    assert summary["normalization_survivors"] == 2
-    assert summary["star_classification_verified"]
-    assert summary["ct_at_zero_only"]
-    assert cqt.all_pass(cls.reports())
+    reports, signs = inh.classify_poincare(classical)
+    assert signs == [-1, 1]
+    assert cqt.all_pass(reports)
+    # of the whole Lorentz sign family, the two candidates of
+    # poincare_candidate are the only ones with the vector normalization
+    family = cqt.distinct(lorentz.lorentz_family(classical.lorentz))
+    survivors = [c.label for c in family
+                 if cqt.all_pass(inh.check_R_v_Lambda(classical, c))]
+    assert survivors == ["L1:Lt1:x+1:xi+1", "L2:Lt2:x-1:xi-1"]
+
+
+def test_poincare_normalizes_only_the_two_sign_candidates(monkeypatch,
+                                                          capsys):
+    # 18 calls when the classification also scanned the 16 distinct members
+    # of the Lorentz sign family, a result no report printed
+    from cqtcheck import cli
+    calls = []
+    check = inh.check_R_v_Lambda
+
+    def counted(d, cand):
+        calls.append(cand.label)
+        return check(d, cand)
+
+    monkeypatch.setattr(inh, "check_R_v_Lambda", counted)
+    assert cli.main(["check", "builtin:poincare-classical"]) == 0
+    capsys.readouterr()
+    assert calls == ["k=-1", "k=+1"]
 
 
 def test_real_coefficient_rule_at_star_samples(classical):
@@ -319,8 +338,9 @@ def test_classify_abstract_flip_free_invariant():
                [Scalar.from_int(sym[a][b] + sym[b][a]) for a in range(4)
                 for b in range(4)])
     d = inh.abstract_datum(flip(4, 4), invariants=[m])
-    cls = inh.classify_poincare(d)
-    assert cqt.all_pass(cls.reports())
+    reports, signs = inh.classify_poincare(d)
+    assert cqt.all_pass(reports)
+    assert signs == [0]
 
 
 def test_hexagon_identity_blocks(classical):
@@ -352,6 +372,31 @@ def test_poincare_inverts_each_datum_matrix_once(monkeypatch, capsys):
     assert cli.main(["check", "builtin:poincare-classical"]) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= 25
+
+
+def test_poincare_inverts_the_lorentz_intertwiner_once(monkeypatch, capsys):
+    # X^(-1) is kept on the Lorentz datum; 22 inverses, 5 of them of X, when
+    # make_lorentz, family_blocks, poincare_from_lorentz and each sign's
+    # candidate took their own
+    from cqtcheck import cli
+    built, calls = [], []
+    make, inverse = lorentz.make_lorentz, Tensor.inverse
+
+    def kept(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(lorentz, "make_lorentz", kept)
+    monkeypatch.setattr(Tensor, "inverse", counted)
+    assert cli.main(["check", "builtin:poincare-classical"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert sum(t is built[0].X for t in calls) == 1
+    assert len(calls) <= 14
 
 
 def test_a_replaced_matrix_brings_its_own_inverse(classical):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,23 @@ def test_make_lorentz_validates_exchange_duality(generic):
     with pytest.raises(AxiomViolation) as err:
         lorentz.make_lorentz(generic, flip(2, 2) * 2, ONE)
     assert err.value.axiom == "exchange-duality"
+
+
+def test_make_lorentz_validates_invertibility(generic):
+    # a singular X is rejected before its beta is looked at
+    with pytest.raises(AxiomViolation) as err:
+        lorentz.make_lorentz(generic, Tensor.zeros((2, 2), (2, 2)),
+                             Scalar.from_int(2))
+    assert err.value.axiom == "invertibility"
+
+
+def test_a_replaced_intertwiner_brings_its_own_inverse(lorentz_generic):
+    d = lorentz_generic
+    assert d.X_inv @ d.X == Tensor.identity((2, 2))
+    e = dataclasses.replace(d, X=d.X * Scalar.from_int(2))
+    assert e.X_inv == d.X_inv * Scalar.from_fraction(Fraction(1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.X = e.X
 
 
 def test_make_lorentz_validates_conjugation(generic):
