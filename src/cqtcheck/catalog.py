@@ -15,17 +15,11 @@ parenthesized argument where noted:
 
 from __future__ import annotations
 
-from importlib import resources
-
 from . import dsl, lorentz
 from .errors import ForbiddenParameter
 from .inhomogeneous import InhomDatum, abstract_datum, poincare_from_lorentz
-from .scalars import G_I, G_ONE, ONE, Q, Scalar
+from .scalars import I, ONE, Q, Scalar
 from .tensor import Tensor, flip, kron
-
-
-def slq2_text() -> str:
-    return (resources.files("cqtcheck") / "data/slq2.qg").read_text()
 
 
 def make_slq2(value=None) -> lorentz.SL2Datum:
@@ -38,8 +32,7 @@ def make_lorentz_flip(value=None) -> lorentz.LorentzDatum:
 
 
 def make_lorentz_beta_minus(value=None) -> lorentz.LorentzDatum:
-    i = Scalar((G_I,), (G_ONE,))
-    a = Tensor.from_rows([[i, 0], [0, -i]])
+    a = Tensor.from_rows([[I, 0], [0, -I]])
     b = Tensor.from_rows([[-1, 0], [0, 1]])
     x = flip(2, 2) @ kron(a, b)
     return lorentz.make_lorentz(make_slq2(value), x, Scalar.from_int(-1))

@@ -51,7 +51,7 @@ from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
                      MissingRep, ShapeError, StructureViolation)
 from .lorentz import LorentzDatum, W, WB, candidate_L
 from .presentation import CandidateR, GeneratorSpec, Presentation
-from .scalars import ConjMode, G_I, G_ONE, Gaussian, ONE, Scalar, ZERO
+from .scalars import ConjMode, Gaussian, I, ONE, Scalar, ZERO
 from .tensor import Tensor, flip, kron, pad_with_identity
 
 LAM = "Lam"
@@ -111,11 +111,10 @@ class InhomDatum:
 
 def pauli_V() -> Tensor:
     """Columns are the unit and the three Pauli matrices in (CD) order."""
-    i = Scalar((G_I,), (G_ONE,))
     return Tensor((2, 2), (4,), [
         ONE, ZERO, ZERO, ONE,       # row (0,0): sigma_x00 entries per column
-        ZERO, ONE, -i, ZERO,        # row (0,1)
-        ZERO, ONE, i, ZERO,         # row (1,0)
+        ZERO, ONE, -I, ZERO,        # row (0,1)
+        ZERO, ONE, I, ZERO,         # row (1,0)
         ONE, ZERO, ZERO, -ONE,      # row (1,1)
     ])
 
@@ -180,6 +179,7 @@ def poincare_from_lorentz(ld: LorentzDatum) -> InhomDatum:
           @ kron(E, tauE)).with_legs((N, N), ())
     datum = InhomDatum(N, R, Z, T, reps, [m0], mode=ld.mode, lorentz=ld,
                        V=V, m0=m0, L=L, Ltilde=Lt)
+    datum.__dict__["V_inv"] = Vinv  # fills the cached_property: V is inverted once
     _validate_ingestion(datum)
     return datum
 

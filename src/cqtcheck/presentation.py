@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DuplicateName, MissingBlock, MissingRep, ShapeError, UnknownGenerator
-from .scalars import ConjMode
 from .tensor import SpanBasis, Tensor, kron, pad_with_identity
 
 UNIT = "1"
@@ -98,21 +97,6 @@ class Presentation:
 
     def non_unit(self):
         return [n for n in self.generators if n != UNIT]
-
-
-def conj_relation(p: Presentation, r: Relation, mode: ConjMode) -> Relation:
-    """The conjugate relation between the reversed conjugate words.
-
-    Entries are index-reversed complex conjugates of the original matrix:
-    conj(W)[reversed I, reversed J] = conj(W[I, J]).
-    """
-    src = tuple(p.conj_name(a) for a in reversed(r.source_word))
-    tgt = tuple(p.conj_name(a) for a in reversed(r.target_word))
-    nt, ns = len(r.target_word), len(r.source_word)
-    m = r.matrix.with_legs(p.word_dims(r.target_word), p.word_dims(r.source_word))
-    m = m.slice_legs(reversed(range(nt)), reversed(range(nt, nt + ns)))
-    name = r.name[:-1] if r.name.endswith("~") else r.name + "~"
-    return Relation(name, m.conjugate(mode), src, tgt)
 
 
 class CandidateR:

@@ -422,18 +422,29 @@ class ConjMode(enum.Enum):
     UNIMODULAR = "unimodular"  # t -> 1/t: |q| = 1
 
 
+def _const(g: Gaussian) -> "Scalar":
+    """The constant g (nonzero) as a Scalar: ONE itself when g = 1."""
+    if g.a == 1 and g.d == 1 and not g.b:
+        return ONE
+    return Scalar((g,), P_ONE, 0)
+
+
 def _monic(num, den) -> "Scalar":
     """num/den over coprime num and den, scaled so that den is monic."""
     lead = den[-1]
-    if lead == G_ONE:
-        return Scalar(num, den)
-    inv = lead.inverse()
-    return Scalar(pscale(num, inv), pscale(den, inv))
+    if lead != G_ONE:
+        inv = lead.inverse()
+        num, den = pscale(num, inv), pscale(den, inv)
+    if len(den) == 1 == len(num):
+        return _const(num[0])
+    return Scalar(num, den)
 
 
 def _laurent_scalar(c: Gaussian, e: int) -> "Scalar":
     """c*t^e in canonical form, for a nonzero Gaussian c."""
-    if e >= 0:
+    if not e:
+        return _const(c)
+    if e > 0:
         return Scalar((G_ZERO,) * e + (c,), P_ONE, e)
     return Scalar((c,), (G_ZERO,) * -e + P_ONE, e)
 
@@ -453,6 +464,11 @@ class Scalar:
     Construct through the classmethods or module constants; the raw
     constructor trusts its inputs to be canonical already, and exp, if
     given, to be e for a Laurent monomial c*t^e and None for other scalars.
+
+    There is one unit object: every Scalar this module returns with value 1
+    is ONE itself, because every nonzero constant result is made by
+    `_const`.  The tensor kernels rely on it to skip products by 1 with an
+    `is ONE` test.
     """
 
     __slots__ = ("num", "den", "_hash", "_exp")
@@ -478,17 +494,11 @@ class Scalar:
 
     @classmethod
     def from_gaussian(cls, g: Gaussian) -> "Scalar":
-        if not g:
-            return ZERO
-        return cls((g,), P_ONE, 0)
+        return _const(g) if g else ZERO
 
     @classmethod
     def from_int(cls, n) -> "Scalar":
         return cls.from_gaussian(Gaussian(n))
-
-    @classmethod
-    def from_fraction(cls, f) -> "Scalar":
-        return cls.from_gaussian(Gaussian(f))
 
     def _laurent(self):
         """e when self (nonzero) is c*t^e, else None; found once, then kept."""
@@ -511,7 +521,7 @@ class Scalar:
         if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
             # constant + constant: zero when the Gaussians cancel
             g = self.num[0] + other.num[0]
-            return Scalar((g,), P_ONE, 0) if g else ZERO
+            return _const(g) if g else ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         e1, e2 = self._laurent(), other._laurent()
         if e1 is not None and e2 is not None:
@@ -527,13 +537,15 @@ class Scalar:
             if not num:
                 return ZERO
             if d1 == P_ONE:
-                return Scalar(num, P_ONE)
+                return _const(num[0]) if len(num) == 1 else Scalar(num, P_ONE)
             return Scalar.normalize(num, d1)
         return Scalar.normalize(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if len(self.num) == 1 == len(self.den):
+            return _const(-self.num[0])
         return Scalar(pneg(self.num), self.den, self._exp)
 
     def __sub__(self, other):
@@ -548,7 +560,7 @@ class Scalar:
             return ZERO
         if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
             # constant * constant: nonzero Gaussians have a nonzero product
-            return Scalar((self.num[0] * other.num[0],), P_ONE, 0)
+            return _const(self.num[0] * other.num[0])
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         e1, e2 = self._laurent(), other._laurent()
         if e1 is not None:
@@ -636,6 +648,8 @@ class Scalar:
     # -- conjugation, evaluation, substitution ------------------------------
 
     def conjugate(self, mode: ConjMode) -> "Scalar":
+        if len(self.num) == 1 == len(self.den):
+            return _const(self.num[0].conj())  # no t to map, in either mode
         if mode is ConjMode.REAL:
             return Scalar(pconj(self.num), pconj(self.den), self._exp)
         # t -> 1/t: p(1/t) = t^(-deg p) * reversed(p)

@@ -24,6 +24,12 @@ at single indices.  Block matrices are sums of placements, so no module
 outside this one composes or splits a flat index.  The dense `entries`
 list is a read-only view built on demand, for display and tests.
 
+A product with an operand that `is ONE` is skipped in matmul, kron and the
+row update of the elimination (`_axpy`), and a pivot row whose pivot is
+already 1 is not rescaled.  Every scalar equal to 1 is the ONE object (see
+`scalars.Scalar`), so the test catches every unit; at a specialized t most
+entries are ±1.
+
 All values are immutable after construction.
 """
 
@@ -104,11 +110,6 @@ class Tensor:
             entries.extend(_as_scalar(x) for x in r)
         return Tensor(cod if cod is not None else [nr],
                       dom if dom is not None else [nc], entries)
-
-    @staticmethod
-    def column(values, cod=None) -> "Tensor":
-        vals = [_as_scalar(x) for x in values]
-        return Tensor(cod if cod is not None else [len(vals)], (), vals)
 
     # -- indexing -------------------------------------------------------------
 
@@ -409,9 +410,6 @@ class Tensor:
         pivots = _reduce(rows, self.ncols)
         return rows, pivots
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def nullspace(self):
         """Exact basis of the right nullspace, as column tensors."""
         rows, pivots = self.rref()
@@ -449,7 +447,7 @@ class Tensor:
 def _axpy(target: dict, f: Scalar, row: dict):
     """target += f * row on sparse rows, dropping cancelled entries."""
     for c, y in row.items():
-        p = f * y
+        p = y if f is ONE else (f if y is ONE else f * y)
         cur = target.get(c)
         if cur is None:
             target[c] = p
@@ -476,8 +474,10 @@ def _reduce(rows, ncols: int):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        row = rows[r] = {c: x * inv for c, x in rows[r].items()}
+        row = rows[r]
+        inv = row[col].inverse()
+        if inv is not ONE:
+            row = rows[r] = {c: x * inv for c, x in row.items()}
         for k in range(n):
             if k != r:
                 f = rows[k].get(col)
@@ -610,7 +610,8 @@ class SpanBasis:
             return False
         pivot = min(vec)
         inv = vec[pivot].inverse()
-        vec = {k: x * inv for k, x in vec.items()}
+        if inv is not ONE:
+            vec = {k: x * inv for k, x in vec.items()}
         for _, row in self.rows:
             f = row.get(pivot)
             if f is not None:

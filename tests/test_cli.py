@@ -11,6 +11,7 @@ from cqtcheck import cli
 
 RUN = [sys.executable, "-m", "cqtcheck"]
 ROOT = Path(__file__).resolve().parents[1]
+SLQ2_DOC = ROOT / "src/cqtcheck/data/slq2.qg"
 
 
 def run_cli(args, **kw):
@@ -83,11 +84,8 @@ def test_singular_block_fails_its_ct_row():
     assert "FAIL  ct        cotriangular:w:w  singular block" in out.stdout
 
 
-def test_document_check(tmp_path):
-    from cqtcheck.catalog import slq2_text
-    f = tmp_path / "doc.qg"
-    f.write_text(slq2_text())
-    out = run_cli(["check", str(f), "--suite", "validate", "--suite", "cqt"])
+def test_document_check():
+    out = run_cli(["check", str(SLQ2_DOC), "--suite", "validate", "--suite", "cqt"])
     assert out.returncode == 0, out.stdout + out.stderr
 
 
@@ -295,25 +293,19 @@ def test_mor_unknown_generator_exits_2():
     assert out.stderr.startswith("error: UnknownGenerator: 'x' in a Mor word")
 
 
-def test_unsupported_suite_exits_2(tmp_path):
+def test_unsupported_suite_exits_2():
     out = run_cli(["check", "builtin:slq2", "--suite", "uea"])
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.strip().endswith(
         "supported: validate, cqt, star, ct, classify")
-    from cqtcheck.catalog import slq2_text
-    doc = tmp_path / "doc.qg"
-    doc.write_text(slq2_text())
-    out = run_cli(["check", str(doc), "--suite", "poincare"])
+    out = run_cli(["check", str(SLQ2_DOC), "--suite", "poincare"])
     assert out.returncode == 2
     assert "--suite poincare does not apply" in out.stderr
 
 
-def test_classify_runs_only_supported_suites(tmp_path):
-    from cqtcheck.catalog import slq2_text
-    doc = tmp_path / "doc.qg"
-    doc.write_text(slq2_text())
-    out = run_cli(["classify", str(doc)])
+def test_classify_runs_only_supported_suites():
+    out = run_cli(["classify", str(SLQ2_DOC)])
     assert out.returncode == 0
     assert "CQT candidates: 1" in out.stdout
     assert "poincare" not in out.stdout

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from cqtcheck.errors import (DuplicateName, ParseError, ShapeError,
 from cqtcheck.scalars import G_I, ConjMode, ONE, Q, Scalar, T
 from cqtcheck.tensor import Tensor, flip, kron, tauconj
 
+SLQ2_DOC = Path(__file__).resolve().parents[1] / "src/cqtcheck/data/slq2.qg"
 SLQ2 = """
 field { var = t ; conj = real }
 gen w : 2
@@ -20,8 +22,7 @@ cand w w = t * kron(flip(1,2), flip(1,2)) + t^-1 * E . Ep
 
 
 def test_parse_shipped_fixture():
-    from cqtcheck.catalog import slq2_text
-    doc = dsl.parse_presentation(slq2_text())
+    doc = dsl.parse_presentation(SLQ2_DOC.read_text())
     assert sorted(doc.presentation.generators) == ["1", "w"]
     assert [r.name for r in doc.presentation.relations] == ["E", "Ep"]
     d = lorentz.make_sl2(Q, 1)

@@ -218,8 +218,8 @@ def test_braid_interpolation_agrees_with_samples(classical):
     rng = random.Random(13)
     m0 = classical.m0
     for _ in range(10):
-        c = Scalar.from_fraction(
-            Fraction(rng.randrange(-20, 21), rng.randrange(1, 9)))
+        c = Scalar.from_gaussian(Gaussian(
+            Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))))
         rq = inh.build_RQ(classical, m0, c)
         assert inh.braid_defect(rq).is_zero()
 
@@ -399,12 +399,30 @@ def test_poincare_inverts_the_lorentz_intertwiner_once(monkeypatch, capsys):
     assert len(calls) <= 14
 
 
+def test_poincare_inverts_the_pauli_matrix_once(monkeypatch, capsys):
+    # poincare_from_lorentz hands its V^(-1) to the datum; 14 inverses when
+    # InhomDatum.V_inv inverted V a second time
+    from cqtcheck import cli
+    calls = []
+    inverse = Tensor.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Tensor, "inverse", counted)
+    assert cli.main(["check", "builtin:poincare-classical"]) == 0
+    capsys.readouterr()
+    assert sum(t == inh.pauli_V() for t in calls) == 1
+    assert len(calls) <= 13
+
+
 def test_a_replaced_matrix_brings_its_own_inverse(classical):
     V2 = classical.V * Scalar.from_int(2)
     assert classical.V_inv @ classical.V == Tensor.identity(classical.V.dom)
     d = dataclasses.replace(classical, V=V2)
-    assert d.V_inv == classical.V_inv * Scalar.from_fraction(Fraction(1, 2))
+    assert d.V_inv == classical.V_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 2)))
     w = classical.reps["w"]
     assert w.G_inv @ w.G == Tensor.identity(w.G.dom)
     e = inh.RepEntry(w.G * Scalar.from_int(3), w.H)
-    assert e.G_inv == w.G_inv * Scalar.from_fraction(Fraction(1, 3))
+    assert e.G_inv == w.G_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 3)))

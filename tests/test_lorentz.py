@@ -113,7 +113,7 @@ def test_a_replaced_intertwiner_brings_its_own_inverse(lorentz_generic):
     d = lorentz_generic
     assert d.X_inv @ d.X == Tensor.identity((2, 2))
     e = dataclasses.replace(d, X=d.X * Scalar.from_int(2))
-    assert e.X_inv == d.X_inv * Scalar.from_fraction(Fraction(1, 2))
+    assert e.X_inv == d.X_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 2)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.X = e.X
 

@@ -3,8 +3,7 @@ import pytest
 from cqtcheck import cqt, lorentz
 from cqtcheck.errors import DuplicateName, ShapeError, UnknownGenerator
 from cqtcheck.presentation import (CandidateR, GeneratorSpec, Presentation,
-                                   Relation, conj_relation, mor_saturate,
-                                   saturate)
+                                   Relation, mor_saturate, saturate)
 from cqtcheck.scalars import ConjMode, ONE, Q, T, ZERO
 from cqtcheck.tensor import SpanBasis, Tensor, flip, kron
 
@@ -41,6 +40,21 @@ def test_empty_relation_list_is_valid():
 def test_conjugation_involution_enforced():
     with pytest.raises(ShapeError):
         Presentation([GeneratorSpec("a", 2, "b"), GeneratorSpec("b", 3, "a")], [])
+
+
+def conj_relation(p: Presentation, r: Relation, mode: ConjMode) -> Relation:
+    """The conjugate relation between the reversed conjugate words.
+
+    Entries are index-reversed complex conjugates of the original matrix:
+    conj(W)[reversed I, reversed J] = conj(W[I, J]).
+    """
+    src = tuple(p.conj_name(a) for a in reversed(r.source_word))
+    tgt = tuple(p.conj_name(a) for a in reversed(r.target_word))
+    nt, ns = len(r.target_word), len(r.source_word)
+    m = r.matrix.with_legs(p.word_dims(r.target_word), p.word_dims(r.source_word))
+    m = m.slice_legs(reversed(range(nt)), reversed(range(nt, nt + ns)))
+    name = r.name[:-1] if r.name.endswith("~") else r.name + "~"
+    return Relation(name, m.conjugate(mode), src, tgt)
 
 
 def test_conj_relation_involutive(slq2):
@@ -122,7 +136,8 @@ def test_kron_witnesses_a_product_no_padding_route_fits():
     # middle words a g (600 dimensions) and h^6 (6 letters) are both out of
     # bounds, so only the tensor product of A and B reaches it.
     a_to_hh = Tensor.from_rows([[1, 2, 3]], cod=(1, 1), dom=(3,))
-    hhhh_to_g = Tensor.column(range(1, 201)).with_legs((200,), (1, 1, 1, 1))
+    hhhh_to_g = Tensor.from_rows([[k] for k in range(1, 201)]).with_legs(
+        (200,), (1, 1, 1, 1))
     p = Presentation(
         [GeneratorSpec("a", 3, "a"), GeneratorSpec("h", 1, "h"),
          GeneratorSpec("g", 200, "g")],

@@ -441,3 +441,32 @@ def test_arithmetic_matches_sympy(a, b):
         got["div"] = a / b
     for op, (num, den) in expect.items():
         assert _sym(sp, got[op]) == (num, den), op
+
+
+# -- one unit object: a result equal to 1 is ONE itself ------------------------
+
+unit_operands = st.one_of(scalars(), constants, laurents,
+                          st.sampled_from([ONE, -ONE, ONE.conjugate(ConjMode.REAL)]))
+
+
+def _no_stray_unit(*results):
+    for r in results:
+        assert r != ONE or r is ONE, r
+
+
+@COEFFICIENT_LAWS
+@given(unit_operands, unit_operands, gaussians, modes)
+def test_every_result_equal_to_one_is_the_one_object(a, b, x, mode):
+    _no_stray_unit(a + b, a - b, a * b, -a, -(-a), a.conjugate(mode),
+                   a.conjugate(mode).conjugate(mode), Scalar.from_gaussian(x),
+                   Scalar.normalize(a.num, a.den), (a + ONE) - a,
+                   b + (ONE - b), (b - ONE) * -ONE + b, a ** 0)
+    if a:
+        _no_stray_unit(a.inverse(), a / a, a * a.inverse(),
+                       Scalar.normalize(a.num, a.num))
+    if b:
+        _no_stray_unit(a / b, (a * b) / (b * a) if a else b / b)
+    try:
+        _no_stray_unit(a.subs(x), (a - a.subs(x) + ONE).subs(x))
+    except EvaluationPole:
+        pass

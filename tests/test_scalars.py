@@ -167,7 +167,7 @@ def test_poly_sqrt():
 def test_scalar_sqrt():
     assert Q.sqrt() in (t, -t)
     assert (q * q).sqrt() in (q, -q)
-    assert Scalar.from_fraction(Fraction(9, 4)).sqrt() is not None
+    assert Scalar.from_gaussian(Gaussian(Fraction(9, 4))).sqrt() is not None
     assert Scalar.from_int(2).sqrt() is None
 
 

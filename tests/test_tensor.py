@@ -34,7 +34,7 @@ def test_kron_passes_one_through():
 
 
 def test_kron_shape_law():
-    E = Tensor.column([0, 1, -1, 0], cod=(2, 2))
+    E = Tensor.from_rows([[0], [1], [-1], [0]], cod=(2, 2), dom=())
     K = kron(E, E)
     assert K.cod == (2, 2, 2, 2) and K.dom == ()
 
@@ -105,13 +105,17 @@ def test_inverse_rank_one_fails_with_witness():
     assert (ee @ witness).is_zero()
 
 
+def rank(m: Tensor) -> int:
+    return len(m.rref()[1])
+
+
 def test_nullspace_of_pairing_row():
     row = Tensor((), (2, 2), [ZERO, -(q ** -1), ONE, ZERO])
     basis = row.nullspace()
     assert len(basis) == 3
     for b in basis:
         assert (row @ b).is_zero()
-    assert row.rank() + len(basis) == 4
+    assert rank(row) + len(basis) == 4
 
 
 def test_nullspace_of_identity_empty():
@@ -137,7 +141,7 @@ def test_rank_nullity_random():
     rng = random.Random(21)
     for _ in range(10):
         m = rand_matrix(rng, 3, 5)
-        assert m.rank() + len(m.nullspace()) == 5
+        assert rank(m) + len(m.nullspace()) == 5
 
 
 def test_tauconj():
