@@ -267,8 +267,9 @@ def _conj_value_real_q(s: Scalar, positive: bool) -> Scalar:
     out = s.conjugate(ConjMode.REAL)
     if positive:
         return out
-    num = tuple(c if k % 2 == 0 else -c for k, c in enumerate(out.num))
-    den = tuple(c if k % 2 == 0 else -c for k, c in enumerate(out.den))
+    num, den = out.polys()
+    num = tuple(c if k % 2 == 0 else -c for k, c in enumerate(num))
+    den = tuple(c if k % 2 == 0 else -c for k, c in enumerate(den))
     return Scalar.normalize(num, den)
 
 

@@ -5,30 +5,27 @@ Gaussian rationals.  The deformation parameter q is represented through its
 square root, q = t^2, so candidate scale factors of the form q^(1/2) and
 q^(-1/2) live in F without field extensions.
 
-Canonical form: numerator and denominator are coprime polynomials and the
-denominator is monic; zero is 0/1.  Equality and hashing work on canonical
-forms, so every identity check in the package is a decidable symbolic-zero
-test.
+Canonical form: a nonzero element is t^e * num/den, where e is an integer
+and num and den are coprime polynomials prime to t (nonzero constant
+terms), den monic; zero is 0/1 with e = 0.  Keeping the valuation at t
+apart from the reduced fraction is the standard normal form (von zur
+Gathen and Gerhard, Modern Computer Algebra).  Equality and hashing work
+on canonical forms, so every identity check in the package is a decidable
+symbolic-zero test.
+
+With powers of t kept out of num and den, each operation has one path and
+needs a gcd only where a denominator other than 1 takes part.  A product
+adds the exponents and multiplies the parts, cancelling each numerator
+against the other denominator.  A sum factors out t^min(e, e'); only a sum
+at equal exponents can leave a power of t in its numerator, which moves
+into e.  An inverse swaps the parts and negates e.  So the constants c
+and Laurent monomials c*t^e, which most data is made of, take no gcd.
 
 Coefficients are integer-based: a Gaussian rational (a + b*i)/d is three
 ints with d > 0 and gcd(a, b, d) = 1, so its arithmetic is integer
 arithmetic and needs no gcd while d = 1.  Polynomials are tuples of these,
-lowest degree first.  Most denominators met in practice are monomials
-c*t^k, and pgcd and pdivmod take them in O(degree): the gcd with c*t^k is
-t^min(k, valuation of the other argument), and division by c*t^k is a
-shift and a scale.  Other arguments go through the Euclidean algorithm and
-schoolbook long division.
-
-Laurent monomials c*t^e (c a nonzero Gaussian, e an integer) take a fast
-path; a scalar finds its e once and keeps it.  With a Laurent operand, a
-product, sum or inverse is formed without pmul or gcd, and is canonical as
-formed: cc'*t^(e+e') and c^-1*t^-e are one term over a power of t; against
-a canonical n/d, t^min(e, val d) cancels from d (e >= 0) or t^min(-e, val n)
-from n (e < 0), so a power of t is left only over a nonzero constant term
-and d stays monic; a sum of two is one term (or the canonical zero) when
-the exponents agree, else two over t^max(0, -e, -e'), the lower one then
-constant.  Constants (e = 0) are tested first, so at a specialized t every
-scalar stays one Gaussian over 1 and no gcd runs.
+lowest degree first, with the Euclidean algorithm and schoolbook long
+division.
 
 Two conjugation modes are supported:
 
@@ -51,7 +48,6 @@ from .errors import (DivisionByZero, EvaluationPole, NumberTooLong, ParseError,
                      ZeroDivisionInText)
 
 _new = object.__new__
-_UNKNOWN = ...  # Scalar._exp until _laurent looks; a singleton, kept by copies
 
 
 def _g(a: int, b: int, d: int = 1) -> "Gaussian":
@@ -247,6 +243,9 @@ def _ptrim(cs):
 
 
 def padd(a, b):
+    if len(a) == 1 == len(b):
+        c = a[0] + b[0]
+        return (c,) if c.a or c.b else P_ZERO  # not c, without a call
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -256,12 +255,16 @@ def padd(a, b):
 
 
 def pneg(a):
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def pmul(a, b):
     if not a or not b:
         return P_ZERO
+    if len(b) == 1:
+        return (a[0] * b[0],) if len(a) == 1 else pscale(a, b[0])
+    if len(a) == 1:
+        return pscale(b, a[0])
     out = [G_ZERO] * (len(a) + len(b) - 1)
     for j, cb in enumerate(b):
         if not cb:
@@ -273,17 +276,10 @@ def pmul(a, b):
 
 
 def pscale(a, g: Gaussian):
-    if not g:
-        return P_ZERO
-    return _ptrim([c * g for c in a])
-
-
-def _monomial_degree(a):
-    """k when a = c*t^k (c nonzero), else None."""
-    k = len(a) - 1
-    if k and (a[0] or any(a[1:k])):
-        return None
-    return k
+    """a times the nonzero constant g: a itself when g = 1."""
+    if g.a == 1 and g.d == 1 and not g.b:
+        return a
+    return tuple([c * g for c in a])
 
 
 def _valuation(a) -> int:
@@ -295,19 +291,10 @@ def _valuation(a) -> int:
 
 
 def pdivmod(a, b):
-    """Quotient and remainder of a by b (b nonzero).
-
-    Division by a monomial c*t^k is a shift and a scale.
-    """
+    """Quotient and remainder of a by b (b nonzero), by long division."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     inv_lead = b[-1].inverse()
-    k = _monomial_degree(b)
-    if k is not None:
-        q = a[k:]
-        if inv_lead != G_ONE:
-            q = pscale(q, inv_lead)
-        return q, _ptrim(a[:k])
     q = [G_ZERO] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     while len(r) >= len(b):
@@ -324,18 +311,7 @@ def pdivmod(a, b):
 
 
 def pgcd(a, b):
-    """Monic gcd via the Euclidean algorithm.
-
-    When a nonzero argument is a monomial c*t^k and the other is nonzero,
-    the gcd is t^min(k, valuation of the other), with no division at all.
-    """
-    if a and b:
-        k = _monomial_degree(a)
-        if k is not None:
-            return pmonomial(min(k, _valuation(b)))
-        k = _monomial_degree(b)
-        if k is not None:
-            return pmonomial(min(k, _valuation(a)))
+    """Monic gcd via the Euclidean algorithm."""
     while b:
         a, b = b, pdivmod(a, b)[1]
     if not a:
@@ -352,10 +328,6 @@ def peval(a, x: Gaussian) -> Gaussian:
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def pmonomial(k: int, c: Gaussian = G_ONE):
-    return _ptrim([G_ZERO] * k + [c])
 
 
 def poly_sqrt(a):
@@ -422,131 +394,127 @@ class ConjMode(enum.Enum):
     UNIMODULAR = "unimodular"  # t -> 1/t: |q| = 1
 
 
-def _const(g: Gaussian) -> "Scalar":
-    """The constant g (nonzero) as a Scalar: ONE itself when g = 1."""
-    if g.a == 1 and g.d == 1 and not g.b:
-        return ONE
-    return Scalar((g,), P_ONE, 0)
+def _scalar(num, den, e) -> "Scalar":
+    """t^e*num/den from canonical parts: ONE itself when the value is 1."""
+    if not e and len(num) == 1 and len(den) == 1:
+        g = num[0]
+        if g.a == 1 and g.d == 1 and not g.b:
+            return ONE
+    s = _new(Scalar)
+    s.num = num
+    s.den = den
+    s.e = e
+    s._hash = None
+    return s
 
 
-def _monic(num, den) -> "Scalar":
-    """num/den over coprime num and den, scaled so that den is monic."""
+def _monic(num, den, e) -> "Scalar":
+    """t^e*num/den over coprime t-free num and den, scaled so den is monic."""
     lead = den[-1]
-    if lead != G_ONE:
+    if lead.a != 1 or lead.d != 1 or lead.b:
         inv = lead.inverse()
-        num, den = pscale(num, inv), pscale(den, inv)
-    if len(den) == 1 == len(num):
-        return _const(num[0])
-    return Scalar(num, den)
+        num, den = pscale(num, inv), pscale(den, inv) if len(den) > 1 else P_ONE
+    return _scalar(num, den, e)
 
 
-def _laurent_scalar(c: Gaussian, e: int) -> "Scalar":
-    """c*t^e in canonical form, for a nonzero Gaussian c."""
-    if not e:
-        return _const(c)
-    if e > 0:
-        return Scalar((G_ZERO,) * e + (c,), P_ONE, e)
-    return Scalar((c,), (G_ZERO,) * -e + P_ONE, e)
-
-
-def _shift_scale(c: Gaussian, e: int, num, den) -> "Scalar":
-    """c*t^e times the canonical num/den, cancelling powers of t only."""
-    if e >= 0:
-        k = min(e, _valuation(den))
-        return Scalar((G_ZERO,) * (e - k) + pscale(num, c), den[k:])
-    k = min(-e, _valuation(num))
-    return Scalar(pscale(num[k:], c), (G_ZERO,) * (-e - k) + den)
+def _cancel(a, b):
+    """a and b (nonzero, t-free) divided by their monic gcd; a constant
+    has no factor to cancel."""
+    if len(a) > 1 < len(b):
+        g = pgcd(a, b)
+        if len(g) > 1:
+            return pdivmod(a, g)[0], pdivmod(b, g)[0]
+    return a, b
 
 
 class Scalar:
-    """A rational function in t over Q(i), kept in canonical form.
+    """A rational function in t over Q(i): t^e * num/den in canonical form.
 
-    Construct through the classmethods or module constants; the raw
-    constructor trusts its inputs to be canonical already, and exp, if
-    given, to be e for a Laurent monomial c*t^e and None for other scalars.
+    e is an integer; num and den are polynomials prime to t (nonzero
+    constant terms), coprime, with den monic.  Zero is () over (1,) with
+    e = 0, so `num` is empty exactly for zero.  `polys` gives the value as
+    one fraction of full polynomials.
+
+    Construct through the classmethods, the arithmetic or the module
+    constants; the raw constructor trusts its parts to be canonical already.
 
     There is one unit object: every Scalar this module returns with value 1
-    is ONE itself, because every nonzero constant result is made by
-    `_const`.  The tensor kernels rely on it to skip products by 1 with an
-    `is ONE` test.
+    is ONE itself, because every result is made by `_scalar`.  The tensor
+    kernels rely on it to skip products by 1 with an `is ONE` test.
     """
 
-    __slots__ = ("num", "den", "_hash", "_exp")
+    __slots__ = ("num", "den", "e", "_hash")
 
-    def __init__(self, num, den, exp=_UNKNOWN):
+    def __init__(self, num, den, e=0):
         self.num = num
         self.den = den
+        self.e = e
         self._hash = None
-        self._exp = exp
 
     @staticmethod
     def normalize(num, den) -> "Scalar":
-        """Reduce num/den to canonical form (coprime, monic denominator)."""
+        """Reduce the polynomial fraction num/den to canonical form."""
         if not den:
             raise DivisionByZero("scalar with zero denominator")
         if not num:
             return ZERO
-        g = pgcd(num, den)
-        if len(g) > 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-        return _monic(num, den)
+        j, k = _valuation(num), _valuation(den)
+        num, den = _cancel(num[j:], den[k:])
+        return _monic(num, den, j - k)
 
     @classmethod
     def from_gaussian(cls, g: Gaussian) -> "Scalar":
-        return _const(g) if g else ZERO
+        return _scalar((g,), P_ONE, 0) if g else ZERO
 
     @classmethod
     def from_int(cls, n) -> "Scalar":
         return cls.from_gaussian(Gaussian(n))
 
-    def _laurent(self):
-        """e when self (nonzero) is c*t^e, else None; found once, then kept."""
-        if self._exp is _UNKNOWN:
-            if len(self.den) == 1:
-                self._exp = _monomial_degree(self.num)
-            else:
-                k = _monomial_degree(self.den) if len(self.num) == 1 else None
-                self._exp = None if k is None else -k
-        return self._exp
+    def polys(self):
+        """(numerator, denominator): t^max(e, 0)*num and t^max(-e, 0)*den,
+        the value as a fraction of coprime polynomials, denominator monic."""
+        e = self.e
+        if e > 0:
+            return (G_ZERO,) * e + self.num, self.den
+        if e < 0:
+            return self.num, (G_ZERO,) * -e + self.den
+        return self.num, self.den
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
         if not self.num:
             return other
         if not other.num:
             return self
-        if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
-            # constant + constant: zero when the Gaussians cancel
-            g = self.num[0] + other.num[0]
-            return _const(g) if g else ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        e1, e2 = self._laurent(), other._laurent()
-        if e1 is not None and e2 is not None:
-            if e1 == e2:
-                c = n1[-1] + n2[-1]
-                return _laurent_scalar(c, e1) if c else ZERO
-            m = max(0, -e1, -e2)
-            num = [G_ZERO] * (max(e1, e2) + m + 1)
-            num[e1 + m], num[e2 + m] = n1[-1], n2[-1]
-            return Scalar(tuple(num), (G_ZERO,) * m + P_ONE, None)
-        if d1 == d2:
-            num = padd(n1, n2)
-            if not num:
-                return ZERO
-            if d1 == P_ONE:
-                return _const(num[0]) if len(num) == 1 else Scalar(num, P_ONE)
-            return Scalar.normalize(num, d1)
-        return Scalar.normalize(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
+        if d1 != d2:
+            n1, n2, d1 = pmul(n1, d2), pmul(n2, d1), pmul(d1, d2)
+        # factor out t^min(e, e')
+        e = self.e
+        k = other.e - e
+        if k > 0:
+            n2 = (G_ZERO,) * k + n2
+        elif k < 0:
+            n1 = (G_ZERO,) * -k + n1
+            e = other.e
+        num = padd(n1, n2)
+        if not num:
+            return ZERO
+        # only at equal exponents can a sum of terms lose its constant term
+        if not k and len(num) > 1 and not num[0]:
+            k = _valuation(num)
+            num, e = num[k:], e + k
+        if len(d1) > 1:
+            num, d1 = _cancel(num, d1)
+        return _scalar(num, d1, e)  # d1 over a monic gcd stays monic
 
     __radd__ = __add__
 
     def __neg__(self):
-        if len(self.num) == 1 == len(self.den):
-            return _const(-self.num[0])
-        return Scalar(pneg(self.num), self.den, self._exp)
+        return _scalar(pneg(self.num), self.den, self.e)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -555,43 +523,31 @@ class Scalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.num or not other.num:
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return ZERO
-        if self.den == P_ONE == other.den and len(self.num) == 1 == len(other.num):
-            # constant * constant: nonzero Gaussians have a nonzero product
-            return _const(self.num[0] * other.num[0])
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        e1, e2 = self._laurent(), other._laurent()
-        if e1 is not None:
-            if e2 is not None:
-                return _laurent_scalar(n1[-1] * n2[-1], e1 + e2)
-            return _shift_scale(n1[-1], e1, n2, d2)
-        if e2 is not None:
-            return _shift_scale(n2[-1], e2, n1, d1)
-        if d1 == P_ONE == d2:
-            # polynomial * polynomial stays in lowest terms
-            return Scalar(pmul(n1, n2), P_ONE)
-        # cross-reduce so no gcd of large products is ever taken
-        g = pgcd(n1, d2)
-        if len(g) > 1:
-            n1 = pdivmod(n1, g)[0]
-            d2 = pdivmod(d2, g)[0]
-        g = pgcd(n2, d1)
-        if len(g) > 1:
-            n2 = pdivmod(n2, g)[0]
-            d1 = pdivmod(d1, g)[0]
-        return _monic(pmul(n1, n2), pmul(d1, d2))
+        # each numerator can share a factor only with the other denominator,
+        # and a denominator of 1 has none; monic denominators stay monic
+        d1, d2 = self.den, other.den
+        if len(d2) > 1:
+            n1, d2 = _cancel(n1, d2)
+        if len(d1) > 1:
+            n2, d1 = _cancel(n2, d1)
+        den = d2 if len(d1) == 1 else d1 if len(d2) == 1 else pmul(d1, d2)
+        return _scalar(pmul(n1, n2), den, self.e + other.e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self.num:
             raise DivisionByZero("inverse of zero scalar")
-        e = self._laurent()
-        if e is not None:
-            return _laurent_scalar(self.num[-1].inverse(), -e)
-        return _monic(self.den, self.num)
+        return _monic(self.den, self.num, -self.e)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -619,10 +575,10 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
+        return not self.e and self.num == P_ONE and self.den == P_ONE
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == P_ONE
+        return not self.e and len(self.num) <= 1 and len(self.den) == 1
 
     def constant_value(self) -> Gaussian:
         if not self.is_constant():
@@ -635,11 +591,12 @@ class Scalar:
                 other = _coerce(other)
             else:
                 return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.e == other.e and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self.num, self.den, self.e))
         return self._hash
 
     def __bool__(self):
@@ -648,28 +605,24 @@ class Scalar:
     # -- conjugation, evaluation, substitution ------------------------------
 
     def conjugate(self, mode: ConjMode) -> "Scalar":
-        if len(self.num) == 1 == len(self.den):
-            return _const(self.num[0].conj())  # no t to map, in either mode
+        if not self.num:
+            return ZERO
+        num, den = pconj(self.num), pconj(self.den)
         if mode is ConjMode.REAL:
-            return Scalar(pconj(self.num), pconj(self.den), self._exp)
-        # t -> 1/t: p(1/t) = t^(-deg p) * reversed(p)
-        num = tuple(reversed(pconj(self.num)))
-        den = tuple(reversed(pconj(self.den)))
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        if dn < dd:
-            num = pmul(num, pmonomial(dd - dn))
-        elif dd < dn:
-            den = pmul(den, pmonomial(dn - dd))
-        return Scalar.normalize(_ptrim(num), _ptrim(den))
+            return _scalar(num, den, self.e)
+        # t -> 1/t: p(1/t) = t^(-deg p) * reversed(p), and reversing a
+        # polynomial prime to t leaves it prime to t and of the same degree
+        return _monic(num[::-1], den[::-1], len(den) - len(num) - self.e)
 
     def eval_at(self, value) -> Gaussian:
         """Evaluate at t = value in Q(i); raises EvaluationPole at poles."""
         if not isinstance(value, Gaussian):
             value = Gaussian(value)
-        d = peval(self.den, value)
+        num, den = self.polys()
+        d = peval(den, value)
         if not d:
             raise EvaluationPole(f"pole of {self} at t={value}")
-        return peval(self.num, value) / d
+        return peval(num, value) / d
 
     def subs(self, value) -> "Scalar":
         """Substitute a constant for t, returning a constant Scalar."""
@@ -679,14 +632,17 @@ class Scalar:
         """A square root in F, or None when none exists."""
         if not self.num:
             return ZERO
+        if self.e % 2:
+            return None
         lead = self.num[-1]
-        monic_num = pscale(self.num, lead.inverse())
-        rn = poly_sqrt(monic_num)
+        rn = poly_sqrt(pscale(self.num, lead.inverse()))
         rd = poly_sqrt(self.den)
         rl = gaussian_sqrt(lead)
         if rn is None or rd is None or rl is None:
             return None
-        return Scalar.normalize(pscale(rn, rl), rd)
+        # roots of polynomials prime to t are prime to t, and coprime; rd is
+        # monic, as the root poly_sqrt takes of a monic polynomial
+        return _scalar(pscale(rn, rl), rd, self.e // 2)
 
     def vanishes_at_sqrt(self, q0: Gaussian) -> bool:
         """Decide whether self(t0) = 0 for t0 a square root of q0 in C.
@@ -698,6 +654,7 @@ class Scalar:
         t0 = gaussian_sqrt(q0)
         if t0 is not None:
             return not self.eval_at(t0)
+        # t0 is not 0, so the factor t^e neither vanishes nor has a pole there
         modulus = (-q0, G_ZERO, G_ONE)  # t^2 - q0
         dr = pdivmod(self.den, modulus)[1]
         if not dr:
@@ -708,12 +665,13 @@ class Scalar:
     # -- presentation --------------------------------------------------------
 
     def __str__(self):
-        ns = _poly_str(self.num)
-        if self.den == P_ONE:
+        num, den = self.polys()
+        ns = _poly_str(num)
+        if den == P_ONE:
             return ns
-        ds = _poly_str(self.den)
-        multi_n = sum(1 for c in self.num if c) > 1
-        multi_d = sum(1 for c in self.den if c) > 1 or ("*" in ds)
+        ds = _poly_str(den)
+        multi_n = sum(1 for c in num if c) > 1
+        multi_d = sum(1 for c in den if c) > 1 or ("*" in ds)
         if multi_n or "*" in ns or "/" in ns:
             ns = f"({ns})"
         if multi_d or "/" in ds:
@@ -734,10 +692,10 @@ def _coerce(x) -> Scalar:
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
-ZERO = Scalar(P_ZERO, P_ONE, None)
-ONE = Scalar(P_ONE, P_ONE, 0)
-I = Scalar((G_I,), P_ONE, 0)
-T = Scalar((G_ZERO, G_ONE), P_ONE)
+ZERO = Scalar(P_ZERO, P_ONE)
+ONE = Scalar(P_ONE, P_ONE)
+I = Scalar((G_I,), P_ONE)
+T = Scalar(P_ONE, P_ONE, 1)
 Q = T * T  # q = t^2
 
 

@@ -16,10 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.errors import EvaluationPole  # noqa: E402
-from cqtcheck.scalars import (ConjMode, ONE, P_ONE, T, ZERO,  # noqa: E402
-                              Gaussian, Scalar, gaussian_sqrt, padd,
-                              parse_scalar, pdivmod, pgcd, pmonomial, pmul,
-                              pneg)
+from cqtcheck.scalars import (ConjMode, G_ZERO, ONE, P_ONE,  # noqa: E402
+                              T, ZERO, Gaussian, Scalar, gaussian_sqrt, padd,
+                              parse_scalar, pdivmod, pgcd, pmul, pneg)
 
 LAWS = settings(max_examples=50, deadline=None, database=None)
 COEFFICIENT_LAWS = settings(max_examples=300, deadline=None, database=None)
@@ -36,6 +35,11 @@ def _trim(cs):
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def pmonomial(k, c=Gaussian(1)):
+    """c*t^k as a polynomial."""
+    return (G_ZERO,) * k + (c,)
 
 
 general_polys = st.lists(gaussians, min_size=0, max_size=3).map(_trim)
@@ -95,7 +99,7 @@ def test_gaussian_text_parses_back(g):
         assert str(g) == str(g.re)
 
 
-# -- the monomial shortcut against a plain reference --------------------------
+# -- polynomial gcd and division against a plain reference -------------------
 
 ZERO_PAIR = (Fraction(0), Fraction(0))
 ONE_PAIR = (Fraction(1), Fraction(0))
@@ -217,14 +221,29 @@ def test_field_axioms(a, b, c):
         assert (b / a) * a == b
 
 
+def _assert_canonical_scalar(a):
+    """t^e*num/den with num and den prime to t, coprime as the reference
+    gcd sees them, den monic; zero is () over 1 with e = 0."""
+    assert type(a.e) is int
+    if not a.num:
+        assert (a.num, a.den, a.e) == ((), P_ONE, 0)
+        return
+    assert a.num[0] and a.den[0] and a.num[-1]
+    assert a.den[-1] == Gaussian(1)
+    assert _ref_gcd(a.num, a.den) == (ONE_PAIR,)
+    # the full polynomials are the canonical fraction of the value
+    num, den = a.polys()
+    assert den[-1] == Gaussian(1)
+    assert _ref_gcd(num, den) == (ONE_PAIR,)
+
+
 @LAWS
 @given(scalars())
 def test_scalars_are_canonical(a):
     """Coprime parts and a monic denominator, as the reference gcd sees it."""
-    assert a.den[-1] == Gaussian(1)
-    assert _ref_gcd(a.num, a.den) == (ONE_PAIR,)
-    assert Scalar.normalize(a.num, a.den) == a
-    assert hash(Scalar.normalize(a.num, a.den)) == hash(a)
+    _assert_canonical_scalar(a)
+    assert Scalar.normalize(*a.polys()) == a
+    assert hash(Scalar.normalize(*a.polys())) == hash(a)
 
 
 # -- constants: the fast paths against the polynomial path ------------------
@@ -233,52 +252,62 @@ constants = st.builds(Scalar.from_gaussian, gaussians)
 
 
 def _general_sum(a, b):
-    return Scalar.normalize(padd(pmul(a.num, b.den), pmul(b.num, a.den)),
-                            pmul(a.den, b.den))
+    (an, ad), (bn, bd) = a.polys(), b.polys()
+    return Scalar.normalize(padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd))
 
 
 def _general_product(a, b):
-    return Scalar.normalize(pmul(a.num, b.num), pmul(a.den, b.den))
+    (an, ad), (bn, bd) = a.polys(), b.polys()
+    return Scalar.normalize(pmul(an, bn), pmul(ad, bd))
+
+
+def _general_inverse(a):
+    num, den = a.polys()
+    return Scalar.normalize(den, num)
+
+
+def _neg(a):
+    num, den = a.polys()
+    return Scalar.normalize(pneg(num), den)
 
 
 def _same(got, want):
     """Equal parts, field for field: a zero must be () over 1, not (0,)."""
-    assert (got.num, got.den) == (want.num, want.den)
-    assert not got.num or got.num[-1]
-    assert got.den[-1] == Gaussian(1)
+    assert got.polys() == want.polys()
+    assert (got.num, got.den, got.e) == (want.num, want.den, want.e)
+    _assert_canonical_scalar(got)
 
 
 @COEFFICIENT_LAWS
 @given(constants, constants)
 def test_constant_arithmetic_matches_the_polynomial_path(a, b):
-    neg_b = Scalar(pneg(b.num), b.den)
     _same(a * b, _general_product(a, b))
     _same(a + b, _general_sum(a, b))
-    _same(a - b, _general_sum(a, neg_b))
+    _same(a - b, _general_sum(a, _neg(b)))
     # cancelled sums and differences are the canonical zero
     for zero in (a - a, a + (-a), (a + b) - (b + a), a * b - b * a):
         _same(zero, ZERO)
-        assert zero.num == () and zero.den == P_ONE
+        assert zero.polys() == ((), P_ONE)
     for c in (a * b, a + b, a - b):
-        assert len(c.num) <= 1 and c.den == P_ONE
+        num, den = c.polys()
+        assert len(num) <= 1 and den == P_ONE
     if a:
-        _same(a.inverse(), Scalar.normalize(a.den, a.num))
-        _same(b / a, _general_product(b, Scalar.normalize(a.den, a.num)))
-        assert a.inverse().den == P_ONE
+        _same(a.inverse(), _general_inverse(a))
+        _same(b / a, _general_product(b, _general_inverse(a)))
+        assert a.inverse().polys()[1] == P_ONE
 
 
 @LAWS
 @given(constants, scalars())
 def test_mixed_constant_arithmetic_matches_the_polynomial_path(c, a):
-    neg_a = Scalar(pneg(a.num), a.den)
     for x, y in ((c, a), (a, c)):
         _same(x * y, _general_product(x, y))
         _same(x + y, _general_sum(x, y))
-    _same(c - a, _general_sum(c, neg_a))
-    _same(a - c, _general_sum(a, Scalar(pneg(c.num), c.den)))
+    _same(c - a, _general_sum(c, _neg(a)))
+    _same(a - c, _general_sum(a, _neg(c)))
     _same((a + c) - a, _general_sum(c, ZERO))
     if a:
-        _same(c / a, _general_product(c, Scalar.normalize(a.den, a.num)))
+        _same(c / a, _general_product(c, _general_inverse(a)))
 
 
 # -- Laurent monomials c*t^e: the direct paths against the polynomial path ----
@@ -300,33 +329,30 @@ def t_heavy_scalars(draw):
         n, pmul(draw(nonzero_polys), pmonomial(draw(st.integers(0, 3)))))
 
 
-def _neg(a):
-    return Scalar(pneg(a.num), a.den)
-
-
 def _is_laurent(a):
     """a = c*t^e: a monomial over 1, or a constant over a power of t."""
-    return (bool(a.num) and not any(a.num[:-1]) and not any(a.den[:-1])
-            and 1 in (len(a.num), len(a.den)))
+    num, den = a.polys()
+    return (bool(num) and not any(num[:-1]) and not any(den[:-1])
+            and 1 in (len(num), len(den)))
 
 
 def _same_laurent(got, want):
     _same(got, want)
     assert _is_laurent(got)
-    # the exponent a result carries is the one its parts give
-    assert got._laurent() == Scalar(got.num, got.den)._laurent()
+    # c*t^e keeps its power of t in e alone: (c,) over (1,)
+    assert len(got.num) == 1 == len(got.den)
 
 
 @COEFFICIENT_LAWS
 @given(laurents, laurents)
 def test_laurent_arithmetic_matches_the_polynomial_path(a, b):
     _same_laurent(a * b, _general_product(a, b))
-    _same_laurent(a.inverse(), Scalar.normalize(a.den, a.num))
-    _same_laurent(a / b, _general_product(a, Scalar.normalize(b.den, b.num)))
+    _same_laurent(a.inverse(), _general_inverse(a))
+    _same_laurent(a / b, _general_product(a, _general_inverse(b)))
     _same(a + b, _general_sum(a, b))
     _same(a - b, _general_sum(a, _neg(b)))
     for s in (a + b, a - b):
-        assert not s or s._laurent() == Scalar(s.num, s.den)._laurent()
+        _assert_canonical_scalar(s)
 
 
 @COEFFICIENT_LAWS
@@ -340,7 +366,7 @@ def test_laurent_sums_at_one_exponent(c, d, e):
     # cancelled sums and differences are the canonical zero
     for zero in (a - a, a + (-a), a + _laurent(-c, e), (a + b) - (b + a)):
         _same(zero, ZERO)
-        assert zero.num == () and zero.den == P_ONE
+        assert zero.polys() == ((), P_ONE)
 
 
 @LAWS
@@ -351,9 +377,9 @@ def test_mixed_laurent_arithmetic_matches_the_polynomial_path(c, a):
         _same(x + y, _general_sum(x, y))
     _same(c - a, _general_sum(c, _neg(a)))
     _same(a - c, _general_sum(a, _neg(c)))
-    _same(a / c, _general_product(a, Scalar.normalize(c.den, c.num)))
+    _same(a / c, _general_product(a, _general_inverse(c)))
     if a:
-        _same(c / a, _general_product(c, Scalar.normalize(a.den, a.num)))
+        _same(c / a, _general_product(c, _general_inverse(a)))
 
 
 def test_shift_and_scale_cancels_powers_of_t():
@@ -364,7 +390,42 @@ def test_shift_and_scale_cancels_powers_of_t():
     for c, a in ((T, x), (T * T * T, x), (t_inv, y), (t_inv * t_inv * t_inv, y)):
         for got in (c * a, a * c):
             _same(got, _general_product(c, a))
-    assert (T * x).den == pmonomial(1) and (t_inv * y).num == (g(0), g(3), g(1))
+    assert (T * x).polys()[1] == pmonomial(1)
+    assert (t_inv * y).polys()[0] == (g(0), g(3), g(1))
+
+
+any_scalars = st.one_of(scalars(), t_heavy_scalars(), laurents,
+                        st.builds(Scalar.from_gaussian, gaussians))
+
+
+@LAWS
+@given(any_scalars, any_scalars, gaussians)
+def test_every_result_is_in_canonical_form(a, b, x):
+    results = [a + b, a - b, b - a, a * b, -a, a.conjugate(ConjMode.REAL),
+               a.conjugate(ConjMode.UNIMODULAR), (a * a).sqrt()]
+    if a:
+        results += [a.inverse(), b / a]
+    if a.sqrt() is not None:
+        results.append(a.sqrt())
+    try:
+        results.append(a.subs(x))
+    except EvaluationPole:
+        pass
+    for r in results:
+        _assert_canonical_scalar(r)
+
+
+@LAWS
+@given(any_scalars)
+def test_a_product_by_one_is_the_other_operand(x):
+    assert x * ONE is x
+    assert ONE * x is x
+
+
+@LAWS
+@given(st.one_of(scalars(), t_heavy_scalars()))
+def test_scalar_text_parses_back(s):
+    assert parse_scalar(str(s)) == s
 
 
 @LAWS
@@ -422,7 +483,8 @@ def _canonical(sp, num, den):
 
 
 def _sym(sp, a):
-    return _to_poly(sp, a.num), _to_poly(sp, a.den)
+    num, den = a.polys()
+    return _to_poly(sp, num), _to_poly(sp, den)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -459,11 +521,11 @@ def _no_stray_unit(*results):
 def test_every_result_equal_to_one_is_the_one_object(a, b, x, mode):
     _no_stray_unit(a + b, a - b, a * b, -a, -(-a), a.conjugate(mode),
                    a.conjugate(mode).conjugate(mode), Scalar.from_gaussian(x),
-                   Scalar.normalize(a.num, a.den), (a + ONE) - a,
+                   Scalar.normalize(*a.polys()), (a + ONE) - a,
                    b + (ONE - b), (b - ONE) * -ONE + b, a ** 0)
     if a:
         _no_stray_unit(a.inverse(), a / a, a * a.inverse(),
-                       Scalar.normalize(a.num, a.num))
+                       Scalar.normalize(a.polys()[0], a.polys()[0]))
     if b:
         _no_stray_unit(a / b, (a * b) / (b * a) if a else b / b)
     try:

@@ -6,7 +6,7 @@ import pytest
 from cqtcheck.errors import DivisionByZero, EvaluationPole
 from cqtcheck.scalars import (ConjMode, G_ZERO, Gaussian, I, ONE, P_ONE,
                               P_ZERO, Q, Scalar, T, ZERO, gaussian_sqrt,
-                              parse_scalar, pmonomial, pmul, poly_sqrt)
+                              parse_scalar, pmul, poly_sqrt)
 
 t = T
 q = Q
@@ -24,8 +24,9 @@ def test_normalize_cancels_common_factor():
 
 
 def test_normalize_zero_numerator():
-    assert Scalar.normalize(P_ZERO, pmonomial(3)) == ZERO
-    assert str(Scalar.normalize(P_ZERO, pmonomial(3))) == "0"
+    t3 = (G_ZERO, G_ZERO, G_ZERO, Gaussian(1))
+    assert Scalar.normalize(P_ZERO, t3) == ZERO
+    assert str(Scalar.normalize(P_ZERO, t3)) == "0"
 
 
 def test_normalize_makes_denominator_monic():
@@ -41,7 +42,7 @@ def test_normalize_rejects_zero_denominator():
 def test_normalize_idempotent():
     s = Scalar.normalize((Gaussian(-1), G_ZERO, Gaussian(1)),
                          (Gaussian(-1), Gaussian(1)))
-    assert Scalar.normalize(s.num, s.den) == s
+    assert Scalar.normalize(*s.polys()) == s
 
 
 def test_conjugate_real_mode():
@@ -188,18 +189,73 @@ def test_canonical_strings_are_exact():
     assert str(t / 2) == "(1/2)*t"
 
 
-def test_generic_lorentz_classification_takes_few_gcds(monkeypatch, capsys):
-    # products, sums and inverses with a Laurent monomial c*t^e take no gcd;
-    # the classification made 7,736 gcd calls when only constants did
-    from cqtcheck import cli, scalars
+def _counted_gcds(monkeypatch):
+    """The argument pairs of every pgcd call from here on."""
+    from cqtcheck import scalars
     calls = []
     pgcd = scalars.pgcd
 
     def counted(a, b):
-        calls.append(1)
+        calls.append((a, b))
         return pgcd(a, b)
 
     monkeypatch.setattr(scalars, "pgcd", counted)
+    return calls
+
+
+def test_generic_lorentz_classification_takes_few_gcds(monkeypatch, capsys):
+    # powers of t never reach a gcd, and a constant or a denominator of 1
+    # takes none; the classification made 7,736 gcd calls when only
+    # constants skipped it, and 526 (408 with an argument divisible by t)
+    # when the Laurent monomials c*t^e did too
+    from cqtcheck import cli
+    calls = _counted_gcds(monkeypatch)
     assert cli.main(["check", "builtin:lorentz-flip", "--suite", "classify"]) == 0
     assert "CQT candidates: 64" in capsys.readouterr().out
-    assert 0 < len(calls) <= 1000
+    assert 0 < len(calls) <= 32
+    assert all(a[0] and b[0] for a, b in calls)
+
+
+def test_slq2_saturation_takes_no_gcd(monkeypatch, capsys):
+    # every entry of the saturation is a Laurent polynomial over a power of
+    # t; it made 1,701 gcd calls, every one trivial once t^k is factored out
+    from cqtcheck import cli
+    calls = _counted_gcds(monkeypatch)
+    assert cli.main(["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"]) == 0
+    assert "witnessed dimension 5" in capsys.readouterr().out
+    assert calls == []
+
+
+# str() of t-heavy and Laurent scalars, as printed before the valuation was
+# kept apart from the fraction
+PRINTED = [
+    (lambda: S("(1+t)/t^2"), "(t+1)/t^2"),
+    (lambda: S("t^-4+1"), "(t^4+1)/t^4"),
+    (lambda: S("-i*t^3"), "-i*t^3"),
+    (lambda: S("(t^2-1)/(t+2)"), "(t^2-1)/(t+2)"),
+    (lambda: S("t^2*(3+t)/(2+t)"), "(t^3+3*t^2)/(t+2)"),
+    (lambda: S("-t^-1"), "-1/t"),
+    (lambda: S("2/3*t^-3*(t-1)"), "((2/3)*t-2/3)/t^3"),
+    (lambda: S("(1/2+i/3)*t^5/(t^3+2)"), "((1/2+1/3*i)*t^5)/(t^3+2)"),
+    (lambda: S("1/(t^3*(t+i))"), "1/(t^4+i*t^3)"),
+    (lambda: S("i*t^2/(2*t^4+3*t)"), "((1/2*i)*t)/(t^3+3/2)"),
+    (lambda: S("(q-q^-1)/(t-t^-1)"), "(t^2+1)/t"),
+    (lambda: S("q^2-3/4*i"), "t^4-3/4*i"),
+    (lambda: S("(3+i)*t^2/(t-2)").conjugate(ConjMode.UNIMODULAR),
+     "((-3/2+1/2*i))/(t^2+(-1/2)*t)"),
+    (lambda: S("(1+t)/t^2").conjugate(ConjMode.UNIMODULAR), "t^2+t"),
+    (lambda: S("(2+i)*t^-4+1").conjugate(ConjMode.UNIMODULAR), "(2-i)*t^4+1"),
+    (lambda: S("(1-i)*t^3/(t^2+i*t+2)").conjugate(ConjMode.UNIMODULAR),
+     "((1/2+1/2*i))/(t^3+(-1/2*i)*t^2+(1/2)*t)"),
+    (lambda: S("-i*t^3+1/t").conjugate(ConjMode.REAL), "(i*t^4+1)/t"),
+    (lambda: S("4*t^-2").sqrt(), "2/t"),
+    (lambda: S("(t^2+2*t+1)/t^4").sqrt(), "(t+1)/t^2"),
+    (lambda: S("-q^3*(t+i)^2/(t-3)^2").sqrt(), "(i*t^4-t^3)/(t-3)"),
+    (lambda: S("-(t+i)^2/((t-3)^2*t^2)").sqrt(), "(i*t-1)/(t^2-3*t)"),
+    (lambda: S("9/4*t^6").sqrt(), "(3/2)*t^3"),
+]
+
+
+@pytest.mark.parametrize("make, text", PRINTED, ids=[p[1] for p in PRINTED])
+def test_t_heavy_scalars_print_as_pinned(make, text):
+    assert str(make()) == text

@@ -100,8 +100,8 @@ def test_l_block_triangular_on_words(classical, cop):
 def _degree(t: Tensor) -> int:
     """The largest degree in t of an entry of t, whose entries are
     polynomials; -1 for the zero tensor."""
-    assert all(len(v.den) == 1 for _, v in t.items())
-    return max((len(v.num) - 1 for _, v in t.items()), default=-1)
+    assert all(len(v.polys()[1]) == 1 for _, v in t.items())
+    return max((len(v.polys()[0]) - 1 for _, v in t.items()), default=-1)
 
 
 def test_coefficient_degree_bounds_the_sample_counts(classical, cop):
