@@ -231,14 +231,16 @@ class Saturation:
     between short words refolds through short-ended partial products, so
     this keeps the search useful for the short spaces the checks consume
     while avoiding the large interior spaces.  Pass max_end_len=max_len to
-    disable the pruning.
+    disable the pruning.  The pads, `words`, come in order of length.
 
     A round forms each product of two frontier elements once, at the first
     place the order of the loops reaches it; the second copy would be an
     exact duplicate.  It forms the tensor product A (x) B, for A: s1 -> d1
-    and B: s2 -> d2, only when no padding route reaches it.  By the
-    interchange law A (x) B = (A (x) 1_d2) . (1_s1 (x) B)
-    = (1_d1 (x) B) . (A (x) 1_s2), through the middle word s1 d2 or d1 s2.
+    and B: s2 -> d2, only when s1 s2 and d1 d2 have at most max_len letters
+    and no padding route reaches it; the loop visits, in order, only the
+    right keys that fit the room a left key leaves.  By the interchange law
+    A (x) B = (A (x) 1_d2) . (1_s1 (x) B) = (1_d1 (x) B) . (A (x) 1_s2),
+    through the middle word s1 d2 or d1 s2.
     A route lies inside the bounds the paddings obey when its middle word is
     within max_space and each padding, the padded element's longer end plus
     the pad, is within max_len.  Then both paddings were witnessed before
@@ -371,13 +373,17 @@ class Saturation:
         # reaches; tensors with identities are the paddings, already taken
         front_items = list(front.items())
         for left, right in ((front_items, stored), (stored, front_items)):
+            fits = {}  # (room in src, room in dst) -> the right keys, in order
             for (s1, d1), items1 in left:
                 if left is stored:  # frontier (x) frontier came first
                     items1 = older((s1, d1), items1)
-                for (s2, d2), items2 in right:
+                room = (self.max_len - len(s1), self.max_len - len(d1))
+                if room not in fits:
+                    fits[room] = [e for e in right if len(e[0][0]) <= room[0]
+                                  and len(e[0][1]) <= room[1]]
+                for (s2, d2), items2 in fits[room]:
                     nsrc, ndst = s1 + s2, d1 + d2
-                    if (len(nsrc) > self.max_len or len(ndst) > self.max_len
-                            or not wanted(nsrc, ndst)
+                    if (not wanted(nsrc, ndst)
                             or p.word_dim(nsrc) > self.max_space
                             or p.word_dim(ndst) > self.max_space
                             or self._padding_route(s1, d1, s2, d2)):
@@ -470,12 +476,12 @@ class Saturation:
         p, added = self.presentation, []
         for src, dst, t in queue:
             span = max(len(src), len(dst))
-            for pre in self.words:
+            for pre in self.words:  # in order of length
                 if len(pre) + span > self.max_len:
-                    continue
+                    break
                 for post in self.words:
                     if len(pre) + len(post) + span > self.max_len:
-                        continue
+                        break
                     if not pre and not post:
                         continue
                     nsrc, ndst = pre + src + post, pre + dst + post

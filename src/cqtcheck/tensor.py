@@ -24,8 +24,11 @@ at single indices.  Block matrices are sums of placements, so no module
 outside this one composes or splits a flat index.  The dense `entries`
 list is a read-only view built on demand, for display and tests.
 
+`_reduce` brings sparse rows to reduced row echelon form for `inverse`,
+`rref` and `nullspace`; `SpanBasis` keeps its rows in echelon form only.
+
 A product with an operand that `is ONE` is skipped in matmul, kron and the
-row update of the elimination (`_axpy`), and a pivot row whose pivot is
+row update of both eliminations (`_axpy`), and a pivot row whose pivot is
 already 1 is not rescaled.  Every scalar equal to 1 is the ONE object (see
 `scalars.Scalar`), so the test catches every unit; at a specialized t most
 entries are ±1.
@@ -35,6 +38,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import prod
 
 from .errors import NotInvertible, ShapeError
@@ -579,13 +583,16 @@ def tauconj(a: Tensor, mode: ConjMode) -> Tensor:
 class SpanBasis:
     """Incremental exact span of flat vectors, for membership tests.
 
-    Vectors are Tensors (their flat entries) or dense lists of Scalars;
-    elimination runs on sparse rows.
+    Vectors are Tensors (their flat entries) or dense lists of Scalars.
+    The sparse rows are in echelon form, not reduced: each row is zero at
+    the earlier pivots and 1 at its own, its first nonzero index.  So
+    membership is one forward pass in pivot order, and `add` touches no
+    existing row.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows = []  # (pivot index, normalized {index: value}) sorted by pivot
+        self.rows = []  # (pivot index, echelon {index: value}) sorted by pivot
 
     def _sparse(self, vec) -> dict:
         if isinstance(vec, Tensor):
@@ -612,12 +619,7 @@ class SpanBasis:
         inv = vec[pivot].inverse()
         if inv is not ONE:
             vec = {k: x * inv for k, x in vec.items()}
-        for _, row in self.rows:
-            f = row.get(pivot)
-            if f is not None:
-                _axpy(row, -f, vec)
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda pr: pr[0])
+        insort(self.rows, (pivot, vec), key=lambda pr: pr[0])
         return True
 
     def contains(self, vec) -> bool:

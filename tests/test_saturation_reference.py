@@ -7,13 +7,15 @@ both orders, with no duplicate screen, no padding-route test and no stop
 before the last round.  Its span dimension at every (src, dst), recorded
 after each round, must equal that of `saturate` at that depth.  The lazy
 `contains` must give the eager verdict on every block of the built-in
-candidate families.
+candidate families.  One presentation mixes generator dimensions, so that
+max_space drops words inside a length layer, as it does for no built-in.
 """
 
 import pytest
 
 from cqtcheck import catalog, lorentz
-from cqtcheck.presentation import Saturation, saturate
+from cqtcheck.presentation import (GeneratorSpec, Presentation, Relation,
+                                   Saturation, saturate)
 from cqtcheck.scalars import Gaussian
 from cqtcheck.tensor import SpanBasis, Tensor, kron, pad_with_identity
 
@@ -90,12 +92,34 @@ def _visible(dims):
             if n != (src == dst)}
 
 
-@pytest.mark.parametrize("point", POINTS)
-@pytest.mark.parametrize("name", DATA)
-def test_span_dimensions_match_the_reference(name, point):
-    p = catalog.resolve(name, POINTS[point]).presentation
-    for depth, want in enumerate(reference_dims(p, DEPTH)):
-        got = {k: s.dim() for k, s in saturate(p, depth=depth).spans.items()}
+def _mixed_dimensions():
+    """Generators a (dim 3), h (dim 1), g (dim 200) and relations
+    A: a -> h h, B: h h h h -> g.  At max_len 5, max_space drops words
+    inside a length layer (a g, g a, g g), and only a tensor product reaches
+    A (x) B: no padding route fits."""
+    a_to_hh = Tensor.from_rows([[1, 2, 3]], cod=(1, 1), dom=(3,))
+    hhhh_to_g = Tensor.from_rows([[k] for k in range(1, 201)]).with_legs(
+        (200,), (1, 1, 1, 1))
+    return Presentation(
+        [GeneratorSpec("a", 3, "a"), GeneratorSpec("h", 1, "h"),
+         GeneratorSpec("g", 200, "g")],
+        [Relation("A", a_to_hh, ("a",), ("h", "h")),
+         Relation("B", hhhh_to_g, ("h",) * 4, ("g",))])
+
+
+SPACES = [pytest.param(name, point, {}, id=f"{name}-{point}")
+          for name in DATA for point in POINTS]
+SPACES.append(pytest.param("mixed", None, {"max_len": 5, "max_end_len": 3},
+                           id="mixed-dimensions"))
+
+
+@pytest.mark.parametrize("name, point, bounds", SPACES)
+def test_span_dimensions_match_the_reference(name, point, bounds):
+    p = (_mixed_dimensions() if name == "mixed"
+         else catalog.resolve(name, POINTS[point]).presentation)
+    for depth, want in enumerate(reference_dims(p, DEPTH, **bounds)):
+        got = {k: s.dim()
+               for k, s in saturate(p, depth=depth, **bounds).spans.items()}
         assert _visible(got) == _visible(want), f"depth {depth}"
 
 

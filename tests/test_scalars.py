@@ -216,6 +216,30 @@ def test_generic_lorentz_classification_takes_few_gcds(monkeypatch, capsys):
     assert all(a[0] and b[0] for a, b in calls)
 
 
+@pytest.mark.parametrize("argv, most, expect", [
+    (["check", "builtin:lorentz-flip", "--suite", "classify"], 243,
+     "CQT candidates: 64"),
+    (["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"], 198,
+     "witnessed dimension 5"),
+], ids=["lorentz-flip-classify", "slq2-mor-www"])
+def test_saturation_takes_few_row_updates(monkeypatch, capsys, argv, most,
+                                          expect):
+    # the span keeps its rows in echelon form, so adding a row updates no
+    # other; fully reduced rows took 351 and 310 updates
+    from cqtcheck import cli, tensor
+    calls = []
+    axpy = tensor._axpy
+
+    def counted(*args):
+        calls.append(args)
+        return axpy(*args)
+
+    monkeypatch.setattr(tensor, "_axpy", counted)
+    assert cli.main(argv) == 0
+    assert expect in capsys.readouterr().out
+    assert 0 < len(calls) <= most
+
+
 def test_slq2_saturation_takes_no_gcd(monkeypatch, capsys):
     # every entry of the saturation is a Laurent polynomial over a power of
     # t; it made 1,701 gcd calls, every one trivial once t^k is factored out

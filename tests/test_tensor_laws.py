@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.errors import ShapeError  # noqa: E402
 from cqtcheck.scalars import ZERO, Gaussian, Scalar  # noqa: E402
-from cqtcheck.tensor import (Tensor, flip, kron, pad_with_identity,  # noqa: E402
-                             unflatten)
+from cqtcheck.tensor import (SpanBasis, Tensor, flip, kron,  # noqa: E402
+                             pad_with_identity, unflatten)
 
 LAWS = settings(max_examples=60, deadline=None, database=None)
 
@@ -222,3 +222,59 @@ def test_place_legs_rejects_bad_specs(cod, dom, legs, fix):
     t = Tensor.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ShapeError):
         t.place_legs(cod, dom, legs, fix)
+
+
+def _poly(cs):
+    """Coefficients, lowest degree first, without trailing zeros."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+polys = st.lists(gaussians, min_size=1, max_size=3).map(_poly)
+span_scalars = st.one_of(
+    gaussians.map(Scalar.from_gaussian),
+    st.builds(Scalar.normalize, polys, polys.filter(bool)))
+
+
+def sparse_vectors(n):
+    """A few sparse column vectors of length n, over constant and
+    t-dependent scalars."""
+    entries = st.dictionaries(st.integers(0, n - 1), span_scalars,
+                              max_size=3)
+    return st.lists(entries.map(lambda nz: Tensor.from_nonzero((n,), (), nz)),
+                    min_size=1, max_size=6)
+
+
+def _rank(n, vecs):
+    """Rank of the stacked vectors by `Tensor.rref`, an elimination that
+    shares only the row update with `SpanBasis`."""
+    stacked = Tensor.from_nonzero((len(vecs),), (n,), {
+        i * n + k: x for i, v in enumerate(vecs) for k, x in v.nz.items()})
+    return len(stacked.rref()[1])
+
+
+@LAWS
+@given(st.integers(1, 5), st.data())
+def test_span_basis_agrees_with_the_rank(n, data):
+    vecs = data.draw(sparse_vectors(n))
+    # the second order puts later first indices first, so a later vector's
+    # pivot precedes the pivots already stored
+    for order in (vecs, sorted(vecs, key=lambda v: -min(v.nz, default=n))):
+        span, rank = SpanBasis(n), 0
+        for k, v in enumerate(order):
+            grown = _rank(n, order[:k + 1])
+            assert span.add(v) == (grown > rank)
+            rank = grown
+            assert span.dim() == rank
+        pivots = [p for p, _ in span.rows]
+        assert pivots == sorted(pivots)
+        coefs = data.draw(st.lists(span_scalars, min_size=len(order),
+                                   max_size=len(order)))
+        combo = Tensor.zeros((n,), ())
+        for v, c in zip(order, coefs):
+            combo = combo + v * c
+        assert span.contains(combo)
+        for probe in data.draw(sparse_vectors(n)):
+            assert span.contains(probe) == (_rank(n, order + [probe]) == rank)
