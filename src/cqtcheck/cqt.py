@@ -158,8 +158,9 @@ def check_condition2(p: Presentation, c: CandidateR,
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
     the presentation (made at the default depth when omitted, and shared across a
-    family by the callers that classify); it deepens only as far as the
-    blocks need.  `table` holds the reports already decided in the run.
+    family by the callers that classify); it runs only up to the element
+    that witnesses each block, and the next block resumes the round there.
+    `table` holds the reports already decided in the run.
     The laws decided here share one word_R memo, dropped on return.
     """
     if witnesses is None:

@@ -11,10 +11,11 @@ The module also hosts:
 * CandidateR   -- a family of candidate exchange blocks R[a,b], one per pair
   of generators, with unit blocks fixed to identities;
 * FunctionalHom -- a matrix-valued multiplicative functional on free words;
-* Saturation   -- a bounded search, one round at a time, producing
+* Saturation   -- a bounded search in resumable rounds, producing
   certified elements of the intertwiner spaces Mor(source, target)
   generated by the relation matrices and identities under composition and
-  tensoring; `saturate` runs every round for every space, and
+  tensoring; `contains` stops at the element that witnesses its query,
+  `saturate` runs every round for every space, and
   `mor_saturate` reads one space from a saturation aimed at it.  The
   witnessed span is a lower bound for the true space: "witnessed"
   membership is a proof, absence of a witness at a given depth proves
@@ -23,6 +24,7 @@ The module also hosts:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import prod
 
@@ -207,23 +209,28 @@ class Saturation:
     """Intertwiners between bounded words, closed round by round.
 
     Making the object takes the relation matrices and their identity
-    paddings id (x) A (x) id.  Each call of `deepen` then runs one round: one
-    layer of pairwise compositions and tensor products that touch the
-    frontier (the elements the previous round added), followed by the
-    paddings of what the round kept.  Rounds run in a fixed order, so after
-    d rounds the state is the same whichever call asked for them.
+    paddings id (x) A (x) id.  The rounds follow, each one layer of pairwise
+    compositions and tensor products that touch the frontier (the elements
+    the previous round added), then the paddings of what the round kept.
+    A round is resumable: it runs as a generator that can stop after any
+    element it stores and goes on from there at the next query.  Its loops
+    run in a fixed order over the state at the round's start, so every
+    state is a prefix of one fixed sequence of stored elements, whichever
+    queries asked for them and wherever they stopped.  `reached` counts the
+    rounds started.
 
-    `contains` deepens on demand: it runs rounds only until the queried
-    matrix is witnessed or `depth` rounds have run.  `basis` and `saturate`
-    always run to `depth`.  A round only adds to the witnessed span of every
-    Mor(src, dst), so a matrix witnessed after d <= depth rounds is witnessed
-    by the eager saturation too, and one not witnessed after `depth` rounds
-    is not witnessed by it either: every verdict is the eager verdict.  A
-    witness is a proof; its absence proves nothing.
+    `contains` runs the rounds on demand: it stops at the first element
+    stored at the queried (src, dst) that witnesses the matrix, or after
+    `depth` rounds.  `deepen` runs the round under way to its end, and
+    `basis` and `saturate` run every round to `depth`.  Storing an element
+    only adds to the witnessed span of its Mor(src, dst), so a matrix
+    witnessed at any state is witnessed by the eager saturation too, and
+    one not witnessed after `depth` rounds is not witnessed by it either:
+    every verdict is the eager verdict, and every later `basis` the eager
+    basis.  A witness is a proof; its absence proves nothing.
 
     Identity morphisms on every word are present implicitly and are not
-    stored; `elements` holds only the interesting finds, each list ending
-    with the frontier of its (src, dst).
+    stored; `elements` holds only the interesting finds.
 
     Words have at most max_len letters and max_space total dimension.
     Products whose source AND target both exceed max_end_len letters are not
@@ -303,9 +310,13 @@ class Saturation:
             if len(r.source_word) <= max_len and len(r.target_word) <= max_len:
                 if self.add(r.source_word, r.target_word, r.matrix):
                     found.append((r.source_word, r.target_word, r.matrix))
-        self._pad(found)
-        self.frontier = {k: list(v) for k, v in self.elements.items()}
-        self.reached = 0    # rounds run so far
+        for src, dst, t in _paddings(self, found):
+            self.add(src, dst, t)
+        self.reached = 0    # rounds started
+        # the rounds hold the saturation weakly: a strong reference would be
+        # a cycle, which only the cyclic collector frees
+        self._rounds = _rounds(weakref.proxy(self),
+                               {k: list(v) for k, v in self.elements.items()})
 
     def add(self, src, dst, t: Tensor) -> bool:
         if t.is_zero():
@@ -327,75 +338,12 @@ class Saturation:
         return False
 
     def deepen(self) -> bool:
-        """Run the next round; False once `depth` rounds have run or the
-        last round added nothing."""
-        if self.reached >= self.depth or not self.frontier:
-            return False
-        self.reached += 1
-        p, front = self.presentation, self.frontier
-        fresh, aim = [], self._aim()
-
-        def wanted(src, dst):
-            return self._wanted(src, dst) and (aim is None or aim(src, dst))
-
-        def register(src, dst, t):
-            if self.add(src, dst, t):
-                fresh.append((src, dst, t))
-
-        def older(key, items):
-            return items[:len(items) - len(front.get(key, ()))]
-
-        stored = [(k, list(v)) for k, v in self.elements.items()]
-        by_src, by_dst = {}, {}
-        for (src, dst), items in stored:
-            by_src.setdefault(src, []).append((dst, items))
-            by_dst.setdefault(dst, []).append((src, items))
-        place = {k: i for i, k in enumerate(front)}
-        # compositions touching the frontier; identity factors are redundant.
-        # Frontier b . frontier a is formed in the first loop at a's key or
-        # in the second at b's, whichever place comes first.
-        for i, ((src, dst), items) in enumerate(front.items()):
-            for dst2, items2 in by_src.get(dst, ()):
-                if wanted(src, dst2):
-                    if place.get((dst, dst2), i) < i:
-                        items2 = older((dst, dst2), items2)
-                    for a in items:
-                        for b in items2:
-                            register(src, dst2, b @ a)
-            for src0, items0 in by_dst.get(src, ()):
-                if wanted(src0, dst):
-                    if place.get((src0, src), i + 1) <= i:
-                        items0 = older((src0, src), items0)
-                    for a in items0:
-                        for b in items:
-                            register(src0, dst, b @ a)
-        # tensor products touching the frontier that no padding route
-        # reaches; tensors with identities are the paddings, already taken
-        front_items = list(front.items())
-        for left, right in ((front_items, stored), (stored, front_items)):
-            fits = {}  # (room in src, room in dst) -> the right keys, in order
-            for (s1, d1), items1 in left:
-                if left is stored:  # frontier (x) frontier came first
-                    items1 = older((s1, d1), items1)
-                room = (self.max_len - len(s1), self.max_len - len(d1))
-                if room not in fits:
-                    fits[room] = [e for e in right if len(e[0][0]) <= room[0]
-                                  and len(e[0][1]) <= room[1]]
-                for (s2, d2), items2 in fits[room]:
-                    nsrc, ndst = s1 + s2, d1 + d2
-                    if (not wanted(nsrc, ndst)
-                            or p.word_dim(nsrc) > self.max_space
-                            or p.word_dim(ndst) > self.max_space
-                            or self._padding_route(s1, d1, s2, d2)):
-                        continue
-                    for a in items1:
-                        for b in items2:
-                            register(nsrc, ndst, kron(a, b))
-        fresh.extend(self._pad(fresh, aim))
-        self.frontier = {}
-        for src, dst, t in fresh:
-            self.frontier.setdefault((src, dst), []).append(t)
-        return True
+        """Run the round under way to its end, or the next one; False once
+        `depth` rounds have run or the last round added nothing."""
+        for got in self._rounds:
+            if got is None:
+                return True
+        return False
 
     def complete(self) -> "Saturation":
         """Run every remaining round up to `depth`."""
@@ -414,13 +362,16 @@ class Saturation:
         return out
 
     def contains(self, src, dst, t: Tensor) -> bool:
-        """Whether t is witnessed in Mor(src, dst), running rounds only until
-        it is or `depth` rounds have run."""
-        src, dst = tuple(src), tuple(dst)
-        while not self._witnessed(src, dst, t):
-            if not self.deepen():
-                return False
-        return True
+        """Whether t is witnessed in Mor(src, dst), running the rounds only
+        until it is: up to the first element stored at (src, dst) that
+        witnesses it, or to the end of round `depth`."""
+        key = self._query(src, dst)
+        if self._witnessed(key, t):
+            return True
+        for got in self._rounds:
+            if got == key and self._witnessed(key, t):
+                return True
+        return False
 
     def _query(self, src, dst):
         """The key (src, dst) as tuples; a saturation aimed at a goal
@@ -431,11 +382,10 @@ class Saturation:
                              f"answer for Mor{key}")
         return key
 
-    def _witnessed(self, src, dst, t: Tensor) -> bool:
-        src, dst = self._query(src, dst)
-        span = self.spans.get((src, dst))
+    def _witnessed(self, key, t: Tensor) -> bool:
+        span = self.spans.get(key)
         if span is None:
-            if src == dst:
+            if key[0] == key[1]:
                 return _is_scalar_multiple_of_identity(t)
             return t.is_zero()
         return span.contains(t)
@@ -470,31 +420,111 @@ class Saturation:
                    and self.presentation.word_dim(pre + post) <= self.max_space
                    for pre, post in ((s1, d2), (d1, s2)))
 
-    def _pad(self, queue, aim=None):
-        """Add all identity paddings of the queued elements whose key passes
-        `aim`, if given; return the new ones."""
-        p, added = self.presentation, []
-        for src, dst, t in queue:
-            span = max(len(src), len(dst))
-            for pre in self.words:  # in order of length
-                if len(pre) + span > self.max_len:
+
+def _rounds(sat: Saturation, front):
+    """The rounds of `sat`, run lazily from the frontier `front` (the last
+    round's elements per (src, dst)).  Yield the key of each element that
+    `sat.add` keeps, and None at the end of each round.  The saturation
+    holds this generator, so `sat` is a weak proxy of it."""
+    p, fresh = sat.presentation, []
+
+    def keep(src, dst, t):
+        if sat.add(src, dst, t):
+            fresh.append((src, dst, t))
+            return True
+        return False
+
+    while sat.reached < sat.depth and front:
+        sat.reached += 1
+        fresh, aim = [], sat._aim()
+
+        def wanted(src, dst):
+            return sat._wanted(src, dst) and (aim is None or aim(src, dst))
+
+        def older(key, items):
+            return items[:len(items) - len(front.get(key, ()))]
+
+        stored = [(k, list(v)) for k, v in sat.elements.items()]
+        by_src, by_dst = {}, {}
+        for (src, dst), items in stored:
+            by_src.setdefault(src, []).append((dst, items))
+            by_dst.setdefault(dst, []).append((src, items))
+        place = {k: i for i, k in enumerate(front)}
+        # compositions touching the frontier; identity factors are redundant.
+        # Frontier b . frontier a is formed in the first loop at a's key or
+        # in the second at b's, whichever place comes first.
+        for i, ((src, dst), items) in enumerate(front.items()):
+            for dst2, items2 in by_src.get(dst, ()):
+                if wanted(src, dst2):
+                    if place.get((dst, dst2), i) < i:
+                        items2 = older((dst, dst2), items2)
+                    for a in items:
+                        for b in items2:
+                            if keep(src, dst2, b @ a):
+                                yield src, dst2
+            for src0, items0 in by_dst.get(src, ()):
+                if wanted(src0, dst):
+                    if place.get((src0, src), i + 1) <= i:
+                        items0 = older((src0, src), items0)
+                    for a in items0:
+                        for b in items:
+                            if keep(src0, dst, b @ a):
+                                yield src0, dst
+        # tensor products touching the frontier that no padding route
+        # reaches; tensors with identities are the paddings, already taken
+        front_items = list(front.items())
+        for left, right in ((front_items, stored), (stored, front_items)):
+            fits = {}  # (room in src, room in dst) -> the right keys, in order
+            for (s1, d1), items1 in left:
+                if left is stored:  # frontier (x) frontier came first
+                    items1 = older((s1, d1), items1)
+                room = (sat.max_len - len(s1), sat.max_len - len(d1))
+                if room not in fits:
+                    fits[room] = [e for e in right if len(e[0][0]) <= room[0]
+                                  and len(e[0][1]) <= room[1]]
+                for (s2, d2), items2 in fits[room]:
+                    nsrc, ndst = s1 + s2, d1 + d2
+                    if (not wanted(nsrc, ndst)
+                            or p.word_dim(nsrc) > sat.max_space
+                            or p.word_dim(ndst) > sat.max_space
+                            or sat._padding_route(s1, d1, s2, d2)):
+                        continue
+                    for a in items1:
+                        for b in items2:
+                            if keep(nsrc, ndst, kron(a, b)):
+                                yield nsrc, ndst
+        for src, dst, t in _paddings(sat, fresh[:], aim):
+            if keep(src, dst, t):
+                yield src, dst
+        front = {}
+        for src, dst, t in fresh:
+            front.setdefault((src, dst), []).append(t)
+        yield None
+
+
+def _paddings(sat: Saturation, queue, aim=None):
+    """Yield (src, dst, t) for every identity padding of the queued
+    elements inside the bounds of `sat` whose key passes `aim`, if given."""
+    p, words, max_len, max_space = (sat.presentation, sat.words, sat.max_len,
+                                    sat.max_space)
+    for src, dst, t in queue:
+        span = max(len(src), len(dst))
+        for pre in words:  # in order of length
+            if len(pre) + span > max_len:
+                break
+            for post in words:
+                if len(pre) + len(post) + span > max_len:
                     break
-                for post in self.words:
-                    if len(pre) + len(post) + span > self.max_len:
-                        break
-                    if not pre and not post:
-                        continue
-                    nsrc, ndst = pre + src + post, pre + dst + post
-                    if aim is not None and not aim(nsrc, ndst):
-                        continue
-                    if (p.word_dim(nsrc) > self.max_space
-                            or p.word_dim(ndst) > self.max_space):
-                        continue
-                    padded = pad_with_identity(t, p.word_dims(pre),
-                                               p.word_dims(post))
-                    if self.add(nsrc, ndst, padded):
-                        added.append((nsrc, ndst, padded))
-        return added
+                if not pre and not post:
+                    continue
+                nsrc, ndst = pre + src + post, pre + dst + post
+                if aim is not None and not aim(nsrc, ndst):
+                    continue
+                if (p.word_dim(nsrc) > max_space
+                        or p.word_dim(ndst) > max_space):
+                    continue
+                yield nsrc, ndst, pad_with_identity(t, p.word_dims(pre),
+                                                    p.word_dims(post))
 
 
 def _factors(word) -> set:
@@ -511,7 +541,7 @@ def saturate(p: Presentation, depth: int = 3, max_len: int = 4,
              max_space: int = 400, max_end_len: int = 2) -> Saturation:
     """The saturation with all `depth` rounds run, for callers that read
     whole bases of any space; `mor` aims one at its space, and the checks
-    deepen a `Saturation` lazily instead.  See `Saturation` for the bounds,
+    query a lazy `Saturation` instead.  See `Saturation` for the bounds,
     the `kron` restriction and why a lazy verdict is the eager one."""
     return Saturation(p, depth, max_len, max_space, max_end_len).complete()
 

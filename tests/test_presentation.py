@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
-from cqtcheck import cqt, lorentz
+from cqtcheck import catalog, cqt, lorentz
 from cqtcheck.errors import DuplicateName, ShapeError, UnknownGenerator
 from cqtcheck.presentation import (CandidateR, GeneratorSpec, Presentation,
-                                   Relation, mor_saturate, saturate)
+                                   Relation, Saturation, mor_saturate,
+                                   saturate)
 from cqtcheck.scalars import ConjMode, ONE, Q, T, ZERO
 from cqtcheck.tensor import SpanBasis, Tensor, flip, kron
 
@@ -179,3 +183,40 @@ def test_functional_hom_unital(slq2):
     assert h.value(()) == Tensor.identity((2,))
     word = (("w", 0, 0), ("w", 1, 1))
     assert h.value(word) == h.value(word[:1]) @ h.value(word[1:])
+
+
+def _check_block():
+    """A block of the canonical lorentz-flip candidate, first witnessed by
+    a composition in round 2."""
+    d = catalog.resolve("lorentz-flip", None)
+    return (d.presentation, 2, ("wb", "w"), ("w", "wb"),
+            lorentz.lorentz_family(d)[0].blocks["wb", "w"])
+
+
+def _padding():
+    """The first element of Mor(w w w, w w w) of slq2, a padding kept in
+    round 1."""
+    p, www = catalog.resolve("slq2", None).presentation, ("w",) * 3
+    return p, 1, www, www, saturate(p, depth=1).elements[www, www][0]
+
+
+@pytest.mark.parametrize("pause", [_check_block, _padding],
+                         ids=["check-block", "padding"])
+def test_saturation_stopped_inside_a_round_needs_no_cycle_collector(pause):
+    # the saturation holds its round under way, which refers back to it
+    # only weakly: a cycle would keep every check's saturation alive until
+    # the cyclic collector runs
+    p, rounds, src, dst, t = pause()
+    sat = Saturation(p)
+    assert sat.contains(src, dst, t)
+    assert sat.reached == rounds
+    # stopped inside the round: it stores less than the whole round does
+    assert (sum(map(len, sat.elements.values()))
+            < sum(map(len, saturate(p, depth=rounds).elements.values())))
+    alive = weakref.ref(sat)
+    gc.disable()
+    try:
+        del sat
+        assert alive() is None
+    finally:
+        gc.enable()

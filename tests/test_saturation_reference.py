@@ -7,7 +7,8 @@ both orders, with no duplicate screen, no padding-route test and no stop
 before the last round.  Its span dimension at every (src, dst), recorded
 after each round, must equal that of `saturate` at that depth.  The lazy
 `contains` must give the eager verdict on every block of the built-in
-candidate families.  One presentation mixes generator dimensions, so that
+candidate families, and leave a prefix of the eager saturation's stored
+elements at every key.  One presentation mixes generator dimensions, so that
 max_space drops words inside a length layer, as it does for no built-in.
 """
 
@@ -130,6 +131,13 @@ def _families(name, value):
     return d.presentation, lorentz.lorentz_family(d)
 
 
+def _prefix(got, want):
+    """Whether the tensors in got begin the list want, legs included."""
+    return len(got) <= len(want) and all(
+        a.cod == b.cod and a.dom == b.dom and a == b
+        for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("name", DATA)
 def test_lazy_contains_gives_the_eager_verdict(name, point):
@@ -139,9 +147,18 @@ def test_lazy_contains_gives_the_eager_verdict(name, point):
         for (a, b), block in cand.blocks.items():
             assert (lazy.contains((a, b), (b, a), block)
                     == eager.contains((a, b), (b, a), block))
+            # a contains that stops inside a round leaves a prefix of the
+            # eager saturation's stored elements, at every key
+            assert all(_prefix(items, eager.elements.get(key, []))
+                       for key, items in lazy.elements.items())
     # every built-in block is witnessed before the last round
     assert lazy.reached < DEPTH
     # a block outside the span runs every round before it is refused
     diag = Tensor.from_rows([[1, 0], [0, 2]])
     assert not lazy.contains(("w", "w"), ("w", "w"), kron(diag, diag))
     assert lazy.reached == DEPTH
+    lazy.complete()
+    assert lazy.elements.keys() == eager.elements.keys()
+    assert all(len(items) == len(eager.elements[key])
+               and _prefix(items, eager.elements[key])
+               for key, items in lazy.elements.items())

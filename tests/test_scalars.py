@@ -240,6 +240,29 @@ def test_saturation_takes_few_row_updates(monkeypatch, capsys, argv, most,
     assert 0 < len(calls) <= most
 
 
+@pytest.mark.parametrize("argv, most, expect", [
+    (["check", "builtin:lorentz-flip", "--suite", "classify"], 624,
+     "CQT candidates: 64"),
+    (["check", "builtin:slq2"], 17, "20/20 checks passed"),
+], ids=["lorentz-flip-classify", "slq2-check"])
+def test_check_saturation_stops_at_the_witness(monkeypatch, capsys, argv,
+                                                most, expect):
+    # a check's saturation stops at the element that witnesses its last
+    # block; running each round to its end took 931 and 38 adds
+    from cqtcheck import cli, presentation
+    calls = []
+    add = presentation.Saturation.add
+
+    def counted(self, *args):
+        calls.append(args)
+        return add(self, *args)
+
+    monkeypatch.setattr(presentation.Saturation, "add", counted)
+    assert cli.main(argv) == 0
+    assert expect in capsys.readouterr().out
+    assert 0 < len(calls) <= most
+
+
 def test_slq2_saturation_takes_no_gcd(monkeypatch, capsys):
     # every entry of the saturation is a Laurent polynomial over a power of
     # t; it made 1,701 gcd calls, every one trivial once t^k is factored out
