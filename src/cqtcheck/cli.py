@@ -40,8 +40,8 @@ OPT_IN = ("star", "ct")          # run only when named with --suite
 CLASSIFY = ("classify", "poincare")
 NEEDS_CANDIDATE = ("cqt", "star", "ct", "classify")
 # work budgets: saturation rounds, the uea word length (the Poincare data
-# have 20^n words of length n), and the letters of a mor word (mor saturates
-# words two letters longer)
+# have 20^n words of length n), and the letters of a mor word (the longer
+# word is the saturation's max_end_len: words of max_end_len + 2 letters)
 MAX_DEPTH = 8
 MAX_LEN = 3
 MAX_MOR_WORD = 3
@@ -207,9 +207,9 @@ class _Run:
 
 def _cqt(run):
     p, cand = run.datum.presentation, run.candidate
-    reports = cqt.check_condition2(p, cand, run.witnesses, table=run.table)
+    reports = cqt.check_condition2(cand, run.witnesses, table=run.table)
     for beta in p.generators:
-        reports += cqt.check_relations_preserved(cqt.eval_hom(p, cand, beta), p)
+        reports += cqt.check_relations_preserved(cqt.eval_hom(cand, beta), p)
     return reports
 
 
@@ -249,7 +249,8 @@ def _sl2_matrices(d):
 def _inhom_matrices(d):
     out = {"R": d.R, "Z": d.Z, "T": d.T, "RP": inhomog.build_RP(d),
            "K": uea.build_K(d)}
-    out.update((k, v) for k, v in (("m0", d.m0), ("V", d.V)) if v is not None)
+    if not d.abstract:
+        out.update(m0=d.m0, V=inhomog.pauli_basis()[0])
     return out
 
 
@@ -303,13 +304,12 @@ SUITE_TABLE = {
                 f"{len(run.datum.presentation.generators) - 1} generators, "
                 f"{len(run.datum.presentation.relations)} relations")],
             "cqt": lambda run: cqt.check_condition2(
-                run.datum.presentation, run.candidate, run.witnesses,
-                table=run.table),
+                run.candidate, run.witnesses, table=run.table),
             "star": _star,
             "ct": _ct,
             "classify": lambda run: _classified(run, cqt.classify(
-                run.datum.presentation, [run.candidate], mode=run.datum.mode,
-                witnesses=run.witnesses, table=run.table)),
+                [run.candidate], mode=run.datum.mode, witnesses=run.witnesses,
+                table=run.table)),
         }),
 }
 

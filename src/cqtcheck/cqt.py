@@ -151,9 +151,10 @@ def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
     return table[key]
 
 
-def check_condition2(p: Presentation, c: CandidateR,
-                     witnesses: Saturation = None, table: dict = None):
-    """Exchange-law and intertwiner reports for one candidate family.
+def check_condition2(c: CandidateR, witnesses: Saturation = None,
+                     table: dict = None):
+    """Exchange-law and intertwiner reports for one candidate family, on
+    its own presentation.
 
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
@@ -163,6 +164,7 @@ def check_condition2(p: Presentation, c: CandidateR,
     `table` holds the reports already decided in the run.
     The laws decided here share one word_R memo, dropped on return.
     """
+    p = c.presentation
     if witnesses is None:
         witnesses = Saturation(p)
     memo = {}
@@ -182,13 +184,14 @@ def check_condition2(p: Presentation, c: CandidateR,
     return reports
 
 
-def eval_hom(p: Presentation, c: CandidateR, beta: str) -> FunctionalHom:
-    """Matrix evaluation map against the beta generator.
+def eval_hom(c: CandidateR, beta: str) -> FunctionalHom:
+    """Matrix evaluation map against the beta generator of c's presentation.
 
     The letter (a, i, j) evaluates to the beta-sized matrix whose (k, l)
     entry is R[a,beta][(k,i),(j,l)]; for beta the unit this is the counit
     pattern delta_ij.
     """
+    p = c.presentation
     values = {(a, i, j): c.block(a, beta).slice_legs((0,), (3,), {1: i, 2: j})
               for a in p.non_unit() for i in range(p.dim(a))
               for j in range(p.dim(a))}
@@ -286,23 +289,24 @@ def distinct(family) -> list:
     return list(unique.values())
 
 
-def classify(p: Presentation, family, mode: ConjMode = None,
-             witnesses: Saturation = None, table: dict = None) -> ClassifyResult:
-    """Run the core, star and cotriangularity checks over a finite family.
+def classify(family, mode: ConjMode = None, witnesses: Saturation = None,
+             table: dict = None) -> ClassifyResult:
+    """Run the core, star and cotriangularity checks over a finite family
+    of candidates on one presentation.
 
     Duplicate members (equal block families) are merged before counting.
     The star tally is only computed when a conjugation mode is given and
     the presentation has a conjugation making the star check meaningful.
-    The members share `table` (see check_condition2), made here when
-    omitted.
+    The members share `witnesses` and `table` (see check_condition2), made
+    here when omitted.
     """
-    if witnesses is None:
-        witnesses = Saturation(p)
     table = {} if table is None else table
     unique = distinct(family)
+    if witnesses is None and unique:
+        witnesses = Saturation(unique[0].presentation)
     passing, star_passing, ct_passing, ct_star = [], [], [], []
     for idx, cand in enumerate(unique):
-        if not all_pass(check_condition2(p, cand, witnesses, table=table)):
+        if not all_pass(check_condition2(cand, witnesses, table=table)):
             continue
         passing.append(idx)
         star_ok = mode is not None and all_pass(check_star(cand, mode, table))

@@ -307,8 +307,8 @@ class _Parser(TokenParser):
     def _span_text(self, start, end):
         return " ".join(t.text for t in self.tokens[start:end])
 
-    def _starts_scalar(self, offset=0) -> bool:
-        tok = self.tokens[self.pos + offset]
+    def _starts_scalar(self) -> bool:
+        tok = self.peek()
         return tok.kind == "int" or tok.text in SYMBOLS
 
     # -- tensor expressions ---------------------------------------------------

@@ -44,7 +44,7 @@ in the abstract mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
@@ -77,24 +77,22 @@ class InhomDatum:
     invariants: list               # stored Mor(1, v (x) v) columns
     mode: ConjMode = ConjMode.REAL
     lorentz: LorentzDatum = None
-    V: Tensor = None
-    m0: Tensor = None
     L: Tensor = None
     Ltilde: Tensor = None
-
-    @cached_property
-    def V_inv(self) -> Tensor:
-        return self.V.inverse()
 
     @property
     def abstract(self) -> bool:
         return self.lorentz is None
 
     @property
+    def m0(self):
+        """The distinguished invariant column of a spinor datum, stored
+        first; None on abstract data."""
+        return None if self.abstract else self.invariants[0]
+
+    @property
     def invariant(self):
-        """The invariant column R_Q uses: m0, else the first stored one."""
-        if self.m0 is not None:
-            return self.m0
+        """The invariant column R_Q uses: the first stored one."""
         return self.invariants[0] if self.invariants else None
 
     def rep(self, name: str) -> RepEntry:
@@ -109,14 +107,18 @@ class InhomDatum:
         return names + [LAM]
 
 
-def pauli_V() -> Tensor:
-    """Columns are the unit and the three Pauli matrices in (CD) order."""
-    return Tensor((2, 2), (4,), [
+@cache
+def pauli_basis() -> tuple:
+    """(V, V^(-1)) for the intertwiner V whose columns are the unit and the
+    three Pauli matrices in (CD) order; one pair for every spinor datum,
+    made on first use."""
+    V = Tensor((2, 2), (4,), [
         ONE, ZERO, ZERO, ONE,       # row (0,0): sigma_x00 entries per column
         ZERO, ONE, -I, ZERO,        # row (0,1)
         ZERO, ONE, I, ZERO,         # row (1,0)
         ONE, ZERO, ZERO, -ONE,      # row (1,1)
     ])
+    return V, V.inverse()
 
 
 def _g_compose(g1: Tensor, g2: Tensor) -> Tensor:
@@ -150,8 +152,7 @@ def poincare_from_lorentz(ld: LorentzDatum) -> InhomDatum:
         m0 = (V^(-1) (x) V^(-1)) (1 (x) X (x) 1) (E (x) tau E).
     """
     N = 4
-    V = pauli_V()
-    Vinv = V.inverse()
+    V, Vinv = pauli_basis()
     q = ld.q
     X, Xinv = ld.X, ld.X_inv
     L = candidate_L(ld.base, 1)
@@ -178,8 +179,7 @@ def poincare_from_lorentz(ld: LorentzDatum) -> InhomDatum:
     m0 = (kron(Vinv, Vinv) @ pad_with_identity(X, (2,), (2,))
           @ kron(E, tauE)).with_legs((N, N), ())
     datum = InhomDatum(N, R, Z, T, reps, [m0], mode=ld.mode, lorentz=ld,
-                       V=V, m0=m0, L=L, Ltilde=Lt)
-    datum.__dict__["V_inv"] = Vinv  # fills the cached_property: V is inverted once
+                       L=L, Ltilde=Lt)
     _validate_ingestion(datum)
     return datum
 
@@ -366,39 +366,25 @@ def braid_defect(RQ: Tensor) -> Tensor:
     return r1 @ r2 @ r1 - r2 @ r1 @ r2
 
 
-def exchange_block(d: InhomDatum, cand: CandidateR, v: str, w: str) -> Tensor:
-    """R[v,w] for reps in the hexagon test set, the vector rep included."""
-    if v == LAM and w == LAM:
-        return d.R
-    if w == LAM:
-        g = d.rep(v).G
-        dv = g.cod[1]
-        return g.with_legs((d.N, dv), (dv, d.N))
-    if v == LAM:
-        g = d.rep(w).G_inv
-        dv = g.cod[0]
-        return g.with_legs((dv, d.N), (d.N, dv))
-    if cand is None:
-        raise MissingRep("spinor pairs need a candidate family")
-    return cand.block(v, w)
-
-
 def exchange_table(d: InhomDatum, cand: CandidateR, rq: Tensor) -> CandidateR:
     """Exchange blocks over the hexagon reps and the extended letter EXT.
 
-    R[v,EXT] = N_v, R[EXT,EXT] = rq, and R[v,w] is the exchange block
-    wherever one exists (pairs of spinor reps need a candidate).
+    R[v,EXT] = N_v, R[EXT,EXT] = rq, R[LAM,LAM] = R, and for every other
+    rep v, R[v,LAM] = G_v and R[LAM,v] = G_v^(-1); pairs of other reps
+    take the blocks of cand, when given.
     """
     names = d.hexagon_reps()
     gens = [GeneratorSpec(n, d.rep(n).G.cod[1], n) for n in names]
-    blocks = {(EXT, EXT): rq}
+    blocks = {(EXT, EXT): rq, (LAM, LAM): d.R}
     for v in names:
         blocks[(v, EXT)] = build_N(d, v)
-        for w in names:
-            try:
-                blocks[(v, w)] = exchange_block(d, cand, v, w)
-            except MissingRep:
-                pass
+        if v != LAM:
+            e = d.rep(v)
+            dv = e.G.cod[1]
+            blocks[(v, LAM)] = e.G.with_legs((d.N, dv), (dv, d.N))
+            blocks[(LAM, v)] = e.G_inv.with_legs((dv, d.N), (d.N, dv))
+    if cand is not None:
+        blocks.update(cand.blocks)
     p = Presentation(gens + [GeneratorSpec(EXT, d.N + 1, EXT)], [])
     return CandidateR(p, blocks)
 
@@ -475,10 +461,9 @@ def _intertwiner_compat(d: InhomDatum, table: CandidateR):
 
 
 def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
-    """Candidate word blocks against the vector rep must reproduce G and G^(-1)."""
-    if d.abstract:
-        return [cqt.CheckReport("vector-normalization", "skipped", None,
-                                "abstract mode")]
+    """Candidate word blocks against the vector rep must reproduce G and
+    G^(-1); a spinor datum's check."""
+    V, Vinv = pauli_basis()
     reports = []
     for v in (W, WB):
         e = d.rep(v)
@@ -487,8 +472,8 @@ def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
                 ("right", f"vector-normalization:{v}:P", ((), (2,)), e.G),
                 ("left", f"vector-normalization:P:{v}", ((2,), ()), e.G_inv)):
             word = cqt.word_R(cand, (W, WB), v, side)
-            got = (pad_with_identity(d.V_inv, *ends) @ word
-                   @ pad_with_identity(d.V, *reversed(ends)))
+            got = (pad_with_identity(Vinv, *ends) @ word
+                   @ pad_with_identity(V, *reversed(ends)))
             reports.append(cqt.defect_report(cid, got - want))
     return reports
 

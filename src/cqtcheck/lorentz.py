@@ -94,8 +94,7 @@ def sl2_family(d: SL2Datum):
 
 def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
                  table: dict = None) -> cqt.ClassifyResult:
-    return cqt.classify(d.presentation, sl2_family(d), witnesses=witnesses,
-                        table=table)
+    return cqt.classify(sl2_family(d), witnesses=witnesses, table=table)
 
 
 def validate_sl2(d: SL2Datum):
@@ -222,7 +221,7 @@ def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None,
     computed counts against the reference tallies for admissible data; a
     divergence is flagged in that report, never suppressed.
     """
-    result = cqt.classify(d.presentation, lorentz_family(d), mode=d.mode,
+    result = cqt.classify(lorentz_family(d), mode=d.mode,
                           witnesses=witnesses, table=table)
     ref = reference_counts(d)
     got = result.counts()

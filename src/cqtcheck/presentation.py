@@ -32,6 +32,10 @@ from .errors import DuplicateName, MissingBlock, MissingRep, ShapeError, Unknown
 from .tensor import SpanBasis, Tensor, kron, pad_with_identity
 
 UNIT = "1"
+# the saturation's bound on a word's total dimension, its work budget: it
+# holds every two-letter word of document generators, whose dimension the
+# parser caps at 16
+MAX_SPACE = 400
 
 
 @dataclass(frozen=True)
@@ -232,13 +236,14 @@ class Saturation:
     Identity morphisms on every word are present implicitly and are not
     stored; `elements` holds only the interesting finds.
 
-    Words have at most max_len letters and max_space total dimension.
-    Products whose source AND target both exceed max_end_len letters are not
-    stored (identity paddings are always kept as connectors): a chain
-    between short words refolds through short-ended partial products, so
-    this keeps the search useful for the short spaces the checks consume
-    while avoiding the large interior spaces.  Pass max_end_len=max_len to
-    disable the pruning.  The pads, `words`, come in order of length.
+    The one bound is max_end_len.  Words have at most max_len =
+    max_end_len + 2 letters and MAX_SPACE total dimension.  Products whose
+    source AND target both exceed max_end_len letters are not stored
+    (identity paddings are always kept as connectors): a chain between
+    short words refolds through short-ended partial products, so this keeps
+    the search useful for the short spaces the checks consume while
+    avoiding the large interior spaces.  The pads, `words`, come in order
+    of length.
 
     A round forms each product of two frontier elements once, at the first
     place the order of the loops reaches it; the second copy would be an
@@ -249,7 +254,7 @@ class Saturation:
     A (x) B = (A (x) 1_d2) . (1_s1 (x) B) = (1_d1 (x) B) . (A (x) 1_s2),
     through the middle word s1 d2 or d1 s2.
     A route lies inside the bounds the paddings obey when its middle word is
-    within max_space and each padding, the padded element's longer end plus
+    within MAX_SPACE and each padding, the padded element's longer end plus
     the pad, is within max_len.  Then both paddings were witnessed before
     the round began, every pair of stored elements is composed by the end
     of the round's compositions, and the composite has the key
@@ -257,7 +262,7 @@ class Saturation:
     product does.  So A (x) B is witnessed before the product would be
     formed, and skipping it changes no stored element.  Neither route need
     fit: for generators a (dim 3), h (dim 1), g (dim 200), relations
-    A: a -> h h and B: h h h h -> g, max_len 5 and max_end_len 3, the route
+    A: a -> h h and B: h h h h -> g, and max_end_len 3 (max_len 5), the route
     through a g needs 600 dimensions and the one through h^6 needs 6
     letters, and only the tensor product witnesses A (x) B.
 
@@ -288,13 +293,12 @@ class Saturation:
     g h (600 dimensions) fits.
     """
 
-    def __init__(self, p: Presentation, depth: int = 3, max_len: int = 4,
-                 max_space: int = 400, max_end_len: int = 2, goal=None):
+    def __init__(self, p: Presentation, depth: int = 3, max_end_len: int = 2,
+                 goal=None):
         self.presentation = p
         self.depth = depth
-        self.max_len = max_len
-        self.max_space = max_space
         self.max_end_len = max_end_len
+        self.max_len = max_len = max_end_len + 2
         self.goal = None if goal is None else tuple(map(tuple, goal))
         self.elements = {}  # (src, dst) -> list of Tensor
         self.spans = {}     # (src, dst) -> SpanBasis
@@ -303,7 +307,7 @@ class Saturation:
         layer, alphabet = [()], p.non_unit()
         for _ in range(max_len):
             layer = [w + (a,) for w in layer for a in alphabet
-                     if p.word_dim(w + (a,)) <= max_space]
+                     if p.word_dim(w + (a,)) <= MAX_SPACE]
             self.words.extend(layer)
         found = []
         for r in p.relations:
@@ -390,9 +394,6 @@ class Saturation:
             return t.is_zero()
         return span.contains(t)
 
-    def _wanted(self, src, dst) -> bool:
-        return min(len(src), len(dst)) <= self.max_end_len
-
     def _aim(self):
         """The test (src, dst) -> bool a key passes to be added in this
         round, or None when every key may be."""
@@ -417,7 +418,7 @@ class Saturation:
         m1, m2 = max(len(s1), len(d1)), max(len(s2), len(d2))
         return any(len(pre) + m2 <= self.max_len
                    and len(post) + m1 <= self.max_len
-                   and self.presentation.word_dim(pre + post) <= self.max_space
+                   and self.presentation.word_dim(pre + post) <= MAX_SPACE
                    for pre, post in ((s1, d2), (d1, s2)))
 
 
@@ -439,7 +440,8 @@ def _rounds(sat: Saturation, front):
         fresh, aim = [], sat._aim()
 
         def wanted(src, dst):
-            return sat._wanted(src, dst) and (aim is None or aim(src, dst))
+            return (min(len(src), len(dst)) <= sat.max_end_len
+                    and (aim is None or aim(src, dst)))
 
         def older(key, items):
             return items[:len(items) - len(front.get(key, ()))]
@@ -485,8 +487,8 @@ def _rounds(sat: Saturation, front):
                 for (s2, d2), items2 in fits[room]:
                     nsrc, ndst = s1 + s2, d1 + d2
                     if (not wanted(nsrc, ndst)
-                            or p.word_dim(nsrc) > sat.max_space
-                            or p.word_dim(ndst) > sat.max_space
+                            or p.word_dim(nsrc) > MAX_SPACE
+                            or p.word_dim(ndst) > MAX_SPACE
                             or sat._padding_route(s1, d1, s2, d2)):
                         continue
                     for a in items1:
@@ -505,8 +507,7 @@ def _rounds(sat: Saturation, front):
 def _paddings(sat: Saturation, queue, aim=None):
     """Yield (src, dst, t) for every identity padding of the queued
     elements inside the bounds of `sat` whose key passes `aim`, if given."""
-    p, words, max_len, max_space = (sat.presentation, sat.words, sat.max_len,
-                                    sat.max_space)
+    p, words, max_len = sat.presentation, sat.words, sat.max_len
     for src, dst, t in queue:
         span = max(len(src), len(dst))
         for pre in words:  # in order of length
@@ -520,8 +521,8 @@ def _paddings(sat: Saturation, queue, aim=None):
                 nsrc, ndst = pre + src + post, pre + dst + post
                 if aim is not None and not aim(nsrc, ndst):
                     continue
-                if (p.word_dim(nsrc) > max_space
-                        or p.word_dim(ndst) > max_space):
+                if (p.word_dim(nsrc) > MAX_SPACE
+                        or p.word_dim(ndst) > MAX_SPACE):
                     continue
                 yield nsrc, ndst, pad_with_identity(t, p.word_dims(pre),
                                                     p.word_dims(post))
@@ -537,26 +538,24 @@ def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
     return t.nrows == t.ncols and t == Tensor.identity((t.nrows,)) * t[0, 0]
 
 
-def saturate(p: Presentation, depth: int = 3, max_len: int = 4,
-             max_space: int = 400, max_end_len: int = 2) -> Saturation:
+def saturate(p: Presentation, depth: int = 3,
+             max_end_len: int = 2) -> Saturation:
     """The saturation with all `depth` rounds run, for callers that read
     whole bases of any space; `mor` aims one at its space, and the checks
-    query a lazy `Saturation` instead.  See `Saturation` for the bounds,
-    the `kron` restriction and why a lazy verdict is the eager one."""
-    return Saturation(p, depth, max_len, max_space, max_end_len).complete()
+    query a lazy `Saturation` instead.  See `Saturation` for the one bound,
+    max_end_len, the `kron` restriction and why a lazy verdict is the eager
+    one."""
+    return Saturation(p, depth, max_end_len).complete()
 
 
-def mor_saturate(p: Presentation, src, dst, depth: int = 3,
-                 max_len: int = None) -> list:
+def mor_saturate(p: Presentation, src, dst, depth: int = 3) -> list:
     """Basis of the witnessed span of Mor(src, dst), from a saturation
     aimed at it: element for element, in order, the basis that `saturate`
-    reads at the same bounds.  See `Saturation` for why."""
+    reads at max_end_len the longer of src, dst and 2.  See `Saturation`
+    for why."""
     for name in (*src, *dst):
         if name not in p.generators:
             raise UnknownGenerator(f"{name!r} in a Mor word; generators: "
                                    f"{', '.join(p.non_unit())}")
-    if max_len is None:
-        max_len = max(len(src), len(dst), 2) + 2
-    sat = Saturation(p, depth=depth, max_len=max_len,
-                     max_end_len=max(len(src), len(dst), 2), goal=(src, dst))
-    return sat.basis(src, dst)
+    return Saturation(p, depth, max(len(src), len(dst), 2),
+                      goal=(src, dst)).basis(src, dst)

@@ -103,7 +103,7 @@ class Tensor:
         return Tensor.from_nonzero(dims, dims, {k * n + k: ONE for k in range(n)})
 
     @staticmethod
-    def from_rows(rows, cod=None, dom=None) -> "Tensor":
+    def from_rows(rows) -> "Tensor":
         """Build from a list of row lists; ints/fractions are coerced."""
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
@@ -112,8 +112,7 @@ class Tensor:
             if len(r) != nc:
                 raise ShapeError("ragged rows")
             entries.extend(_as_scalar(x) for x in r)
-        return Tensor(cod if cod is not None else [nr],
-                      dom if dom is not None else [nc], entries)
+        return Tensor([nr], [nc], entries)
 
     # -- indexing -------------------------------------------------------------
 
@@ -583,7 +582,7 @@ def tauconj(a: Tensor, mode: ConjMode) -> Tensor:
 class SpanBasis:
     """Incremental exact span of flat vectors, for membership tests.
 
-    Vectors are Tensors (their flat entries) or dense lists of Scalars.
+    Vectors are Tensors, read as their flat entries.
     The sparse rows are in echelon form, not reduced: each row is zero at
     the earlier pivots and 1 at its own, its first nonzero index.  So
     membership is one forward pass in pivot order, and `add` touches no
@@ -594,14 +593,10 @@ class SpanBasis:
         self.length = length
         self.rows = []  # (pivot index, echelon {index: value}) sorted by pivot
 
-    def _sparse(self, vec) -> dict:
-        if isinstance(vec, Tensor):
-            if vec.nrows * vec.ncols != self.length:
-                raise ShapeError("vector length mismatch in span")
-            return dict(vec.nz)
-        if len(vec) != self.length:
+    def _sparse(self, vec: Tensor) -> dict:
+        if vec.nrows * vec.ncols != self.length:
             raise ShapeError("vector length mismatch in span")
-        return {k: x for k, x in enumerate(vec) if x.num}
+        return dict(vec.nz)
 
     def _eliminate(self, vec: dict) -> dict:
         for pivot, row in self.rows:
@@ -610,7 +605,7 @@ class SpanBasis:
                 _axpy(vec, -f, row)
         return vec
 
-    def add(self, vec) -> bool:
+    def add(self, vec: Tensor) -> bool:
         """Insert a vector; False when it was already in the span."""
         vec = self._eliminate(self._sparse(vec))
         if not vec:
@@ -622,7 +617,7 @@ class SpanBasis:
         insort(self.rows, (pivot, vec), key=lambda pr: pr[0])
         return True
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: Tensor) -> bool:
         return not self._eliminate(self._sparse(vec))
 
     def dim(self) -> int:

@@ -127,7 +127,7 @@ def test_criterion_7_negative_controls():
         d = make_slq2()
         scaled = CandidateR(d.presentation,
                             {("w", "w"): lorentz.candidate_L(d, 1) * 2})
-        reports = cqt.check_condition2(d.presentation, scaled)
+        reports = cqt.check_condition2(scaled)
         assert any(r.status == "fail" and r.check_id.startswith("exchange")
                    for r in reports)
         from cqtcheck.scalars import I
@@ -201,19 +201,18 @@ def test_criterion_9_property_suites():
         # trivial candidate family on the commutative datum passes everything
         d1 = make_slq2(1)
         trivial = CandidateR(d1.presentation, {("w", "w"): flip(2, 2)})
-        assert cqt.all_pass(cqt.check_condition2(d1.presentation, trivial))
+        assert cqt.all_pass(cqt.check_condition2(trivial))
         assert cqt.all_pass(cqt.check_ct(trivial))
         # the two code paths agree on every built-in family
         for datum in (make_slq2(), d1):
             sat = saturate(datum.presentation)
             for cand in lorentz.sl2_family(datum):
                 cond2 = cqt.all_pass(
-                    r for r in cqt.check_condition2(datum.presentation, cand, sat)
+                    r for r in cqt.check_condition2(cand, sat)
                     if r.check_id.startswith("exchange"))
                 preserved = all(
                     cqt.all_pass(cqt.check_relations_preserved(
-                        cqt.eval_hom(datum.presentation, cand, beta),
-                        datum.presentation))
+                        cqt.eval_hom(cand, beta), datum.presentation))
                     for beta in datum.presentation.generators)
                 assert cond2 == preserved
         lf = make_lorentz_flip(1)
@@ -221,10 +220,10 @@ def test_criterion_9_property_suites():
         for cand in (lorentz.candidate_blocks(lf, 1, 1, 1, 1),
                      lorentz.candidate_blocks(lf, 1, 2, -1, 1)):
             cond2 = cqt.all_pass(
-                r for r in cqt.check_condition2(lf.presentation, cand, satl)
+                r for r in cqt.check_condition2(cand, satl)
                 if r.check_id.startswith("exchange"))
             preserved = all(
                 cqt.all_pass(cqt.check_relations_preserved(
-                    cqt.eval_hom(lf.presentation, cand, beta), lf.presentation))
+                    cqt.eval_hom(cand, beta), lf.presentation))
                 for beta in lf.presentation.generators)
             assert cond2 == preserved

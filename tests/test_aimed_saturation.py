@@ -2,8 +2,8 @@
 
 `mor_saturate` makes a `Saturation` with a goal, which skips last-round
 products that cannot reach it.  Its basis must equal, element for element
-and in order, the basis that the unaimed `saturate` reads at the same bounds
-(max_len = mel + 2, max_end_len = mel, with mel = max(len src, len dst, 2)).
+and in order, the basis that the unaimed `saturate` reads at the same bound
+(max_end_len = mel, with mel = max(len src, len dst, 2)).
 
 The grid covers every pair of words of up to 3 letters for slq2 and up to 2
 for the Lorentz data, at each depth 0-3; the value of t rotates with the
@@ -46,8 +46,7 @@ def test_aimed_basis_is_the_unaimed_basis(name, depth, point):
     for src, dst in itertools.product(words, repeat=2):
         mel = max(len(src), len(dst), 2)
         if mel not in unaimed:
-            unaimed[mel] = saturate(p, depth, max_len=mel + 2,
-                                    max_end_len=mel)
+            unaimed[mel] = saturate(p, depth, max_end_len=mel)
         assert _same_basis(mor_saturate(p, src, dst, depth),
                            unaimed[mel].basis(src, dst)), (src, dst)
 
@@ -56,7 +55,7 @@ def _through_a_big_generator():
     """a (dim 2), h (dim 2), g (dim 300), with A: a -> g, B: g -> g and
     C: g -> a.  Every composite C B^k A lies in Mor(a, a), and its padding
     by h is in Mor(a h, a h); padding first would pass through g h, which
-    is 600 dimensions, over max_space."""
+    is 600 dimensions, over MAX_SPACE."""
     def mat(nrows, ncols, nz):
         return Tensor.from_nonzero((nrows,), (ncols,), {
             i * ncols + j: ONE * v for (i, j), v in nz.items()})
@@ -75,7 +74,7 @@ def test_aim_keeps_the_routes_through_smaller_keys(depth):
     # it, and through Mor(a, g) and Mor(g, a), whose src or dst is a
     # factor of "a h" but not all of it
     p, goal = _through_a_big_generator(), ("a", "h")
-    want = saturate(p, depth, max_len=4, max_end_len=2).basis(goal, goal)
+    want = saturate(p, depth, max_end_len=2).basis(goal, goal)
     assert len(want) == depth + 1
     assert _same_basis(mor_saturate(p, goal, goal, depth), want)
 
@@ -83,7 +82,7 @@ def test_aim_keeps_the_routes_through_smaller_keys(depth):
 def test_aimed_saturation_answers_only_for_its_goal():
     p = catalog.resolve("slq2", None).presentation
     w = ("w",)
-    sat = Saturation(p, depth=2, max_len=4, goal=(w * 2, w * 2))
+    sat = Saturation(p, depth=2, goal=(w * 2, w * 2))
     with pytest.raises(ValueError):
         sat.basis(w, w)
     with pytest.raises(ValueError):

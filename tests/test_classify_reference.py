@@ -97,12 +97,12 @@ def _agree(p, family, mode):
     """Classify through one table and by the reference; compare the results
     and every report of every member.  Returns the result and the table."""
     table = {}
-    got = cqt.classify(p, family, mode, Saturation(p), table=table)
+    got = cqt.classify(family, mode, Saturation(p), table=table)
     ref_sat = Saturation(p)
     assert got == reference_classify(p, family, mode, ref_sat)
     for cand in got.candidates:
         label = cand.label
-        assert cqt.check_condition2(p, cand, table=table) == \
+        assert cqt.check_condition2(cand, table=table) == \
             reference_condition2(p, cand, ref_sat), label
         assert cqt.check_ct(cand, table) == reference_ct(cand), label
         if mode is not None:
@@ -126,8 +126,8 @@ def test_table_is_keyed_by_the_blocks_a_law_reads():
         **good.blocks, (lorentz.W, lorentz.WB): good.block("w", "wb") * 2})
     result, table = _agree(d.presentation, [good, bad], d.mode)
     assert result.passing == [0]
-    failing = {r.check_id for r in cqt.check_condition2(
-        d.presentation, bad, table=table) if not r.ok()}
+    failing = {r.check_id for r in cqt.check_condition2(bad, table=table)
+               if not r.ok()}
     reading = {law.check_id for law in cqt.exchange_laws(d.presentation)
                if ("w", "wb") in law.reads}
     assert failing and failing <= reading

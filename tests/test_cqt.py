@@ -82,19 +82,19 @@ def test_word_R_coherence_over_splits(slq2):
 
 def test_condition2_commutative_all_flip(slq2_classical):
     c = all_flip_candidate(slq2_classical)
-    reports = cqt.check_condition2(slq2_classical.presentation, c)
+    reports = cqt.check_condition2(c)
     assert cqt.all_pass(reports)
 
 
 def test_condition2_standard_block_passes(slq2, slq2_sat):
     c = lorentz.sl2_family(slq2)[0]
-    assert cqt.all_pass(cqt.check_condition2(slq2.presentation, c, slq2_sat))
+    assert cqt.all_pass(cqt.check_condition2(c, slq2_sat))
 
 
 def test_condition2_scaled_block_fails_exchange(slq2, slq2_sat):
     bad = CandidateR(slq2.presentation,
                      {("w", "w"): lorentz.candidate_L(slq2, 1) * 2})
-    reports = cqt.check_condition2(slq2.presentation, bad, slq2_sat)
+    reports = cqt.check_condition2(bad, slq2_sat)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "exchange-left:E:w" in failed
     for r in reports:
@@ -104,7 +104,7 @@ def test_condition2_scaled_block_fails_exchange(slq2, slq2_sat):
 
 def test_eval_hom_unit_generator_is_counit(slq2):
     c = lorentz.sl2_family(slq2)[0]
-    h = cqt.eval_hom(slq2.presentation, c, "1")
+    h = cqt.eval_hom(c, "1")
     for i in range(2):
         for j in range(2):
             expect = ONE if i == j else ONE * 0
@@ -114,7 +114,7 @@ def test_eval_hom_unit_generator_is_counit(slq2):
 def test_eval_hom_flip_blocks(slq2_classical):
     # with swap blocks the evaluation map reads off matrix units
     c = all_flip_candidate(slq2_classical)
-    h = cqt.eval_hom(slq2_classical.presentation, c, "w")
+    h = cqt.eval_hom(c, "w")
     tau = flip(2, 2)
     for i in range(2):
         for j in range(2):
@@ -129,12 +129,11 @@ def test_two_code_paths_agree(slq2, slq2_sat):
             CandidateR(slq2.presentation,
                        {("w", "w"): lorentz.candidate_L(slq2, 1) * 2})]:
         cond2 = cqt.all_pass(
-            r for r in cqt.check_condition2(slq2.presentation, cand, slq2_sat)
+            r for r in cqt.check_condition2(cand, slq2_sat)
             if r.check_id.startswith("exchange"))
         preserved = all(
             cqt.all_pass(cqt.check_relations_preserved(
-                cqt.eval_hom(slq2.presentation, cand, beta),
-                slq2.presentation))
+                cqt.eval_hom(cand, beta), slq2.presentation))
             for beta in slq2.presentation.generators)
         assert cond2 == preserved
 
@@ -142,7 +141,7 @@ def test_two_code_paths_agree(slq2, slq2_sat):
 def test_relations_preserved_unit_generator_always(slq2):
     bad = CandidateR(slq2.presentation,
                      {("w", "w"): lorentz.candidate_L(slq2, 1) * 2})
-    h = cqt.eval_hom(slq2.presentation, bad, "1")
+    h = cqt.eval_hom(bad, "1")
     assert cqt.all_pass(cqt.check_relations_preserved(h, slq2.presentation))
 
 
@@ -171,13 +170,13 @@ def test_check_ct(slq2, slq2_classical):
 
 def test_classify_deduplicates(slq2_classical):
     fam = lorentz.sl2_family(slq2_classical)
-    result = cqt.classify(slq2_classical.presentation, fam)
+    result = cqt.classify(fam)
     assert len(result.candidates) == 2
     assert result.counts()["cqt"] == 2
 
 
 def test_classify_empty_family(slq2):
-    result = cqt.classify(slq2.presentation, [])
+    result = cqt.classify([])
     assert result.counts() == {"cqt": 0, "cqt_star": 0, "ct": 0, "ct_star": 0}
 
 
@@ -185,12 +184,10 @@ def test_flipped_inverse_family_passes(lorentz_flip, lorentz_sat):
     # from a passing cotriangular-style candidate, the family of inverted
     # opposite blocks passes the core checks as well
     base = lorentz.candidate_blocks(lorentz_flip, 1, 3, 1, 1)
-    assert cqt.all_pass(cqt.check_condition2(
-        lorentz_flip.presentation, base, lorentz_sat))
+    assert cqt.all_pass(cqt.check_condition2(base, lorentz_sat))
     names = ("w", "wb")
     flipped = CandidateR(
         lorentz_flip.presentation,
         {(a, b): base.block(b, a).inverse() for a in names for b in names})
-    reports = cqt.check_condition2(lorentz_flip.presentation, flipped,
-                                   lorentz_sat)
+    reports = cqt.check_condition2(flipped, lorentz_sat)
     assert cqt.all_pass(reports)

@@ -28,10 +28,9 @@ def twisted_R():
 
 
 def test_pauli_intertwiner():
-    v = inh.pauli_V()
+    v, vinv = inh.pauli_basis()
     col0 = [v.entry((c, d), (0,)) for c in range(2) for d in range(2)]
     assert col0 == [ONE, ZERO, ZERO, ONE]
-    vinv = v.inverse()
     assert vinv @ v == Tensor.identity((4,))
     half = Scalar.normalize((G_ONE,), (Gaussian(2),))
     assert vinv == v.conjugate(ConjMode.REAL).transpose() * half
@@ -346,19 +345,19 @@ def test_classify_abstract_flip_free_invariant():
 def test_hexagon_identity_blocks(classical):
     # the composite exchange matrix of the spinor reps reproduces N of the
     # vector rep after conjugation
-    V = classical.V
+    V, Vinv = inh.pauli_basis()
     P = 5
     n_w = inh.build_N(classical, "w")
     n_wb = inh.build_N(classical, "wb")
     composite = (pad_with_identity(n_w, (), (2,))
                  @ pad_with_identity(n_wb, (2,), ()))
-    conj = (pad_with_identity(V.inverse(), (P,), ())
+    conj = (pad_with_identity(Vinv, (P,), ())
             @ composite @ pad_with_identity(V, (), (P,)))
     assert conj == inh.build_N(classical, "Lam")
 
 
 def test_poincare_inverts_each_datum_matrix_once(monkeypatch, capsys):
-    # V^(-1) and each G^(-1) are kept on the datum; 81 inverses when
+    # V^(-1) is made once and each G^(-1) kept on the datum; 81 inverses when
     # check_R_v_Lambda and exchange_block took them on every call
     from cqtcheck import cli
     calls = []
@@ -400,8 +399,8 @@ def test_poincare_inverts_the_lorentz_intertwiner_once(monkeypatch, capsys):
 
 
 def test_poincare_inverts_the_pauli_matrix_once(monkeypatch, capsys):
-    # poincare_from_lorentz hands its V^(-1) to the datum; 14 inverses when
-    # InhomDatum.V_inv inverted V a second time
+    # V and V^(-1) are made once, on first use, for every spinor datum; 14
+    # inverses when InhomDatum.V_inv inverted V a second time
     from cqtcheck import cli
     calls = []
     inverse = Tensor.inverse
@@ -410,18 +409,16 @@ def test_poincare_inverts_the_pauli_matrix_once(monkeypatch, capsys):
         calls.append(self)
         return inverse(self)
 
+    inh.pauli_basis.cache_clear()
     monkeypatch.setattr(Tensor, "inverse", counted)
     assert cli.main(["check", "builtin:poincare-classical"]) == 0
     capsys.readouterr()
-    assert sum(t == inh.pauli_V() for t in calls) == 1
+    V = inh.pauli_basis()[0]
+    assert sum(t == V for t in calls) == 1
     assert len(calls) <= 13
 
 
 def test_a_replaced_matrix_brings_its_own_inverse(classical):
-    V2 = classical.V * Scalar.from_int(2)
-    assert classical.V_inv @ classical.V == Tensor.identity(classical.V.dom)
-    d = dataclasses.replace(classical, V=V2)
-    assert d.V_inv == classical.V_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 2)))
     w = classical.reps["w"]
     assert w.G_inv @ w.G == Tensor.identity(w.G.dom)
     e = inh.RepEntry(w.G * Scalar.from_int(3), w.H)

@@ -62,8 +62,7 @@ def test_candidate_block_expansion(generic):
         [[t, ZERO, ZERO, ZERO],
          [ZERO, t - t ** -3, t ** -1, ZERO],
          [ZERO, t ** -1, ZERO, ZERO],
-         [ZERO, ZERO, ZERO, t]],
-        cod=(2, 2), dom=(2, 2))
+         [ZERO, ZERO, ZERO, t]]).with_legs((2, 2), (2, 2))
     assert L1 == expect
 
 

@@ -55,3 +55,77 @@ def test_every_definition_in_src_is_named_elsewhere_in_src():
             if named[node.name] == _names(node)[node.name]:
                 unused.append(f"{module}: {node.name}")
     assert sorted(unused) == sorted(ALLOWED)
+
+
+# Defaulted parameters no caller in src passes, each with its reason.
+UNPASSED = {
+    **{f"catalog.py: {name}(value)": "the catalog builders are dispatched "
+       "through BUILTINS, which always passes the value"
+       for name in ("make_lorentz_beta_minus", "make_poincare_classical",
+                    "make_poincare_abstract", "make_poincare_twisted")},
+    "cli.py: main(argv)": "the entry point; perfbench and the tests pass argv",
+    "cli.py: emit_report(stream)": "perfbench and the tests pass a stream",
+    **{f"inhomogeneous.py: abstract_datum({name})": "a public constructor: "
+       "the abstract Poincare data pass only what they differ in"
+       for name in ("Z", "T", "reps", "mode")},
+    **{f"presentation.py: saturate({name})": "the reference saturations of "
+       "the tests set the depth and the bound" for name in ("depth",
+                                                            "max_end_len")},
+}
+
+
+def _defaulted(tree):
+    """(defined name, called name, defaulted parameters as (name, call
+    position or None)) for every top-level function and method; __init__
+    is called by its class's name, and a method's position skips self."""
+    def params(fn, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        out = [(a.arg, k - skip) for k, a in enumerate(args) if k >= first]
+        out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                              fn.args.kw_defaults) if d]
+        return out
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, params(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                name = node.name if item.name == "__init__" else item.name
+                yield item.name, name, params(item, 0 if static else 1)
+
+
+def _passes(call, param, position) -> bool:
+    """Whether a call passes a parameter, by keyword or by position."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default no caller in src overrides is a value the code could work
+    # out itself, or an option only tests use
+    package = Path(cqtcheck.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        for defined, called, params in _defaulted(tree):
+            for param, position in params:
+                if not any(_passes(c, param, position)
+                           for c in calls.get(called, ())):
+                    unpassed.append(f"{module}: {defined}({param})")
+    assert sorted(unpassed) == sorted(UNPASSED)

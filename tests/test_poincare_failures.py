@@ -80,7 +80,7 @@ def imaginary_m_datum():
     """The classical datum with i * m0 as its invariant column."""
     d = classical_datum()
     m = d.m0 * i_s
-    return dataclasses.replace(d, m0=m, invariants=[m])
+    return dataclasses.replace(d, invariants=[m])
 
 
 def _reports(case):

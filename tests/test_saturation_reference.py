@@ -98,7 +98,7 @@ def _mixed_dimensions():
     A: a -> h h, B: h h h h -> g.  At max_len 5, max_space drops words
     inside a length layer (a g, g a, g g), and only a tensor product reaches
     A (x) B: no padding route fits."""
-    a_to_hh = Tensor.from_rows([[1, 2, 3]], cod=(1, 1), dom=(3,))
+    a_to_hh = Tensor.from_rows([[1, 2, 3]]).with_legs((1, 1), (3,))
     hhhh_to_g = Tensor.from_rows([[k] for k in range(1, 201)]).with_legs(
         (200,), (1, 1, 1, 1))
     return Presentation(
@@ -108,19 +108,20 @@ def _mixed_dimensions():
          Relation("B", hhhh_to_g, ("h",) * 4, ("g",))])
 
 
-SPACES = [pytest.param(name, point, {}, id=f"{name}-{point}")
+SPACES = [pytest.param(name, point, 2, id=f"{name}-{point}")
           for name in DATA for point in POINTS]
-SPACES.append(pytest.param("mixed", None, {"max_len": 5, "max_end_len": 3},
-                           id="mixed-dimensions"))
+SPACES.append(pytest.param("mixed", None, 3, id="mixed-dimensions"))
 
 
-@pytest.mark.parametrize("name, point, bounds", SPACES)
-def test_span_dimensions_match_the_reference(name, point, bounds):
+@pytest.mark.parametrize("name, point, max_end_len", SPACES)
+def test_span_dimensions_match_the_reference(name, point, max_end_len):
     p = (_mixed_dimensions() if name == "mixed"
          else catalog.resolve(name, POINTS[point]).presentation)
-    for depth, want in enumerate(reference_dims(p, DEPTH, **bounds)):
-        got = {k: s.dim()
-               for k, s in saturate(p, depth=depth, **bounds).spans.items()}
+    want_dims = reference_dims(p, DEPTH, max_len=max_end_len + 2,
+                               max_end_len=max_end_len)
+    for depth, want in enumerate(want_dims):
+        got = {k: s.dim() for k, s in
+               saturate(p, depth=depth, max_end_len=max_end_len).spans.items()}
         assert _visible(got) == _visible(want), f"depth {depth}"
 
 

@@ -34,7 +34,7 @@ def test_kron_passes_one_through():
 
 
 def test_kron_shape_law():
-    E = Tensor.from_rows([[0], [1], [-1], [0]], cod=(2, 2), dom=())
+    E = Tensor.from_rows([[0], [1], [-1], [0]]).with_legs((2, 2), ())
     K = kron(E, E)
     assert K.cod == (2, 2, 2, 2) and K.dom == ()
 
@@ -49,8 +49,8 @@ def test_kron_mixed_product():
 def test_flip_matrix():
     f = flip(2, 2)
     expect = Tensor.from_rows(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-        cod=(2, 2), dom=(2, 2))
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    ).with_legs((2, 2), (2, 2))
     assert f == expect
     assert f @ f == Tensor.identity((2, 2))
 
@@ -186,9 +186,9 @@ def test_unflatten_round_trip():
 def test_span_basis():
     rows = [Tensor.from_rows([[1, 0, 1]]), Tensor.from_rows([[0, 1, 1]])]
     span = SpanBasis(3)
-    assert span.add(rows[0].entries)
-    assert span.add(rows[1].entries)
-    assert not span.add(Tensor.from_rows([[1, 1, 2]]).entries)
-    assert span.contains(Tensor.from_rows([[2, -1, 1]]).entries)
-    assert not span.contains(Tensor.from_rows([[0, 0, 1]]).entries)
+    assert span.add(rows[0])
+    assert span.add(rows[1])
+    assert not span.add(Tensor.from_rows([[1, 1, 2]]))
+    assert span.contains(Tensor.from_rows([[2, -1, 1]]))
+    assert not span.contains(Tensor.from_rows([[0, 0, 1]]))
     assert span.dim() == 2

@@ -199,7 +199,7 @@ def test_perturbed_translation_column_detected(classical):
     ent[0 * 4 + 1] = ONE
     m_bad = Tensor((4, 4), (), ent)
     assert (classical.R @ m_bad) != m_bad
-    bad = dataclasses.replace(classical, m0=m_bad, invariants=[m_bad])
+    bad = dataclasses.replace(classical, invariants=[m_bad])
     reports = inh.check_structure(bad)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:invariant-fixed:0" in failed
@@ -207,8 +207,7 @@ def test_perturbed_translation_column_detected(classical):
     ent = [ZERO] * 16
     ent[0] = ONE
     m_sym = Tensor((4, 4), (), ent)
-    shifted = dataclasses.replace(classical, m0=classical.m0 + m_sym,
-                                  invariants=[classical.m0 + m_sym])
+    shifted = dataclasses.replace(classical, invariants=[classical.m0 + m_sym])
     assert cqt.all_pass(inh.check_structure(shifted))
     assert cqt.all_pass(uea.check_rll(shifted, max_len=1))
 
