@@ -33,6 +33,7 @@ from .errors import CqtError, ForbiddenParameter, ParseError
 # saturate stays bound here although the CLI saturates lazily: perfbench's
 # tracer tests that it wraps a function in every module that imports it
 from .presentation import Saturation, mor_saturate, saturate  # noqa: F401
+from .presentation import check_mor_words
 from .scalars import parse_scalar
 
 SUITES = ("validate", "cqt", "star", "ct", "classify", "poincare", "uea")
@@ -438,7 +439,10 @@ def run_mor(args) -> int:
     if "cqt" not in _kind(datum).suites:  # the presented data
         print("error: mor needs a presented datum", file=sys.stderr)
         return 2
-    basis = mor_saturate(datum.presentation, src, dst, depth=args.depth)
+    p = datum.presentation
+    check_mor_words(p, src, dst)  # before the bound reads the words
+    basis = mor_saturate(p, src, dst, args.depth, cqt.mor_bound(
+        _kind(datum).candidate(datum), src, dst))
     print(f"Mor({args.src or '1'}, {args.dst or '1'}): "
           f"witnessed dimension {len(basis)} at depth {args.depth}")
     for k, b in enumerate(basis):

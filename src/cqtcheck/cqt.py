@@ -24,6 +24,30 @@ The star check compares each block with the swapped conjugate of the block
 of the conjugate pair, and the cotriangularity check compares each block's
 inverse with the opposite block.
 
+The exchange laws also bound each intertwiner space from above
+(`mor_bound`).  A map T: src -> dst obeys the left law against g when
+(1 (x) T) . R[src, g] = R[dst, g] . (T (x) 1), and the right law likewise.
+This is the naturality of the braiding on comodule maps (Kassel, Quantum
+Groups, GTM 155, ch. VIII): the left laws of the candidate, holding on
+every relation, make its evaluation map against g (see eval_hom) well
+defined on the algebra, and applied to T u^src = u^dst T it gives T's left
+law; so with the right laws.  Directly: identities obey the laws; so does
+a composite of maps that obey them, and by the recursions above a tensor
+product; and the relation matrices obey them exactly when the candidate's
+exchange laws hold.  So every element a saturation can store obeys both
+laws against every generator.  The laws are linear in T, so Mor(src, dst)
+lies in the nullspace of their system, and its nullity is an upper bound.
+The bound needs every exchange law of the candidate on both sides, decided
+exactly at the candidate's own t, and nothing else: not the intertwiner
+rows, nor star or ct.
+The system is taken at t = 3/2.  Its entries are polynomials in the
+entries of the blocks, so where no block has a pole at 3/2 it is the
+system at the candidate's t with 3/2 put for t.  A specialization can only
+lower a rank (a minor nonzero at 3/2 is nonzero as a function of t), so
+the nullity at 3/2 is at least the generic nullity and bounds the generic
+Mor too, with constant arithmetic only; on a candidate already at a
+constant t, putting 3/2 for t changes nothing.
+
 An exchange law is a value (`Law`): its check id (relation, generator g,
 side) and the block pairs it reads, R[a, g] on the left and R[g, a] on the
 right for each letter a of the relation's words.  A table, kept for one run
@@ -38,14 +62,15 @@ an intertwiner), and the defect is a function of the blocks in the key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .errors import NotInvertible
-from .presentation import (CandidateR, FunctionalHom, Presentation, Relation,
-                           Saturation)
-from .scalars import ConjMode
-from .tensor import Tensor, pad_with_identity, tauconj
+from .errors import EvaluationPole, MissingBlock, NotInvertible
+from .presentation import (MAX_SPACE, CandidateR, FunctionalHom, Presentation,
+                           Relation, Saturation)
+from .scalars import ConjMode, Gaussian
+from .tensor import Tensor, kron, pad_with_identity, tauconj
 
 
 @dataclass
@@ -139,6 +164,74 @@ def exchange_laws(p: Presentation):
         for a in dict.fromkeys((*rel.source_word, *rel.target_word))))
         for rel in p.relations for gamma in p.non_unit()
         for side in ("left", "right")]
+
+
+def mor_bound(c: CandidateR, src, dst):
+    """An upper bound on dim Mor(src, dst), or None.
+
+    The bound is the nullity of the equations exchange_defect(c(3/2), T,
+    src, dst, gamma, side) = 0 in the entries of T, over every generator
+    gamma and both sides.  Once every exchange law of c holds, on both
+    sides, every T in Mor(src, dst) solves them at c's own t: the braiding
+    is natural on comodule maps (Kassel, GTM 155, ch. VIII).  The
+    intertwiner rows of c are not needed.  Putting 3/2 for t can only lower
+    the rank, so the nullity at 3/2 bounds the one at c's t.  The module
+    docstring gives the argument in full.
+
+    None when there is no candidate, when an exchange law of c fails (either
+    side, exactly, at c's own t), when c lacks a block the laws read, when a
+    block of c has a pole at t = 3/2, or when the equations of one gamma and
+    side, dense, would have more entries than MAX_SPACE^2, the largest
+    matrix a saturation forms.
+    """
+    if c is None:
+        return None
+    p = c.presentation
+    n = p.word_dim(src) * p.word_dim(dst)    # the unknowns, T's entries
+    if max(map(p.dim, p.non_unit())) * n > MAX_SPACE:
+        return None
+    memo = {}
+    try:
+        for law in exchange_laws(p):
+            rel = law.relation
+            if not exchange_defect(c, rel.matrix, rel.source_word,
+                                   rel.target_word, law.gamma, law.side,
+                                   memo).is_zero():
+                return None
+        # t = 3/2 is no pole of a built-in block
+        at, memo = c.subs(Gaussian(Fraction(3, 2))), {}
+        laws = [_law_matrix(at, src, dst, gamma, side, memo)
+                for gamma in p.non_unit() for side in ("left", "right")]
+    except (EvaluationPole, MissingBlock):
+        return None
+    k, r = len(laws), max(m.nrows for m in laws)
+    system = sum((m.place_legs((k, r), (n,), (1, 2), {0: i})
+                  for i, m in enumerate(laws)), Tensor.zeros((k, r), (n,)))
+    return n - system.rank()
+
+
+def _law_matrix(c: CandidateR, src, dst, gamma: str, side: str,
+                memo) -> Tensor:
+    """The matrix of T -> exchange_defect(c, T, src, dst, gamma, side), for
+    T: src -> dst: one row per entry of the defect, one column per entry of
+    T, each in the flat order of its tensor."""
+    p = c.presentation
+    S, D, g = p.word_dim(src), p.word_dim(dst), p.dim(gamma)
+    a = word_R(c, src, gamma, side, memo)
+    b = word_R(c, dst, gamma, side, memo)
+    if side == "left":
+        # (1 (x) T) . a - b . (T (x) 1): rows (gamma, D) x (S, gamma)
+        m = (kron(Tensor.identity((D,)), a.with_legs((g, S), (S, g)).slice_legs(
+                (0, 2, 3), (1,))).slice_legs((1, 0, 2, 3), (4, 5))
+             - kron(b.with_legs((g, D), (D, g)).slice_legs((0, 1, 3), (2,)),
+                    Tensor.identity((S,))).slice_legs((0, 1, 3, 2), (4, 5)))
+    else:
+        # b . (1 (x) T) - (T (x) 1) . a: rows (D, gamma) x (gamma, S)
+        m = (kron(b.with_legs((D, g), (g, D)).slice_legs((0, 1, 2), (3,)),
+                  Tensor.identity((S,)))
+             - kron(Tensor.identity((D,)), a.with_legs((S, g), (g, S)).slice_legs(
+                 (1, 2, 3), (0,))))
+    return m.with_legs((m.nrows,), (D * S,))
 
 
 def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:

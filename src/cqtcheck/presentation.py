@@ -16,10 +16,11 @@ The module also hosts:
   generated by the relation matrices and identities under composition and
   tensoring; `contains` stops at the element that witnesses its query,
   `saturate` runs every round for every space, and
-  `mor_saturate` reads one space from a saturation aimed at it.  The
-  witnessed span is a lower bound for the true space: "witnessed"
-  membership is a proof, absence of a witness at a given depth proves
-  nothing.
+  `mor_saturate` reads one space from a saturation aimed at it, stopping
+  once the span reaches an upper bound on the space's dimension when it
+  has one.  The witnessed span is a lower bound for the true space:
+  "witnessed" membership is a proof, absence of a witness at a given depth
+  proves nothing.
 """
 
 from __future__ import annotations
@@ -233,6 +234,15 @@ class Saturation:
     every verdict is the eager verdict, and every later `basis` the eager
     basis.  A witness is a proof; its absence proves nothing.
 
+    `basis` may take an upper bound on dim Mor(src, dst), such as
+    `cqt.mor_bound`.  Its rounds then stop at the first element stored at
+    (src, dst) that brings the span, the identity on a word counted, to
+    the bound.  The span is then all of Mor(src, dst): every later element
+    formed at the key lies in it and would not be stored, so the basis is
+    the one at `depth`, element for element.  A bound that the span never
+    reaches lets every round run; one below the dimension already
+    witnessed is an error.
+
     Identity morphisms on every word are present implicitly and are not
     stored; `elements` holds only the interesting finds.
 
@@ -355,12 +365,20 @@ class Saturation:
             pass
         return self
 
-    def basis(self, src, dst):
+    def basis(self, src, dst, bound=None):
         """Basis of the span witnessed at `depth`, including the identity on
-        a word."""
-        src, dst = self._query(src, dst)
-        self.complete()
-        out = list(self.elements.get((src, dst), ()))
+        a word.  Given `bound`, an upper bound on dim Mor(src, dst), the
+        rounds stop once the span reaches it (see the class docstring)."""
+        src, dst = key = self._query(src, dst)
+        dim = self._dim(key)
+        if bound is not None and dim > bound:
+            raise ValueError(f"bound {bound} on Mor{key} is below its "
+                             f"witnessed dimension {dim}")
+        if dim != bound:
+            for got in self._rounds:
+                if got == key and self._dim(key) == bound:
+                    break
+        out = list(self.elements.get(key, ()))
         if src == dst:
             out.insert(0, Tensor.identity(self.presentation.word_dims(src)))
         return out
@@ -385,6 +403,11 @@ class Saturation:
             raise ValueError(f"a saturation aimed at Mor{self.goal} cannot "
                              f"answer for Mor{key}")
         return key
+
+    def _dim(self, key) -> int:
+        """Dimension of the span witnessed at key, the identity included."""
+        span = self.spans.get(key)
+        return span.dim() if span else int(key[0] == key[1])
 
     def _witnessed(self, key, t: Tensor) -> bool:
         span = self.spans.get(key)
@@ -548,14 +571,22 @@ def saturate(p: Presentation, depth: int = 3,
     return Saturation(p, depth, max_end_len).complete()
 
 
-def mor_saturate(p: Presentation, src, dst, depth: int = 3) -> list:
+def mor_saturate(p: Presentation, src, dst, depth: int = 3,
+                 bound: int = None) -> list:
     """Basis of the witnessed span of Mor(src, dst), from a saturation
     aimed at it: element for element, in order, the basis that `saturate`
-    reads at max_end_len the longer of src, dst and 2.  See `Saturation`
-    for why."""
+    reads at max_end_len the longer of src, dst and 2.  The rounds stop
+    once the span reaches `bound`, an upper bound on dim Mor(src, dst) when
+    given; that changes no element of the basis.  See `Saturation` for
+    why."""
+    check_mor_words(p, src, dst)
+    return Saturation(p, depth, max(len(src), len(dst), 2),
+                      goal=(src, dst)).basis(src, dst, bound)
+
+
+def check_mor_words(p: Presentation, src, dst):
+    """Raise UnknownGenerator at the first letter of src, dst that p lacks."""
     for name in (*src, *dst):
         if name not in p.generators:
             raise UnknownGenerator(f"{name!r} in a Mor word; generators: "
                                    f"{', '.join(p.non_unit())}")
-    return Saturation(p, depth, max(len(src), len(dst), 2),
-                      goal=(src, dst)).basis(src, dst)

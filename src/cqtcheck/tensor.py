@@ -25,7 +25,8 @@ outside this one composes or splits a flat index.  The dense `entries`
 list is a read-only view built on demand, for display and tests.
 
 `_reduce` brings sparse rows to reduced row echelon form for `inverse`,
-`rref` and `nullspace`; `SpanBasis` keeps its rows in echelon form only.
+`rref` and `nullspace`; `SpanBasis` keeps its rows in echelon form only,
+and `rank` uses one.
 
 A product with an operand that `is ONE` is skipped in matmul, kron and the
 row update of both eliminations (`_axpy`), and a pivot row whose pivot is
@@ -412,6 +413,20 @@ class Tensor:
         rows = self._row_dicts()
         pivots = _reduce(rows, self.ncols)
         return rows, pivots
+
+    def rank(self) -> int:
+        """Row rank.  A row with one nonzero entry spans its column's unit
+        vector, so the rank is the number of such columns plus the rank of
+        the other rows with those columns dropped, which a SpanBasis takes
+        (its echelon form makes fewer row updates than rref's)."""
+        rows = self._row_dicts()
+        units = {c for row in rows if len(row) == 1 for c in row}
+        span = SpanBasis(self.ncols)
+        for row in rows:
+            if len(row) > 1:
+                span.add(Tensor.from_nonzero((), (self.ncols,), {
+                    c: v for c, v in row.items() if c not in units}))
+        return len(units) + span.dim()
 
     def nullspace(self):
         """Exact basis of the right nullspace, as column tensors."""

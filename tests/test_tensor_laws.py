@@ -247,12 +247,28 @@ def sparse_vectors(n):
                     min_size=1, max_size=6)
 
 
+def _stacked(n, vecs):
+    return Tensor.from_nonzero((len(vecs),), (n,), {
+        i * n + k: x for i, v in enumerate(vecs) for k, x in v.nz.items()})
+
+
 def _rank(n, vecs):
     """Rank of the stacked vectors by `Tensor.rref`, an elimination that
     shares only the row update with `SpanBasis`."""
-    stacked = Tensor.from_nonzero((len(vecs),), (n,), {
-        i * n + k: x for i, v in enumerate(vecs) for k, x in v.nz.items()})
-    return len(stacked.rref()[1])
+    return len(_stacked(n, vecs).rref()[1])
+
+
+@LAWS
+@given(st.integers(1, 5), st.data())
+def test_rank_is_the_number_of_reduced_rows(n, data):
+    # `Tensor.rank` takes a row of one entry as a unit vector without
+    # elimination: mix such rows in, and repeat some rows
+    vecs = data.draw(sparse_vectors(n))
+    vecs += data.draw(st.lists(st.builds(
+        lambda k, x: Tensor.from_nonzero((n,), (), {k: x}),
+        st.integers(0, n - 1), span_scalars), max_size=3))
+    vecs += data.draw(st.lists(st.sampled_from(vecs), max_size=2))
+    assert _stacked(n, vecs).rank() == _rank(n, vecs)
 
 
 @LAWS
