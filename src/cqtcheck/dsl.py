@@ -1,4 +1,4 @@
-"""Text format for presentations, candidate blocks and datum tables.
+"""Text format for presentations and candidate blocks.
 
 Grammar (UTF-8, line comments with #):
 
@@ -7,7 +7,6 @@ Grammar (UTF-8, line comments with #):
     mat    <name> : [<word>] -> [<word>] { <r>,<c> = <scalar-expr> ; ... }
     rel    <name>
     cand   <alpha> <beta> = <tensor-expr>
-    table  rep <name> { G = <tensor-expr> [ ; H = <tensor-expr> ] }
     param  <name> = <scalar-expr>
 
 Words are space-separated generator names and [] is the empty word; matrix
@@ -43,8 +42,7 @@ from .presentation import CandidateR, GeneratorSpec, Presentation, Relation
 from .scalars import SYMBOLS, T, ConjMode, Scalar, TokenParser, tokenize
 from .tensor import Tensor, flip, kron, tauconj
 
-_KEYWORDS = {"field", "gen", "mat", "rel", "cand", "table", "param", "rep",
-             "conj", "var"}
+_KEYWORDS = {"field", "gen", "mat", "rel", "cand", "param", "conj", "var"}
 
 # work budgets for the integers that size an allocation: a word of k
 # generators spans up to MAX_GEN_DIM^k indices, flip(d1,d2) has d1*d2 entries,
@@ -75,7 +73,6 @@ class Document:
     relation_names: list
     candidate: CandidateR       # or None
     cand_exprs: dict            # (alpha, beta) -> source text
-    tables: dict                # rep name -> (G, H, gtext, htext)
     params: dict                # name -> Scalar
     param_texts: dict
 
@@ -88,14 +85,11 @@ class Document:
         cands = {} if self.candidate is None else {
             k: m.subs(value) for k, m in self.candidate.blocks.items()}
         text = _subs_text(value)
-        tables = {name: (g.subs(value), h.subs(value) if h is not None else None,
-                         text(gt), ht and text(ht))
-                  for name, (g, h, gt, ht) in self.tables.items()}
         return _assemble(
             self.mode,
             [self.presentation.generators[n] for n in self.presentation.non_unit()],
             mats, self.relation_names, cands,
-            {k: text(v) for k, v in self.cand_exprs.items()}, tables,
+            {k: text(v) for k, v in self.cand_exprs.items()},
             {k: v.subs(value) for k, v in self.params.items()},
             {k: text(v) for k, v in self.param_texts.items()})
 
@@ -116,7 +110,6 @@ class _Parser(TokenParser):
         self.rels = []
         self.cands = {}
         self.cand_exprs = {}
-        self.tables = {}
         self.params = {}
         self.param_texts = {}
 
@@ -142,7 +135,6 @@ class _Parser(TokenParser):
                 "mat": self.stmt_mat,
                 "rel": self.stmt_rel,
                 "cand": self.stmt_cand,
-                "table": self.stmt_table,
                 "param": self.stmt_param,
             }.get(tok.text)
             if handler is None:
@@ -264,34 +256,6 @@ class _Parser(TokenParser):
             raise DuplicateName(f"cand {alpha} {beta}")
         self.cands[(alpha, beta)] = value
         self.cand_exprs[(alpha, beta)] = text
-
-    def stmt_table(self):
-        self.next()
-        self.expect("name", "rep")
-        name = self.expect("name").text
-        if name in self.tables:
-            raise DuplicateName(f"table rep {name!r}")
-        self.expect("punct", "{")
-        g = h = None
-        gtext = htext = None
-        while self.peek().text != "}":
-            key = self.expect("name").text
-            self.expect("punct", "=")
-            start = self.pos
-            value = self.tensor_expr()
-            text = self._span_text(start, self.pos)
-            if key == "G":
-                g, gtext = value, text
-            elif key == "H":
-                h, htext = value, text
-            else:
-                self.error("table entries are G and H", ("G", "H"))
-            if self.peek().text == ";":
-                self.next()
-        self.expect("punct", "}")
-        if g is None:
-            self.error(f"table rep {name!r} needs G")
-        self.tables[name] = (g, h, gtext, htext)
 
     def stmt_param(self):
         self.next()
@@ -442,11 +406,11 @@ class _Parser(TokenParser):
 
     def finish(self) -> Document:
         return _assemble(self.mode, self.gens, self.mats, self.rels,
-                         self.cands, self.cand_exprs, self.tables, self.params,
+                         self.cands, self.cand_exprs, self.params,
                          self.param_texts)
 
 
-def _assemble(mode, gens, mats, rels, cands, cand_exprs, tables, params,
+def _assemble(mode, gens, mats, rels, cands, cand_exprs, params,
               param_texts) -> Document:
     p = Presentation(
         gens,
@@ -454,7 +418,7 @@ def _assemble(mode, gens, mats, rels, cands, cand_exprs, tables, params,
          for n in rels],
     )
     candidate = CandidateR(p, cands) if cands else None
-    return Document(mode, p, mats, list(rels), candidate, cand_exprs, tables,
+    return Document(mode, p, mats, list(rels), candidate, cand_exprs,
                     params, param_texts)
 
 
@@ -483,9 +447,6 @@ def dumps(doc: Document) -> str:
         lines.append(f"rel {name}")
     for (a, b), text in doc.cand_exprs.items():
         lines.append(f"cand {a} {b} = {text}")
-    for name, (_, _, gtext, htext) in doc.tables.items():
-        inner = f"G = {gtext}" + (f" ; H = {htext}" if htext else "")
-        lines.append(f"table rep {name} {{ {inner} }}")
     for name, text in doc.param_texts.items():
         lines.append(f"param {name} = {text}")
     return "\n".join(lines) + "\n"

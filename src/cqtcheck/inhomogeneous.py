@@ -22,18 +22,17 @@ and candidate structures are R_Q = R_P + c * m_P, with m_P carrying one
 invariant column m in the (vv, ++) corner.  Every c is decided at once: an
 identity that is a polynomial of degree below n in c holds for all c when
 it holds at n points, and `coefficient_points(d, n)` is the one place that
-picks them (here and in the uea module).  The braid identity for R_Q has
-degree at most 3 in c (each side holds three R_Q factors and m_P squares
-to zero), so it is verified exactly by interpolation at four rational
-points.  No check fixes c; the spinor blocks of sign k come from
-`poincare_candidate(d, k)`.
+picks them (here and in the uea module).  No check fixes c; the spinor
+blocks of sign k come from `poincare_candidate(d, k)`.
 
-The two hexagon families and the compatibility with the defining spinor
-intertwiners are exchange laws of one block table (`exchange_table`): the
-hexagon reps plus a letter P for the extended representation, with
-R[v,P] = N_v (G and H in block form), R[P,P] = R_Q and R[v,w] the exchange
-blocks.  They are decided by `cqt.exchange_defect`, the engine that
-decides condition 2 on a presentation.
+The braid identity for R_Q, the two hexagon families and the compatibility
+with the defining spinor intertwiners are exchange laws of one block table
+(`exchange_table`): the hexagon reps plus a letter P for the extended
+representation, with R[v,P] = N_v (G and H in block form), R[P,P] = R_Q
+and R[v,w] the exchange blocks, each block also a relation.  They are
+decided by `cqt.exchange_defect`, the engine that decides condition 2 on a
+presentation, each at as many points as its degree in c needs: the braid
+law holds three R_Q factors a side and m_P squares to zero, so four.
 
 Two datum modes exist: spinor-backed (everything derived from a Lorentz
 datum through the Pauli intertwiner V) and abstract (R, Z, T and the rep
@@ -50,7 +49,7 @@ from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
                      MissingRep, ShapeError, StructureViolation)
 from .lorentz import LorentzDatum, W, WB, candidate_L
-from .presentation import CandidateR, GeneratorSpec, Presentation
+from .presentation import CandidateR, GeneratorSpec, Presentation, Relation
 from .scalars import ConjMode, Gaussian, I, ONE, Scalar, ZERO
 from .tensor import Tensor, flip, kron, pad_with_identity
 
@@ -65,6 +64,15 @@ class RepEntry:
     @cached_property
     def G_inv(self) -> Tensor:
         return self.G.inverse()
+
+    @cached_property
+    def N(self) -> Tensor:
+        """Exchange matrix against P, carrying (G, H) in block form."""
+        n, dv = self.G.cod
+        cod, dom = (n + 1, dv), (dv, n + 1)
+        return (self.G.place_legs(cod, dom, (0, 1, 2, 3))
+                + self.H.place_legs(cod, dom, (0, 1, 2), {3: n})
+                + Tensor.identity((dv,)).place_legs(cod, dom, (1, 2), {0: n, 3: n}))
 
 
 @dataclass(frozen=True)
@@ -129,17 +137,6 @@ def _g_compose(g1: Tensor, g2: Tensor) -> Tensor:
     """
     chain = g1.slice_legs((0, 1, 2), (3,)) @ g2.slice_legs((0,), (1, 2, 3))
     return chain.slice_legs((0, 1, 3), (2, 4, 5))
-
-
-def build_N(d: InhomDatum, name: str) -> Tensor:
-    """Exchange matrix of a rep against P, carrying (G, H) in block form."""
-    e = d.rep(name)
-    dv = e.G.cod[1]
-    N = d.N
-    cod, dom = (N + 1, dv), (dv, N + 1)
-    return (e.G.place_legs(cod, dom, (0, 1, 2, 3))
-            + e.H.place_legs(cod, dom, (0, 1, 2), {3: N})
-            + Tensor.identity((dv,)).place_legs(cod, dom, (1, 2), {0: N, 3: N}))
 
 
 def poincare_from_lorentz(ld: LorentzDatum) -> InhomDatum:
@@ -259,12 +256,6 @@ def build_RQ(d: InhomDatum, m: Tensor, c: Scalar) -> Tensor:
     return rq if m is None else rq + build_mP(d, m) * c
 
 
-def build_m0(d: InhomDatum) -> Tensor:
-    if d.m0 is None:
-        raise AbstractLambdaMode("the distinguished invariant needs spinor data")
-    return d.m0
-
-
 def _delta_row(dim: int) -> Tensor:
     """delta_AB as a row with legs () x (dim, dim)."""
     return Tensor.identity((dim,)).slice_legs((), (0, 1))
@@ -359,25 +350,20 @@ def coefficient_points(d: InhomDatum, n: int):
     return INTERP_POINTS[:n] if d.invariant is not None else INTERP_POINTS[:1]
 
 
-def braid_defect(RQ: Tensor) -> Tensor:
-    single = RQ.cod[0]
-    r1 = pad_with_identity(RQ, (), (single,))
-    r2 = pad_with_identity(RQ, (single,), ())
-    return r1 @ r2 @ r1 - r2 @ r1 @ r2
-
-
 def exchange_table(d: InhomDatum, cand: CandidateR, rq: Tensor) -> CandidateR:
     """Exchange blocks over the hexagon reps and the extended letter EXT.
 
     R[v,EXT] = N_v, R[EXT,EXT] = rq, R[LAM,LAM] = R, and for every other
     rep v, R[v,LAM] = G_v and R[LAM,v] = G_v^(-1); pairs of other reps
-    take the blocks of cand, when given.
+    take the blocks of cand, when given.  The relations are every block
+    R[v,w], as "v:w": v w -> w v, and on a spinor datum the intertwiners
+    E, Et and X of its fields, so the braid identity for rq is a law too.
     """
     names = d.hexagon_reps()
     gens = [GeneratorSpec(n, d.rep(n).G.cod[1], n) for n in names]
     blocks = {(EXT, EXT): rq, (LAM, LAM): d.R}
     for v in names:
-        blocks[(v, EXT)] = build_N(d, v)
+        blocks[(v, EXT)] = d.rep(v).N
         if v != LAM:
             e = d.rep(v)
             dv = e.G.cod[1]
@@ -386,78 +372,82 @@ def exchange_table(d: InhomDatum, cand: CandidateR, rq: Tensor) -> CandidateR:
     if cand is not None:
         blocks.update(cand.blocks)
     p = Presentation(gens + [GeneratorSpec(EXT, d.N + 1, EXT)], [])
-    return CandidateR(p, blocks)
+    table = CandidateR(p, blocks)
+    for (v, w), block in table.blocks.items():
+        p.add_relation(Relation(f"{v}:{w}", block, (v, w), (w, v)))
+    if not d.abstract:
+        ld = d.lorentz
+        for name, S, src, tgt in (("E", ld.base.E, (), (W, W)),
+                                  ("Et", ld.Etilde, (), (WB, WB)),
+                                  ("X", ld.X, (W, WB), (WB, W))):
+            p.add_relation(Relation(
+                name, S.with_legs(p.word_dims(tgt), p.word_dims(src)), src, tgt))
+    return table
 
 
-def _first_failure(cid: str, points, defect_at, note: str = "") -> cqt.CheckReport:
-    """Report on an identity in the coefficient: fail at the first sample
-    point with a nonzero defect, pass with `note` when all vanish."""
-    for c in points:
-        fz = defect_at(c).first_nonzero()
-        if fz is not None:
-            return cqt.CheckReport(cid, "fail", fz, f"at coefficient {c}")
-    return cqt.CheckReport(cid, "pass", None, note)
+def poincare_laws(d: InhomDatum, p: Presentation):
+    """The laws of an exchange table's presentation p that the rows read,
+    as (law, row id, sign, degree in c).  braid:extended is the left law of
+    R_Q against EXT, negated (degree 3); hexagon-one:v the right law of R_Q
+    against v (degree 1); hexagon-two:v:w the left law of R[v,w] against
+    EXT; intertwiner-compat:S the left law of S against EXT, negated.
+
+    Left out: the left law of R_Q against v needs R[EXT,v], which the table
+    lacks (MissingBlock); the right law of R_Q against EXT duplicates the
+    braid law.  Every other law is a homogeneous law the cqt suite already
+    decides or is read by no row.
+    """
+    rq = f"{EXT}:{EXT}"
+    rows = {(rq, EXT, "left"): ("braid:extended", -1, 3)}
+    for v in d.hexagon_reps():
+        rows[rq, v, "right"] = (f"hexagon-one:{v}", 1, 1)
+        for w in d.hexagon_reps():
+            rows[f"{v}:{w}", EXT, "left"] = (f"hexagon-two:{v}:{w}", 1, 0)
+    for name in ("E", "Et", "X"):
+        rows[name, EXT, "left"] = (f"intertwiner-compat:{name}", -1, 0)
+    return [(law, *rows[key]) for law in cqt.exchange_laws(p)
+            if (key := (law.relation.name, law.gamma, law.side)) in rows]
 
 
 def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
-    """Braid for R_Q, both hexagons, and the intertwiner compatibilities.
-
-    The hexagons and the compatibilities are exchange laws of the block
-    table: hexagon-one:v is the right law of R_Q against v, hexagon-two:v:w
-    the left law of R[v,w] against EXT.  The braid defect is cubic in the
-    invariant coefficient c, so vanishing at four coefficient points
-    proves it for every c; the one-sided hexagon is affine in c and checked
-    at two points; the mixed hexagon and the compatibility with the
-    defining intertwiners are c-free.  cand holds the spinor blocks, for
-    the pairs of spinor reps.
+    """Braid for R_Q, both hexagons, and the intertwiner compatibilities:
+    the laws of `poincare_laws`, by `cqt.exchange_defect` with one word_R
+    memo per table.  A law of degree n in c holds for every c when it holds
+    at the first n + 1 coefficient points; a failure names its first point.
+    cand holds the spinor blocks, for the pairs of spinor reps.
     """
-    m = d.invariant
     points = coefficient_points(d, 4)
-    reports = [_first_failure(
-        "braid:extended", points, lambda c: braid_defect(build_RQ(d, m, c)),
-        "cubic interpolation over the invariant coefficient"
-        if len(points) > 1 else "")]
-    tables = {c: exchange_table(d, cand, build_RQ(d, m, c))
-              for c in coefficient_points(d, 2)}
-    pp = (EXT, EXT)
-    for v in d.hexagon_reps():
-        reports.append(_first_failure(
-            f"hexagon-one:{v}", tables, lambda c: cqt.exchange_defect(
-                tables[c], tables[c].block(EXT, EXT), pp, pp, v, "right")))
-    table = tables[points[0]]
-    for v in d.hexagon_reps():
-        for w in d.hexagon_reps():
-            cid = f"hexagon-two:{v}:{w}"
-            if (v, w) not in table.blocks:
-                reports.append(cqt.CheckReport(cid, "skipped", None,
-                                               "no candidate blocks"))
-                continue
-            reports.append(cqt.defect_report(cid, cqt.exchange_defect(
-                table, table.block(v, w), (v, w), (w, v), EXT, "left")))
-    reports.extend(_intertwiner_compat(d, table))
-    reports.sort(key=lambda r: r.check_id)
-    return reports
-
-
-def _intertwiner_compat(d: InhomDatum, table: CandidateR):
-    """Left exchange laws of the defining spinor intertwiners against EXT.
-
-    Each defect is negated to read R[target,EXT] . (S (x) 1)
-    - (1 (x) S) . R[source,EXT], the orientation the reports use.
-    """
+    table = exchange_table(d, cand, build_RQ(d, d.invariant, points[0]))
+    laws = poincare_laws(d, table.presentation)
+    reps = d.hexagon_reps()
+    skipped = [(f"hexagon-two:{v}:{w}", "no candidate blocks")
+               for v in reps for w in reps if (v, w) not in table.blocks]
     if d.abstract:
-        return [cqt.CheckReport("intertwiner-compat", "skipped", None,
-                                "abstract mode")]
-    ld = d.lorentz
-    dims = table.presentation.word_dims
-    out = []
-    for name, S, src, tgt in (("E", ld.base.E, (), (W, W)),
-                              ("Et", ld.Etilde, (), (WB, WB)),
-                              ("X", ld.X, (W, WB), (WB, W))):
-        law = cqt.exchange_defect(table, S.with_legs(dims(tgt), dims(src)),
-                                  src, tgt, EXT, "left")
-        out.append(cqt.defect_report(f"intertwiner-compat:{name}", -law))
-    return out
+        skipped.append(("intertwiner-compat", "abstract mode"))
+    reports = {cid: cqt.CheckReport(cid, "skipped", None, note)
+               for cid, note in skipped}
+    for i, c in enumerate(points):
+        todo = [row for row in laws if row[3] >= i and row[1] not in reports]
+        if not todo:
+            break
+        if i:
+            table = exchange_table(d, cand, build_RQ(d, d.invariant, c))
+        relations = {r.name: r for r in table.presentation.relations}
+        memo = {}
+        for law, cid, sign, degree in todo:
+            rel = relations[law.relation.name]
+            fz = cqt.exchange_defect(table, rel.matrix, rel.source_word,
+                                     rel.target_word, law.gamma, law.side,
+                                     memo).first_nonzero()
+            if fz is not None:
+                reports[cid] = cqt.CheckReport(
+                    cid, "fail", (fz[0], fz[1] if sign > 0 else -fz[1]),
+                    f"at coefficient {c}" if degree else "")
+    for law, cid, sign, degree in laws:
+        reports.setdefault(cid, cqt.CheckReport(
+            cid, "pass", None, "cubic interpolation over the invariant "
+            "coefficient" if degree == 3 and len(points) > 1 else ""))
+    return sorted(reports.values(), key=lambda r: r.check_id)
 
 
 def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
@@ -533,7 +523,7 @@ def classify_poincare(d: InhomDatum, structure=None):
                      for name in d.reps]
         return list(structure) + rows, [0] if cqt.all_pass(rows) else []
 
-    m0 = build_m0(d)
+    m0 = d.m0
     # rows that do not depend on the sign k
     invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0)]
     for name in (W, WB):

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from cqtcheck import dsl, lorentz
+from cqtcheck import cli, dsl, lorentz
 from cqtcheck.errors import (DuplicateName, ParseError, ShapeError,
                              UnknownGenerator)
 from cqtcheck.scalars import G_I, ConjMode, ONE, Q, Scalar, T
-from cqtcheck.tensor import Tensor, flip, kron, tauconj
+from cqtcheck.tensor import flip, kron, tauconj
 
 SLQ2_DOC = Path(__file__).resolve().parents[1] / "src/cqtcheck/data/slq2.qg"
 SLQ2 = """
@@ -33,8 +33,7 @@ def test_parse_shipped_fixture():
 
 def test_round_trip_is_identity():
     generic = dsl.parse_presentation(
-        SLQ2 + "table rep w { G = q * E . Ep ; H = t^-1 * E }\n"
-        "param c = q - 1/t\n")
+        SLQ2 + "param c = q - 1/t\n")
     for value in (None, 1, G_I, Fraction(3, 2)):
         doc = generic if value is None else generic.subs(value)
         text = dsl.dumps(doc)
@@ -48,7 +47,6 @@ def test_round_trip_is_identity():
             [r.name for r in doc.presentation.relations]
         for name in doc.mats:
             assert doc2.mats[name].matrix == doc.mats[name].matrix
-        assert doc2.tables["w"][:2] == doc.tables["w"][:2]
         assert doc2.params == doc.params
 
 
@@ -138,19 +136,29 @@ def test_tauconj_in_expressions():
     assert doc.candidate.block("w", "w") == tauconj(a, ConjMode.REAL)
 
 
-def test_params_and_tables():
+def test_params():
     from cqtcheck.scalars import parse_scalar
     doc = dsl.parse_presentation(
         "gen w : 2\n"
-        "mat G0 : [w w] -> [w w] { 1,1 = 1 ; 2,2 = 1 ; 3,3 = 1 ; 4,4 = 1 }\n"
-        "table rep w { G = G0 }\n"
         "param beta = -1\n"
         "param c = 1/2 + i\n")
     assert doc.params["beta"] == -ONE
     assert doc.params["c"] == parse_scalar("1/2 + i")
-    g, h, _, _ = doc.tables["w"]
-    assert g == Tensor.identity((2, 2))
-    assert h is None
+
+
+def test_table_statement_is_a_parse_error(capsys, tmp_path):
+    # nothing reads a rep table, so the statement is not part of the format
+    text = ("gen w : 2\n"
+            "mat G0 : [w w] -> [w w] { 1,1 = 1 ; 2,2 = 1 ; 3,3 = 1 ; 4,4 = 1 }\n"
+            "  table rep w { G = G0 }\n")
+    with pytest.raises(ParseError) as err:
+        dsl.parse_presentation(text)
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert "table" not in err.value.expected
+    doc = tmp_path / "table.qg"
+    doc.write_text(text)
+    assert cli.main(["check", str(doc), "--suite", "validate"]) == 2
+    assert "3:3" in capsys.readouterr().err
 
 
 def test_scalar_expressions_in_entries():

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cqtcheck import cqt, lorentz
+from cqtcheck import catalog, cqt, lorentz
 from cqtcheck import inhomogeneous as inh
-from cqtcheck.errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
-                             StructureViolation)
+from cqtcheck.errors import AxiomViolation, DuplicateName, StructureViolation
 from cqtcheck.scalars import (ConjMode, G_I, G_ONE, Gaussian, ONE, Q, Scalar,
                               ZERO)
 from cqtcheck.tensor import Tensor, flip, kron, pad_with_identity
@@ -20,6 +19,15 @@ def classical():
     base = lorentz.make_sl2(Q.subs(1), 1)
     ld = lorentz.make_lorentz(base, flip(2, 2), ONE)
     return inh.poincare_from_lorentz(ld)
+
+
+def braid_defect(rq):
+    """r1 r2 r1 - r2 r1 r2 for r1 = rq (x) 1 and r2 = 1 (x) rq, built from
+    explicit paddings: the reference the braid law is played against."""
+    single = rq.cod[0]
+    r1 = pad_with_identity(rq, (), (single,))
+    r2 = pad_with_identity(rq, (single,), ())
+    return r1 @ r2 @ r1 - r2 @ r1 @ r2
 
 
 def twisted_R():
@@ -44,7 +52,7 @@ def test_classical_vector_exchange_is_swap(classical):
 
 
 def test_invariant_column(classical):
-    m0 = inh.build_m0(classical)
+    m0 = classical.m0
     half = Scalar.normalize((G_ONE,), (Gaussian(2),))
     expect = [ZERO] * 16
     expect[0] = -half
@@ -68,8 +76,7 @@ def test_abstract_datum_rejects_a_table_entry_for_the_vector_rep():
 
 def test_abstract_mode_has_no_distinguished_invariant():
     da = inh.abstract_datum(flip(4, 4))
-    with pytest.raises(AbstractLambdaMode):
-        inh.build_m0(da)
+    assert da.m0 is None
 
 
 def test_extended_exchange_blocks(classical):
@@ -220,7 +227,51 @@ def test_braid_interpolation_agrees_with_samples(classical):
         c = Scalar.from_gaussian(Gaussian(
             Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))))
         rq = inh.build_RQ(classical, m0, c)
-        assert inh.braid_defect(rq).is_zero()
+        assert braid_defect(rq).is_zero()
+
+
+@pytest.mark.parametrize("name", ["poincare-classical", "poincare-abstract",
+                                  "poincare-twisted"])
+def test_braid_law_is_the_braid_defect(name):
+    # the left and the right law of R_Q against P, taken from the laws of
+    # the extended table, each equal minus the reference, entry for entry,
+    # also where the reference does not vanish (R_Q + R_Q^2)
+    d = catalog.BUILTINS[name]()
+    rq_laws = ("exchange-left:P:P:P", "exchange-right:P:P:P")
+    for cval in (0, 2):
+        rq = inh.build_RQ(d, d.invariant, Scalar.from_int(cval))
+        for r in (rq, rq + rq @ rq):
+            table = inh.exchange_table(d, None, r)
+            laws = [law for law in cqt.exchange_laws(table.presentation)
+                    if law.check_id in rq_laws]
+            assert len(laws) == 2
+            ref = braid_defect(r)
+            for law in laws:
+                rel = law.relation
+                got = cqt.exchange_defect(table, rel.matrix, rel.source_word,
+                                          rel.target_word, law.gamma, law.side)
+                assert got == -ref
+            if r is not rq:
+                assert not ref.is_zero()
+
+
+def test_braid_hexagons_take_few_products(monkeypatch):
+    # 228 products on both signs when the braid row was a hand-built product
+    # at four points, the one-sided hexagons had tables of their own at two
+    # and each law its own word_R memo
+    d = catalog.BUILTINS["poincare-classical"]()
+    cands = [inh.poincare_candidate(d, k) for k in (-1, 1)]
+    calls = []
+    matmul = Tensor.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Tensor, "__matmul__", counted)
+    for cand in cands:
+        assert cqt.all_pass(inh.check_braid_hexagons(d, cand))
+    assert len(calls) <= 168
 
 
 def test_braid_expansion_identity(classical):
@@ -265,7 +316,7 @@ def test_hexagon_failure_localizes_in_translation_sector():
     T = Tensor((4, 4), (), ent)
     d = inh.abstract_datum(R, T=T)
     P, N = 5, 4
-    nv = inh.build_N(d, "Lam")
+    nv = d.rep("Lam").N
     rq = inh.build_RP(d).with_legs((P, P), (P, P))
     lhs = (pad_with_identity(nv, (P,), ()) @ pad_with_identity(nv, (), (P,))
            @ pad_with_identity(rq, (N,), ()))
@@ -347,13 +398,13 @@ def test_hexagon_identity_blocks(classical):
     # vector rep after conjugation
     V, Vinv = inh.pauli_basis()
     P = 5
-    n_w = inh.build_N(classical, "w")
-    n_wb = inh.build_N(classical, "wb")
+    n_w = classical.rep("w").N
+    n_wb = classical.rep("wb").N
     composite = (pad_with_identity(n_w, (), (2,))
                  @ pad_with_identity(n_wb, (2,), ()))
     conj = (pad_with_identity(Vinv, (P,), ())
             @ composite @ pad_with_identity(V, (), (P,)))
-    assert conj == inh.build_N(classical, "Lam")
+    assert conj == classical.rep("Lam").N
 
 
 def test_poincare_inverts_each_datum_matrix_once(monkeypatch, capsys):
