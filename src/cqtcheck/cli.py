@@ -191,7 +191,7 @@ class _Run:
     max_len: int = 2
     with_row: object = None
     summary: list = field(default_factory=list)
-    table: dict = field(default_factory=dict)
+    table: cqt.LawTable = field(default_factory=cqt.LawTable)
 
     @cached_property
     def witnesses(self):

@@ -50,13 +50,14 @@ constant t, putting 3/2 for t changes nothing.
 
 An exchange law is a value (`Law`): its check id (relation, generator g,
 side) and the block pairs it reads, R[a, g] on the left and R[g, a] on the
-right for each letter a of the relation's words.  A table, kept for one run
-over one datum, maps a check id and the key() of each block the check reads
-to its report; the checks decide only the keys they have not seen, so a
-classification decides each distinct law, intertwiner and star/ct
-comparison once, not once per member.  This is exact: a report is a
-function of its defect (of the saturation's verdict at its fixed depth, for
-an intertwiner), and the defect is a function of the blocks in the key.
+right for each letter a of the relation's words.  A table (`LawTable`),
+kept for one run over one datum, maps a check id and the run's number for
+the key() of each block the check reads to its report; the checks decide
+only the keys they have not seen, so a classification decides each
+distinct law, intertwiner and star/ct comparison once, not once per
+member.  This is exact: a report is a function of its defect (of the
+saturation's verdict at its fixed depth, for an intertwiner), and the
+defect is a function of the blocks in the key.
 """
 
 from __future__ import annotations
@@ -234,26 +235,47 @@ def _law_matrix(c: CandidateR, src, dst, gamma: str, side: str,
     return m.with_legs((m.nrows,), (D * S,))
 
 
+class LawTable(dict):
+    """The reports decided in one run, keyed by check id and the run's
+    number of each block the check reads.  A block gets its number once per
+    run, from its key(), at the first candidate that reads it, so a lookup
+    hashes small ints, not the blocks' entries."""
+
+    def __init__(self):
+        super().__init__()
+        self._numbers = {}  # block key() -> its number
+        self._blocks = {}   # (candidate, a, b) -> the number of its block
+
+    def number(self, c: CandidateR, a: str, b: str) -> int:
+        n = self._blocks.get((c, a, b))
+        if n is None:
+            n = self._blocks[c, a, b] = self._numbers.setdefault(
+                c.block_key(a, b), len(self._numbers))
+        return n
+
+
 def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
     """The report of check cid on c's blocks at pairs: table's, or decide()."""
     if table is None:
         return decide()
-    key = (cid,) + tuple(c.block_key(a, b) for a, b in pairs)
-    if key not in table:
-        table[key] = decide()
-    return table[key]
+    key = (cid, *(table.number(c, a, b) for a, b in pairs))
+    report = table.get(key)
+    if report is None:
+        report = table[key] = decide()
+    return report
 
 
 def check_condition2(c: CandidateR, witnesses: Saturation = None,
-                     table: dict = None):
+                     table: LawTable = None):
     """Exchange-law and intertwiner reports for one candidate family, on
     its own presentation.
 
     One report per (relation, generator) pair and side, plus one
     intertwiner report per stored block.  `witnesses` is a saturation of
     the presentation (made at the default depth when omitted, and shared across a
-    family by the callers that classify); it runs only up to the element
-    that witnesses each block, and the next block resumes the round there.
+    family by the callers that classify); it runs only until each block is
+    witnessed (see Saturation.contains), and the next block resumes the
+    round there.
     `table` holds the reports already decided in the run.
     The laws decided here share one word_R memo, dropped on return.
     """
@@ -332,7 +354,7 @@ def _pair_checks(c: CandidateR, name: str, pairs, decide, table):
     return reports
 
 
-def check_star(c: CandidateR, mode: ConjMode, table: dict = None):
+def check_star(c: CandidateR, mode: ConjMode, table: LawTable = None):
     """Compatibility of the family with the star structure.
 
     For each pair (v, w) the block R[v,w] must equal the leg-swapped
@@ -346,7 +368,7 @@ def check_star(c: CandidateR, mode: ConjMode, table: dict = None):
             cid, tauconj(partner, mode) - block), table)
 
 
-def check_ct(c: CandidateR, table: dict = None):
+def check_ct(c: CandidateR, table: LawTable = None):
     """Cotriangularity: the inverse of each block is the opposite block, and
     a singular block fails.  `table` as in check_condition2."""
     return _pair_checks(c, "cotriangular", lambda v, w: ((v, w), (w, v)),
@@ -383,7 +405,7 @@ def distinct(family) -> list:
 
 
 def classify(family, mode: ConjMode = None, witnesses: Saturation = None,
-             table: dict = None) -> ClassifyResult:
+             table: LawTable = None) -> ClassifyResult:
     """Run the core, star and cotriangularity checks over a finite family
     of candidates on one presentation.
 
@@ -393,7 +415,7 @@ def classify(family, mode: ConjMode = None, witnesses: Saturation = None,
     The members share `witnesses` and `table` (see check_condition2), made
     here when omitted.
     """
-    table = {} if table is None else table
+    table = LawTable() if table is None else table
     unique = distinct(family)
     if witnesses is None and unique:
         witnesses = Saturation(unique[0].presentation)

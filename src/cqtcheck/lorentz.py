@@ -93,7 +93,7 @@ def sl2_family(d: SL2Datum):
 
 
 def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
-                 table: dict = None) -> cqt.ClassifyResult:
+                 table: cqt.LawTable = None) -> cqt.ClassifyResult:
     return cqt.classify(sl2_family(d), witnesses=witnesses, table=table)
 
 
@@ -214,7 +214,7 @@ def reference_counts(d: LorentzDatum) -> dict:
 
 
 def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None,
-                     table: dict = None):
+                     table: cqt.LawTable = None):
     """Tallies over the 64 sign/scale candidates (`table` as in cqt).
 
     Returns the classification result together with a report comparing the

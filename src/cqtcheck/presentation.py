@@ -14,8 +14,9 @@ The module also hosts:
 * Saturation   -- a bounded search in resumable rounds, producing
   certified elements of the intertwiner spaces Mor(source, target)
   generated by the relation matrices and identities under composition and
-  tensoring; `contains` stops at the element that witnesses its query,
-  `saturate` runs every round for every space, and
+  tensoring; `contains` stops at the element, or the composite of two
+  stored elements, that witnesses its query, `saturate` runs every round
+  for every space, and
   `mor_saturate` reads one space from a saturation aimed at it, stopping
   once the span reaches an upper bound on the space's dimension when it
   has one.  The witnessed span is a lower bound for the true space:
@@ -213,26 +214,41 @@ class FunctionalHom:
 class Saturation:
     """Intertwiners between bounded words, closed round by round.
 
-    Making the object takes the relation matrices and their identity
+    The construction stores the relation matrices and their identity
     paddings id (x) A (x) id.  The rounds follow, each one layer of pairwise
     compositions and tensor products that touch the frontier (the elements
     the previous round added), then the paddings of what the round kept.
-    A round is resumable: it runs as a generator that can stop after any
-    element it stores and goes on from there at the next query.  Its loops
-    run in a fixed order over the state at the round's start, so every
-    state is a prefix of one fixed sequence of stored elements, whichever
-    queries asked for them and wherever they stopped.  `reached` counts the
-    rounds started.
+    The construction and each round are resumable: they run as one
+    generator that can stop after any element it stores and goes on from
+    there at the next query.  Its loops run in a fixed order over the state
+    at the start of the construction or round, so every state is a prefix
+    of one fixed sequence of stored elements, whichever queries asked for
+    them and wherever they stopped.  `reached` counts the rounds started;
+    it is 0 during the construction.
 
-    `contains` runs the rounds on demand: it stops at the first element
-    stored at the queried (src, dst) that witnesses the matrix, or after
-    `depth` rounds.  `deepen` runs the round under way to its end, and
+    `contains` runs the rounds on demand and meets them in the middle: it
+    stops at the first element stored at the queried (src, dst) that
+    witnesses the matrix, at the first composite b . a of stored elements a:
+    src -> m and b: m -> dst that does, or after `depth` rounds.  It forms
+    those composites, with the elements stored at (src, dst), in a private
+    span, only while `reached` < `depth`, and only at a key the rounds store
+    at: one end of at most max_end_len letters (an aimed saturation answers
+    only for its goal, which every round's aim passes).  Every stored
+    element was stored by round `reached`, and at every such key the rounds
+    compose every pair of stored elements, one of which the last round
+    stored.  So the eager saturation forms each of these composites by round
+    `reached` + 1 <= `depth`, and either stores it or finds it already in
+    the span: the private span lies inside the eager one at `depth`.  In the
+    last round a composite would be a product of round `depth` + 1, and none
+    is formed.  The saturation stores none of them, so every state is still
+    a prefix of the one fixed sequence.
+
     `basis` and `saturate` run every round to `depth`.  Storing an element
     only adds to the witnessed span of its Mor(src, dst), so a matrix
-    witnessed at any state is witnessed by the eager saturation too, and
-    one not witnessed after `depth` rounds is not witnessed by it either:
-    every verdict is the eager verdict, and every later `basis` the eager
-    basis.  A witness is a proof; its absence proves nothing.
+    witnessed at any state is witnessed by the eager saturation too, and one
+    not witnessed after `depth` rounds is not witnessed by it either: every
+    verdict is the eager verdict, and every later `basis` the eager basis.
+    A witness is a proof; its absence proves nothing.
 
     `basis` may take an upper bound on dim Mor(src, dst), such as
     `cqt.mor_bound`.  Its rounds then stop at the first element stored at
@@ -319,18 +335,10 @@ class Saturation:
             layer = [w + (a,) for w in layer for a in alphabet
                      if p.word_dim(w + (a,)) <= MAX_SPACE]
             self.words.extend(layer)
-        found = []
-        for r in p.relations:
-            if len(r.source_word) <= max_len and len(r.target_word) <= max_len:
-                if self.add(r.source_word, r.target_word, r.matrix):
-                    found.append((r.source_word, r.target_word, r.matrix))
-        for src, dst, t in _paddings(self, found):
-            self.add(src, dst, t)
-        self.reached = 0    # rounds started
+        self.reached = 0    # rounds started; 0 is the construction
         # the rounds hold the saturation weakly: a strong reference would be
         # a cycle, which only the cyclic collector frees
-        self._rounds = _rounds(weakref.proxy(self),
-                               {k: list(v) for k, v in self.elements.items()})
+        self._rounds = _rounds(weakref.proxy(self))
 
     def add(self, src, dst, t: Tensor) -> bool:
         if t.is_zero():
@@ -341,27 +349,16 @@ class Saturation:
             return False
         self._seen.add(seen_key)
         if key not in self.spans:
-            span = SpanBasis(t.nrows * t.ncols)
-            if src == dst:
-                span.add(Tensor.identity(self.presentation.word_dims(src)))
-            self.spans[key] = span
+            self.spans[key] = self._span(key)
             self.elements[key] = []
         if self.spans[key].add(t):
             self.elements[key].append(t)
             return True
         return False
 
-    def deepen(self) -> bool:
-        """Run the round under way to its end, or the next one; False once
-        `depth` rounds have run or the last round added nothing."""
-        for got in self._rounds:
-            if got is None:
-                return True
-        return False
-
     def complete(self) -> "Saturation":
         """Run every remaining round up to `depth`."""
-        while self.deepen():
+        for _ in self._rounds:
             pass
         return self
 
@@ -385,13 +382,35 @@ class Saturation:
 
     def contains(self, src, dst, t: Tensor) -> bool:
         """Whether t is witnessed in Mor(src, dst), running the rounds only
-        until it is: up to the first element stored at (src, dst) that
-        witnesses it, or to the end of round `depth`."""
-        key = self._query(src, dst)
-        if self._witnessed(key, t):
+        until it is.
+
+        The test runs against a private copy of the key's span, which takes
+        the elements stored at (src, dst) as they come.  While `reached` <
+        `depth`, at a key the rounds store at, it also takes the composites
+        b . a of stored a: src -> m and b: m -> dst: all of them when the
+        query starts, then those with each element stored at (src, m) or
+        (m, dst).  The rounds form each of them by round `reached` + 1, so
+        a witness in the copy is one at `depth` (see the class docstring).
+        """
+        src, dst = key = self._query(src, dst)
+        span = self.spans.get(key)
+        private = span.copy() if span else self._span(key)
+        ahead = min(len(src), len(dst)) <= self.max_end_len
+
+        def witnessed(found):
+            return any(private.add(m) and private.contains(t) for m in found)
+
+        if private.contains(t) or (ahead and self.reached < self.depth
+                                   and witnessed(self._composites(key))):
             return True
         for got in self._rounds:
-            if got == key and self._witnessed(key, t):
+            if got[0] != src and got[1] != dst:
+                continue
+            new = self.elements[got][-1]
+            if got == key and witnessed((new,)):
+                return True
+            if (ahead and self.reached < self.depth
+                    and witnessed(self._composites(key, got, new))):
                 return True
         return False
 
@@ -409,13 +428,32 @@ class Saturation:
         span = self.spans.get(key)
         return span.dim() if span else int(key[0] == key[1])
 
-    def _witnessed(self, key, t: Tensor) -> bool:
-        span = self.spans.get(key)
-        if span is None:
-            if key[0] == key[1]:
-                return _is_scalar_multiple_of_identity(t)
-            return t.is_zero()
-        return span.contains(t)
+    def _span(self, key) -> SpanBasis:
+        """A new span for Mor(key), holding the identity on a word."""
+        (src, dst), p = key, self.presentation
+        span = SpanBasis(p.word_dim(src) * p.word_dim(dst))
+        if src == dst:
+            span.add(Tensor.identity(p.word_dims(src)))
+        return span
+
+    def _composites(self, key, got=None, new=None):
+        """The composites b . a of stored a: src -> m and b: m -> dst, for
+        key (src, dst): all of them, or those with `new`, the element just
+        stored at `got`, as a or b."""
+        (src, dst), items = key, self.elements
+        if got is None:
+            for (s, m), firsts in items.items():
+                if s == src:
+                    for b in items.get((m, dst), ()):
+                        for a in firsts:
+                            yield b @ a
+            return
+        if got[0] == src:
+            for b in items.get((got[1], dst), ()):
+                yield b @ new
+        if got[1] == dst:
+            for a in items.get((src, got[0]), ()):
+                yield new @ a
 
     def _aim(self):
         """The test (src, dst) -> bool a key passes to be added in this
@@ -445,11 +483,12 @@ class Saturation:
                    for pre, post in ((s1, d2), (d1, s2)))
 
 
-def _rounds(sat: Saturation, front):
-    """The rounds of `sat`, run lazily from the frontier `front` (the last
-    round's elements per (src, dst)).  Yield the key of each element that
-    `sat.add` keeps, and None at the end of each round.  The saturation
-    holds this generator, so `sat` is a weak proxy of it."""
+def _rounds(sat: Saturation):
+    """The construction of `sat` and then its rounds, run lazily: the
+    relations and their paddings first, then each round from the frontier
+    `front` (the last round's elements per (src, dst)).  Yield the key of
+    each element that `sat.add` keeps.  The saturation holds this
+    generator, so `sat` is a weak proxy of it."""
     p, fresh = sat.presentation, []
 
     def keep(src, dst, t):
@@ -458,6 +497,15 @@ def _rounds(sat: Saturation, front):
             return True
         return False
 
+    for r in p.relations:
+        src, dst = tuple(r.source_word), tuple(r.target_word)
+        if (len(src) <= sat.max_len and len(dst) <= sat.max_len
+                and keep(src, dst, r.matrix)):
+            yield src, dst
+    for src, dst, t in _paddings(sat, fresh[:]):
+        if sat.add(src, dst, t):
+            yield src, dst
+    front = {k: list(v) for k, v in sat.elements.items()}
     while sat.reached < sat.depth and front:
         sat.reached += 1
         fresh, aim = [], sat._aim()
@@ -524,7 +572,6 @@ def _rounds(sat: Saturation, front):
         front = {}
         for src, dst, t in fresh:
             front.setdefault((src, dst), []).append(t)
-        yield None
 
 
 def _paddings(sat: Saturation, queue, aim=None):
@@ -555,10 +602,6 @@ def _factors(word) -> set:
     """Every contiguous factor of a word, the empty one included."""
     return {word[i:j] for i in range(len(word) + 1)
             for j in range(i, len(word) + 1)}
-
-
-def _is_scalar_multiple_of_identity(t: Tensor) -> bool:
-    return t.nrows == t.ncols and t == Tensor.identity((t.nrows,)) * t[0, 0]
 
 
 def saturate(p: Presentation, depth: int = 3,

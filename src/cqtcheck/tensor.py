@@ -635,5 +635,12 @@ class SpanBasis:
     def contains(self, vec: Tensor) -> bool:
         return not self._eliminate(self._sparse(vec))
 
+    def copy(self) -> "SpanBasis":
+        """The same span, to grow apart from this one: `add` touches no
+        existing row, so the copies share them."""
+        out = SpanBasis(self.length)
+        out.rows = list(self.rows)
+        return out
+
     def dim(self) -> int:
         return len(self.rows)

@@ -96,7 +96,7 @@ def _family(name, value):
 def _agree(p, family, mode):
     """Classify through one table and by the reference; compare the results
     and every report of every member.  Returns the result and the table."""
-    table = {}
+    table = cqt.LawTable()
     got = cqt.classify(family, mode, Saturation(p), table=table)
     ref_sat = Saturation(p)
     assert got == reference_classify(p, family, mode, ref_sat)
@@ -155,7 +155,7 @@ def test_lorentz_family_distinct_keys():
     # per Lorentz datum: 80 distinct laws, 12 intertwiner queries and 16
     # cotriangularity comparisons out of 1,280, 256 and 256
     d = catalog.resolve("lorentz-beta-minus", None)
-    table = {}
+    table = cqt.LawTable()
     result, _ = lorentz.classify_lorentz(d, table=table)
     assert len(result.passing) == 64
     kinds = Counter(key[0].split(":", 1)[0].split("-")[0] for key in table)

@@ -134,11 +134,9 @@ def test_saturation_monotone_in_depth(slq2):
     assert dims == sorted(dims)
 
 
-def test_kron_witnesses_a_product_no_padding_route_fits():
-    # A: a -> h h and B: h h h h -> g.  By the interchange law A (x) B is
-    # (A (x) 1_g) . (1_a (x) B) and (1_hh (x) B) . (A (x) 1_hhhh), but the
-    # middle words a g (600 dimensions) and h^6 (6 letters) are both out of
-    # bounds, so only the tensor product of A and B reaches it.
+def _kron_only():
+    """Generators a (dim 3), h (dim 1), g (dim 200) and relations A: a -> h h,
+    B: h h h h -> g, with A (x) B in Mor(a h h h h, h h g)."""
     a_to_hh = Tensor.from_rows([[1, 2, 3]]).with_legs((1, 1), (3,))
     hhhh_to_g = Tensor.from_rows([[k] for k in range(1, 201)]).with_legs(
         (200,), (1, 1, 1, 1))
@@ -147,9 +145,18 @@ def test_kron_witnesses_a_product_no_padding_route_fits():
          GeneratorSpec("g", 200, "g")],
         [Relation("A", a_to_hh, ("a",), ("h", "h")),
          Relation("B", hhhh_to_g, ("h",) * 4, ("g",))])
+    return (p, ("a", "h", "h", "h", "h"), ("h", "h", "g"),
+            kron(a_to_hh, hhhh_to_g))
+
+
+def test_kron_witnesses_a_product_no_padding_route_fits():
+    # By the interchange law A (x) B is (A (x) 1_g) . (1_a (x) B) and
+    # (1_hh (x) B) . (A (x) 1_hhhh), but the middle words a g (600
+    # dimensions) and h^6 (6 letters) are both out of bounds, so only the
+    # tensor product of A and B reaches it.
+    p, src, dst, t = _kron_only()
     sat = saturate(p, depth=1, max_end_len=3)
-    src, dst = ("a", "h", "h", "h", "h"), ("h", "h", "g")
-    assert sat.contains(src, dst, kron(a_to_hh, hhhh_to_g))
+    assert sat.contains(src, dst, t)
     assert len(sat.basis(src, dst)) == 1
 
 
@@ -178,6 +185,23 @@ def test_inverse_exchange_witnessed_for_lorentz(lorentz_flip):
     assert sat.contains(("wb", "w"), ("w", "wb"), X.inverse())
 
 
+@pytest.mark.parametrize("depth, witnessed", [(1, False), (2, True)])
+def test_contains_looks_ahead_only_before_the_last_round(depth, witnessed):
+    # R[wb, w] of the canonical lorentz-flip candidate is first stored in
+    # round 2, as a composite of elements stored by round 1.  At depth 2 the
+    # query forms that composite itself during round 1; at depth 1 it would
+    # be a product of a round past the depth, and the verdict is the eager
+    # one: no witness.
+    d = catalog.resolve("lorentz-flip", None)
+    p, block = d.presentation, lorentz.lorentz_family(d)[0].blocks["wb", "w"]
+    src, dst = ("wb", "w"), ("w", "wb")
+    assert saturate(p, depth=depth).contains(src, dst, block) is witnessed
+    sat = Saturation(p, depth=depth)
+    assert sat.contains(src, dst, block) is witnessed
+    assert sat.reached == 1
+    assert len(sat.elements.get((src, dst), ())) == 0
+
+
 def test_functional_hom_unital(slq2):
     h = cqt.eval_hom(lorentz.sl2_family(slq2)[0], "w")
     assert h.value(()) == Tensor.identity((2,))
@@ -185,34 +209,36 @@ def test_functional_hom_unital(slq2):
     assert h.value(word) == h.value(word[:1]) @ h.value(word[1:])
 
 
-def _check_block():
-    """A block of the canonical lorentz-flip candidate, first witnessed by
-    a composition in round 2."""
-    d = catalog.resolve("lorentz-flip", None)
-    return (d.presentation, 2, ("wb", "w"), ("w", "wb"),
-            lorentz.lorentz_family(d)[0].blocks["wb", "w"])
+def _kron():
+    """The product A (x) B of `_kron_only`, which only the tensor-product
+    loop of round 1 forms."""
+    p, src, dst, t = _kron_only()
+    return p, 3, 1, src, dst, t
 
 
 def _padding():
     """The first element of Mor(w w w, w w w) of slq2, a padding kept in
-    round 1."""
+    round 1: no composition is stored at a key with both ends longer than
+    max_end_len."""
     p, www = catalog.resolve("slq2", None).presentation, ("w",) * 3
-    return p, 1, www, www, saturate(p, depth=1).elements[www, www][0]
+    return p, 2, 1, www, www, saturate(p, depth=1).elements[www, www][0]
 
 
-@pytest.mark.parametrize("pause", [_check_block, _padding],
-                         ids=["check-block", "padding"])
+@pytest.mark.parametrize("pause", [_kron, _padding], ids=["kron", "padding"])
 def test_saturation_stopped_inside_a_round_needs_no_cycle_collector(pause):
     # the saturation holds its round under way, which refers back to it
     # only weakly: a cycle would keep every check's saturation alive until
-    # the cyclic collector runs
-    p, rounds, src, dst, t = pause()
-    sat = Saturation(p)
+    # the cyclic collector runs.  Both witnesses are formed by a tensor
+    # product or a padding, never by a composition that `contains` forms
+    # ahead of the rounds, so the query stops at the element itself.
+    p, max_end_len, rounds, src, dst, t = pause()
+    sat = Saturation(p, max_end_len=max_end_len)
     assert sat.contains(src, dst, t)
     assert sat.reached == rounds
     # stopped inside the round: it stores less than the whole round does
+    whole = saturate(p, depth=rounds, max_end_len=max_end_len)
     assert (sum(map(len, sat.elements.values()))
-            < sum(map(len, saturate(p, depth=rounds).elements.values())))
+            < sum(map(len, whole.elements.values())))
     alive = weakref.ref(sat)
     gc.disable()
     try:

@@ -7,14 +7,14 @@ both orders, with no duplicate screen, no padding-route test and no stop
 before the last round.  Its span dimension at every (src, dst), recorded
 after each round, must equal that of `saturate` at that depth.  The lazy
 `contains` must give the eager verdict on every block of the built-in
-candidate families, and leave a prefix of the eager saturation's stored
-elements at every key.  One presentation mixes generator dimensions, so that
+candidate families and of a document whose block lies outside the span, and
+leave a prefix of the eager saturation's stored elements at every key.  One presentation mixes generator dimensions, so that
 max_space drops words inside a length layer, as it does for no built-in.
 """
 
 import pytest
 
-from cqtcheck import catalog, lorentz
+from cqtcheck import catalog, dsl, lorentz
 from cqtcheck.presentation import (GeneratorSpec, Presentation, Relation,
                                    Saturation, saturate)
 from cqtcheck.scalars import Gaussian
@@ -160,6 +160,33 @@ def test_lazy_contains_gives_the_eager_verdict(name, point):
     assert lazy.reached == DEPTH
     lazy.complete()
     assert lazy.elements.keys() == eager.elements.keys()
+    assert all(len(items) == len(eager.elements[key])
+               and _prefix(items, eager.elements[key])
+               for key, items in lazy.elements.items())
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_lazy_contains_gives_the_eager_verdict_outside_the_span(depth):
+    # the flip is refused after every round; then every element the eager
+    # saturation stores is witnessed, some by composites `contains` forms
+    # ahead of the rounds (E . Ep before round 1 has run)
+    with open("tests/data/flip-outside-span.qg", encoding="utf-8") as fh:
+        doc = dsl.parse_presentation(fh.read())
+    p, ww = doc.presentation, ("w", "w")
+    lazy, eager = Saturation(p, depth=depth), saturate(p, depth=depth)
+    flip = doc.candidate.block("w", "w")
+    assert not lazy.contains(ww, ww, flip)
+    assert not eager.contains(ww, ww, flip)
+    assert lazy.reached == depth
+    lazy = Saturation(p, depth=depth)
+    ee = doc.mats["E"].matrix @ doc.mats["Ep"].matrix
+    assert lazy.contains(ww, ww, ee) and lazy.reached == 0
+    for key, items in eager.elements.items():
+        for t in items:
+            assert lazy.contains(*key, t)
+            assert all(_prefix(got, eager.elements.get(k, []))
+                       for k, got in lazy.elements.items())
+    assert not lazy.contains(ww, ww, flip)
     assert all(len(items) == len(eager.elements[key])
                and _prefix(items, eager.elements[key])
                for key, items in lazy.elements.items())
