@@ -435,14 +435,25 @@ def run_check(args) -> int:
 def run_mor(args) -> int:
     src, dst = tuple(args.src.split()), tuple(args.dst.split())
     _check_work(args.depth, words=(src, dst))
-    datum = load_input(args.input, _eval_value(args.eval_expr))
+    value = _eval_value(args.eval_expr)
+    datum = load_input(args.input, value)
     if "cqt" not in _kind(datum).suites:  # the presented data
         print("error: mor needs a presented datum", file=sys.stderr)
         return 2
     p = datum.presentation
     check_mor_words(p, src, dst)  # before the bound reads the words
-    basis = mor_saturate(p, src, dst, args.depth, cqt.mor_bound(
-        _kind(datum).candidate(datum), src, dst))
+    bound = None
+    if value is not None:  # the generic bound holds here (see the cqt module)
+        try:
+            generic = load_input(args.input, None)
+            if generic.presentation.specializes_to(p, value):
+                bound = cqt.mor_bound(_kind(generic).candidate(generic),
+                                      src, dst)
+        except CqtError:  # a datum whose axioms hold at the value only
+            pass
+    if bound is None:
+        bound = cqt.mor_bound(_kind(datum).candidate(datum), src, dst)
+    basis = mor_saturate(p, src, dst, args.depth, bound)
     print(f"Mor({args.src or '1'}, {args.dst or '1'}): "
           f"witnessed dimension {len(basis)} at depth {args.depth}")
     for k, b in enumerate(basis):

@@ -47,6 +47,22 @@ lower a rank (a minor nonzero at 3/2 is nonzero as a function of t), so
 the nullity at 3/2 is at least the generic nullity and bounds the generic
 Mor too, with constant arithmetic only; on a candidate already at a
 constant t, putting 3/2 for t changes nothing.
+On the built-ins the bound at t = 1 or t = i is not tight (64 and 32
+against 5 on slq2 (w w w, w w w)), so under `--eval t=t0` `mor` stops at
+the bound of the generic candidate, and at the one at t0 when that is
+None, when the input fails to load at generic t (a datum whose axioms hold
+at t0 only), or when the premise below fails.  This is exact, in three
+steps.  (1) The span a saturation witnesses after d rounds does not depend
+on which products it stores: one it does not store is a combination of
+elements stored at its key by the same or an earlier round, and its
+composites, tensor products and paddings are the same combinations of
+theirs, which the rounds form by the next round.  So it is the span of the
+full closure F_d, every product the rounds' bounds allow.  (2) When the
+presentation at t0 is the generic one with t0 put in (the premise, which
+`Presentation.specializes_to` checks at run time), F_d(t0) is F_d(generic)
+at t0, element by element, and a rank can only drop when t is specialized:
+the span at t0 is no larger than the generic one.  (3) The generic span
+lies in the generic Mor, which the generic bound bounds.
 
 An exchange law is a value (`Law`): its check id (relation, generator g,
 side) and the block pairs it reads, R[a, g] on the left and R[g, a] on the
@@ -176,8 +192,10 @@ def mor_bound(c: CandidateR, src, dst):
     sides, every T in Mor(src, dst) solves them at c's own t: the braiding
     is natural on comodule maps (Kassel, GTM 155, ch. VIII).  The
     intertwiner rows of c are not needed.  Putting 3/2 for t can only lower
-    the rank, so the nullity at 3/2 bounds the one at c's t.  The module
-    docstring gives the argument in full.
+    the rank, so the nullity at 3/2 bounds the one at c's t.  For generic
+    c it also bounds the span a saturation of any specialization of c's
+    presentation witnesses.  The module docstring gives the argument in
+    full.
 
     None when there is no candidate, when an exchange law of c fails (either
     side, exactly, at c's own t), when c lacks a block the laws read, when a

@@ -42,8 +42,9 @@ in the abstract mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from . import cqt
 from .errors import (AbstractLambdaMode, AxiomViolation, DuplicateName,
@@ -341,6 +342,7 @@ def counit_invariance_defect(d: InhomDatum, name: str, m: Tensor) -> Tensor:
 
 INTERP_POINTS = tuple(Scalar.from_int(k) for k in (0, 1, 2, 3))
 EXT = "P"  # the letter of the extended representation in exchange tables
+RQ = f"{EXT}:{EXT}"  # the relation of R_Q in exchange tables
 
 
 def coefficient_points(d: InhomDatum, n: int):
@@ -385,40 +387,55 @@ def exchange_table(d: InhomDatum, cand: CandidateR, rq: Tensor) -> CandidateR:
     return table
 
 
+class PoincareLaw(NamedTuple):
+    """The exchange law of a relation against gamma on one side, read by
+    the row check_id with its defect times sign; degree is in c."""
+    relation: str
+    gamma: str
+    side: str
+    check_id: str
+    sign: int
+    degree: int
+
+
 def poincare_laws(d: InhomDatum, p: Presentation):
     """The laws of an exchange table's presentation p that the rows read,
-    as (law, row id, sign, degree in c).  braid:extended is the left law of
-    R_Q against EXT, negated (degree 3); hexagon-one:v the right law of R_Q
-    against v (degree 1); hexagon-two:v:w the left law of R[v,w] against
-    EXT; intertwiner-compat:S the left law of S against EXT, negated.
+    as `PoincareLaw`s.  braid:extended is the left law of R_Q against EXT,
+    negated (degree 3); hexagon-one:v the right law of R_Q against v
+    (degree 1); hexagon-two:v:w the left law of R[v,w] against EXT, when p
+    has that block; intertwiner-compat:S the left law of S against EXT,
+    negated, on a spinor datum.
 
     Left out: the left law of R_Q against v needs R[EXT,v], which the table
     lacks (MissingBlock); the right law of R_Q against EXT duplicates the
     braid law.  Every other law is a homogeneous law the cqt suite already
     decides or is read by no row.
     """
-    rq = f"{EXT}:{EXT}"
-    rows = {(rq, EXT, "left"): ("braid:extended", -1, 3)}
+    rows = {(RQ, EXT, "left"): ("braid:extended", -1, 3)}
     for v in d.hexagon_reps():
-        rows[rq, v, "right"] = (f"hexagon-one:{v}", 1, 1)
+        rows[RQ, v, "right"] = (f"hexagon-one:{v}", 1, 1)
         for w in d.hexagon_reps():
             rows[f"{v}:{w}", EXT, "left"] = (f"hexagon-two:{v}:{w}", 1, 0)
     for name in ("E", "Et", "X"):
         rows[name, EXT, "left"] = (f"intertwiner-compat:{name}", -1, 0)
-    return [(law, *rows[key]) for law in cqt.exchange_laws(p)
-            if (key := (law.relation.name, law.gamma, law.side)) in rows]
+    names = {r.name for r in p.relations}
+    return [PoincareLaw(*key, *row) for key, row in rows.items()
+            if key[0] in names]
 
 
 def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
     """Braid for R_Q, both hexagons, and the intertwiner compatibilities:
     the laws of `poincare_laws`, by `cqt.exchange_defect` with one word_R
-    memo per table.  A law of degree n in c holds for every c when it holds
-    at the first n + 1 coefficient points; a failure names its first point.
-    cand holds the spinor blocks, for the pairs of spinor reps.
+    memo per coefficient point.  A law of degree n in c holds for every c
+    when it holds at the first n + 1 coefficient points; a failure names
+    its first point.  One exchange table serves every point: only R_Q
+    changes, as its block and its relation together.  cand holds
+    the spinor blocks, for the pairs of spinor reps.
     """
     points = coefficient_points(d, 4)
     table = exchange_table(d, cand, build_RQ(d, d.invariant, points[0]))
-    laws = poincare_laws(d, table.presentation)
+    p = table.presentation
+    laws = poincare_laws(d, p)
     reps = d.hexagon_reps()
     skipped = [(f"hexagon-two:{v}:{w}", "no candidate blocks")
                for v in reps for w in reps if (v, w) not in table.blocks]
@@ -427,26 +444,32 @@ def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
     reports = {cid: cqt.CheckReport(cid, "skipped", None, note)
                for cid, note in skipped}
     for i, c in enumerate(points):
-        todo = [row for row in laws if row[3] >= i and row[1] not in reports]
+        todo = [law for law in laws
+                if law.degree >= i and law.check_id not in reports]
         if not todo:
             break
         if i:
-            table = exchange_table(d, cand, build_RQ(d, d.invariant, c))
-        relations = {r.name: r for r in table.presentation.relations}
+            table = CandidateR(p, {**table.blocks,
+                                   (EXT, EXT): build_RQ(d, d.invariant, c)})
+            p.relations = [replace(r, matrix=table.block(EXT, EXT))
+                           if r.name == RQ else r for r in p.relations]
+        relations = {r.name: r for r in p.relations}
         memo = {}
-        for law, cid, sign, degree in todo:
-            rel = relations[law.relation.name]
+        for law in todo:
+            rel = relations[law.relation]
             fz = cqt.exchange_defect(table, rel.matrix, rel.source_word,
                                      rel.target_word, law.gamma, law.side,
                                      memo).first_nonzero()
             if fz is not None:
-                reports[cid] = cqt.CheckReport(
-                    cid, "fail", (fz[0], fz[1] if sign > 0 else -fz[1]),
-                    f"at coefficient {c}" if degree else "")
-    for law, cid, sign, degree in laws:
-        reports.setdefault(cid, cqt.CheckReport(
-            cid, "pass", None, "cubic interpolation over the invariant "
-            "coefficient" if degree == 3 and len(points) > 1 else ""))
+                reports[law.check_id] = cqt.CheckReport(
+                    law.check_id, "fail",
+                    (fz[0], fz[1] if law.sign > 0 else -fz[1]),
+                    f"at coefficient {c}" if law.degree else "")
+    for law in laws:
+        reports.setdefault(law.check_id, cqt.CheckReport(
+            law.check_id, "pass", None, "cubic interpolation over the "
+            "invariant coefficient" if law.degree == 3 and len(points) > 1
+            else ""))
     return sorted(reports.values(), key=lambda r: r.check_id)
 
 

@@ -30,7 +30,8 @@ import weakref
 from dataclasses import dataclass
 from math import prod
 
-from .errors import DuplicateName, MissingBlock, MissingRep, ShapeError, UnknownGenerator
+from .errors import (DuplicateName, EvaluationPole, MissingBlock, MissingRep,
+                     ShapeError, UnknownGenerator)
 from .tensor import SpanBasis, Tensor, kron, pad_with_identity
 
 UNIT = "1"
@@ -105,6 +106,20 @@ class Presentation:
 
     def non_unit(self):
         return [n for n in self.generators if n != UNIT]
+
+    def specializes_to(self, other: "Presentation", value) -> bool:
+        """Whether other is this presentation with value put for t: the
+        same generators, and the same relations in the same order, each with
+        the same name and words and this one's matrix with value put in."""
+        try:
+            return (self.generators == other.generators
+                    and len(self.relations) == len(other.relations)
+                    and all((r.name, r.source_word, r.target_word)
+                            == (s.name, s.source_word, s.target_word)
+                            and r.matrix.subs(value) == s.matrix
+                            for r, s in zip(self.relations, other.relations)))
+        except EvaluationPole:
+            return False
 
 
 class CandidateR:
@@ -250,14 +265,15 @@ class Saturation:
     verdict is the eager verdict, and every later `basis` the eager basis.
     A witness is a proof; its absence proves nothing.
 
-    `basis` may take an upper bound on dim Mor(src, dst), such as
-    `cqt.mor_bound`.  Its rounds then stop at the first element stored at
-    (src, dst) that brings the span, the identity on a word counted, to
-    the bound.  The span is then all of Mor(src, dst): every later element
-    formed at the key lies in it and would not be stored, so the basis is
-    the one at `depth`, element for element.  A bound that the span never
-    reaches lets every round run; one below the dimension already
-    witnessed is an error.
+    `basis` may take an upper bound on the dimension of the span witnessed
+    at `depth`: `cqt.mor_bound`, a bound on dim Mor(src, dst), or at a
+    specialized t the bound of the generic datum (see the cqt module).  Its
+    rounds then stop at the first element stored at (src, dst) that brings
+    the span, the identity on a word counted, to the bound.  The span is
+    then the one at `depth`: every later element formed at the key lies in
+    it and would not be stored, so the basis is the one at `depth`, element
+    for element.  A bound that the span never reaches lets every round run;
+    one below the dimension already witnessed is an error.
 
     Identity morphisms on every word are present implicitly and are not
     stored; `elements` holds only the interesting finds.
@@ -364,7 +380,7 @@ class Saturation:
 
     def basis(self, src, dst, bound=None):
         """Basis of the span witnessed at `depth`, including the identity on
-        a word.  Given `bound`, an upper bound on dim Mor(src, dst), the
+        a word.  Given `bound`, an upper bound on that span's dimension, the
         rounds stop once the span reaches it (see the class docstring)."""
         src, dst = key = self._query(src, dst)
         dim = self._dim(key)
@@ -619,9 +635,10 @@ def mor_saturate(p: Presentation, src, dst, depth: int = 3,
     """Basis of the witnessed span of Mor(src, dst), from a saturation
     aimed at it: element for element, in order, the basis that `saturate`
     reads at max_end_len the longer of src, dst and 2.  The rounds stop
-    once the span reaches `bound`, an upper bound on dim Mor(src, dst) when
-    given; that changes no element of the basis.  See `Saturation` for
-    why."""
+    once the span reaches `bound` when given, an upper bound on the span
+    at `depth`: one on dim Mor(src, dst), or at a specialized t the
+    generic datum's (see the cqt module).  That changes no element of the
+    basis.  See `Saturation` for why."""
     check_mor_words(p, src, dst)
     return Saturation(p, depth, max(len(src), len(dst), 2),
                       goal=(src, dst)).basis(src, dst, bound)

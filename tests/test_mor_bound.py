@@ -8,8 +8,15 @@ lacks a block, for one with a pole at 3/2, and over the matrix budget.
 
 A `mor` saturation stops once its goal's span reaches the bound.  The
 stopped basis must equal, element for element, the basis of the unaimed
-saturation run to full depth, on every space of the grid below, and the
-two workload `mor` commands must form at most 100 products.
+saturation run to full depth, on every space of the grid below, and each
+workload `mor` command must form at most 100 products.
+
+Under `--eval`, `mor` takes the bound of the generic datum when the
+datum at the value is the generic one with the value put in
+(`Presentation.specializes_to`), and the bound at the value otherwise,
+also when the datum fails its axioms or laws at generic t.  That rests on
+a specialization witnessing no more than generic t does, which
+`test_specialization_laws` draws values for.
 
 The cross-check plays the saturation against the laws: every element the
 full-depth saturation stores obeys the exchange law of every generator on
@@ -25,11 +32,12 @@ from pathlib import Path
 
 import pytest
 
-from cqtcheck import catalog, cli, cqt, dsl
+from cqtcheck import catalog, cli, cqt, dsl, lorentz
 from cqtcheck.errors import UnknownGenerator
 from cqtcheck.presentation import (CandidateR, GeneratorSpec, Presentation,
-                                   Saturation, mor_saturate, saturate)
-from cqtcheck.scalars import Gaussian
+                                   Relation, Saturation, mor_saturate,
+                                   saturate)
+from cqtcheck.scalars import Q, Gaussian, parse_scalar
 from cqtcheck.tensor import Tensor, flip
 
 SLQ2_DOC = Path(__file__).resolve().parents[1] / "src/cqtcheck/data/slq2.qg"
@@ -215,9 +223,13 @@ def test_every_stored_element_obeys_the_exchange_laws(name, point):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"],
-    ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3"]])
+    [*argv, *at] for at in ([], ["--eval", "t=1"], ["--eval", "t=i"],
+                            ["--eval", "t=3/2"])
+    for argv in (["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3"],
+                 ["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth",
+                  "3"])])
 def test_workload_mor_forms_at_most_100_products(argv, monkeypatch):
+    # at t = 1 and t = i only the generic bound is tight
     calls = []
     add = Saturation.add
 
@@ -230,3 +242,122 @@ def test_workload_mor_forms_at_most_100_products(argv, monkeypatch):
         assert cli.main(argv) == 0
     assert "witnessed dimension" in out.getvalue()
     assert 0 < len(calls) <= 100
+
+
+def _run_mor(argv, monkeypatch):
+    """Run a mor command that passes; return the bound run_mor gave the
+    saturation and the basis it got."""
+    seen = []
+    real = cli.mor_saturate
+
+    def recorded(p, src, dst, depth, bound):
+        seen.append((bound, real(p, src, dst, depth, bound)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "mor_saturate", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    (got,) = seen
+    return got
+
+
+EVALS = [(name, value) for name in LETTERS
+         for value in ("t=1", "t=i", "t=3/2", "t=2")]
+
+
+@pytest.mark.parametrize("name,value", EVALS,
+                         ids=[f"{n}-{v}" for n, v in EVALS])
+def test_mor_under_eval_stops_at_the_generic_bound(name, value, monkeypatch):
+    # the generic bound is tight on every space of the grid, and a
+    # specialization witnesses no more: the basis stopped there is the
+    # full-depth basis at the value
+    generic = _datum(name, "generic")
+    p = catalog.resolve(name, cli._eval_value(value)).presentation
+    full = {}
+    for src, dst in _spaces(p, LETTERS[name]):
+        mel = max(len(src), len(dst), 2)
+        if mel not in full:
+            full[mel] = saturate(p, 3, max_end_len=mel)
+        bound, got = _run_mor(["mor", f"builtin:{name}", " ".join(src),
+                               " ".join(dst), "--depth", "3", "--eval",
+                               value], monkeypatch)
+        assert bound == _bound(generic, src, dst), (src, dst)
+        assert _same_basis(got, full[mel].basis(src, dst)), (src, dst)
+
+
+def test_premise_fails_where_the_relations_differ_at_t0(monkeypatch):
+    one = Gaussian(1)
+    generic = _datum("slq2", "generic")
+    assert generic.presentation.specializes_to(
+        _datum("slq2", "t=1").presentation, one)
+    # case 2 is SL(2) at q = 1 with another E
+    other = lorentz.make_sl2(Q.subs(one), 2)
+    assert not generic.presentation.specializes_to(other.presentation, one)
+    # a pole of a generic relation at the value
+    pole = Presentation([GeneratorSpec("w", 1, "w")], [Relation(
+        "A", Tensor.from_rows([[parse_scalar("1/(2*t - 3)")]]),
+        ("w",), ("w",))])
+    assert not pole.specializes_to(pole, Gaussian(Fraction(3, 2)))
+    # so mor at t = 1 reads the bound of case 2's candidate alone
+    monkeypatch.setitem(catalog.BUILTINS, "slq2", lambda value: (
+        catalog.make_slq2() if value is None else other))
+    bounded = []
+    real = cqt.mor_bound
+
+    def spied(c, src, dst):
+        bounded.append(c.presentation)
+        return real(c, src, dst)
+
+    monkeypatch.setattr(cqt, "mor_bound", spied)
+    www = ("w", "w", "w")
+    bound, got = _run_mor(["mor", "builtin:slq2", "w w w", "w w w",
+                           "--eval", "t=1"], monkeypatch)
+    assert bounded == [other.presentation]
+    assert bound == real(lorentz.sl2_family(other)[0], www, www)
+    assert _same_basis(got, saturate(other.presentation, 3, 3).basis(www, www))
+
+
+def test_a_generic_candidate_that_fails_falls_back_to_the_bound_at_t0(
+        tmp_path, monkeypatch):
+    # t^3 and t^-3 for t and t^-1: the standard block at t = 1 only
+    path = tmp_path / "slq2-t1.qg"
+    path.write_text(SLQ2_DOC.read_text().replace(
+        "cand w w = t *", "cand w w = t^3 *").replace("t^-1 * E", "t^-3 * E"))
+    doc = dsl.parse_presentation(path.read_text())
+    at_one = doc.subs(Gaussian(1))
+    ww = ("w", "w")
+    assert not cqt.all_pass(cqt.check_condition2(doc.candidate))
+    assert cqt.all_pass(cqt.check_condition2(at_one.candidate))
+    bound, got = _run_mor(["mor", str(path), "w w", "w w", "--eval", "t=1"],
+                          monkeypatch)
+    assert bound == cqt.mor_bound(at_one.candidate, ww, ww) == 16
+    assert _same_basis(got, saturate(at_one.presentation, 3).basis(ww, ww))
+
+
+LORENTZ_USER = ("gen w : 2 conj wb\ngen wb : 2 conj w\n"
+                "mat X : [w wb] -> [wb w] "
+                "{ 1,1 = {x} ; 2,3 = 1 ; 3,2 = 1 ; 4,4 = 1 }\n"
+                "param beta = {beta}\n")
+
+
+@pytest.mark.parametrize("x,beta", [("1", "t^2"), ("t", "1")])
+def test_a_datum_valid_at_t0_only_falls_back_to_the_bound_at_t0(
+        x, beta, tmp_path, monkeypatch):
+    # beta = t^2 breaks beta-quartic at generic t, and an X with t in it
+    # exchange-duality; at t = 1 both are lorentz-flip
+    path = tmp_path / "lorentz.qg"
+    path.write_text(LORENTZ_USER.replace("{x}", x).replace("{beta}", beta))
+    name = f"builtin:lorentz-user({path})"
+    at_one = catalog.resolve("lorentz-flip", Gaussian(1))
+    src, dst = ("w", "wb"), ("wb", "w")
+    bound, got = _run_mor(["mor", name, "w wb", "wb w", "--eval", "t=1"],
+                          monkeypatch)
+    assert bound == _bound(at_one, src, dst) == 16
+    assert _same_basis(got, saturate(at_one.presentation, 3).basis(src, dst))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["mor", name, "w wb", "wb w", "--eval", "t=1"]) == 0
+    assert out.getvalue() == (
+        "Mor(w wb, wb w): witnessed dimension 1 at depth 3\n"
+        "-- basis element 0\n"
+        "[1  0  0  0]\n[0  0  1  0]\n[0  1  0  0]\n[0  0  0  1]\n")
