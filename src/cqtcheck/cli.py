@@ -443,7 +443,7 @@ def run_mor(args) -> int:
     p = datum.presentation
     check_mor_words(p, src, dst)  # before the bound reads the words
     bound = None
-    if value is not None:  # the generic bound holds here (see the cqt module)
+    if value is not None and value != cqt.BOUND_POINT:  # see the cqt module
         try:
             generic = load_input(args.input, None)
             if generic.presentation.specializes_to(p, value):

@@ -49,7 +49,8 @@ Mor too, with constant arithmetic only; on a candidate already at a
 constant t, putting 3/2 for t changes nothing.
 On the built-ins the bound at t = 1 or t = i is not tight (64 and 32
 against 5 on slq2 (w w w, w w w)), so under `--eval t=t0` `mor` stops at
-the bound of the generic candidate, and at the one at t0 when that is
+the bound of the generic candidate (at t0 = 3/2 that is the bound at t0,
+and the generic datum is not loaded), and at the one at t0 when that is
 None, when the input fails to load at generic t (a datum whose axioms hold
 at t0 only), or when the premise below fails.  This is exact, in three
 steps.  (1) The span a saturation witnesses after d rounds does not depend
@@ -88,6 +89,9 @@ from .presentation import (MAX_SPACE, CandidateR, FunctionalHom, Presentation,
                            Relation, Saturation)
 from .scalars import ConjMode, Gaussian
 from .tensor import Tensor, kron, pad_with_identity, tauconj
+
+# the t at which mor_bound takes its system; no built-in block has a pole there
+BOUND_POINT = Gaussian(Fraction(3, 2))
 
 
 @dataclass
@@ -217,8 +221,7 @@ def mor_bound(c: CandidateR, src, dst):
                                    rel.target_word, law.gamma, law.side,
                                    memo).is_zero():
                 return None
-        # t = 3/2 is no pole of a built-in block
-        at, memo = c.subs(Gaussian(Fraction(3, 2))), {}
+        at, memo = c.subs(BOUND_POINT), {}
         laws = [_law_matrix(at, src, dst, gamma, side, memo)
                 for gamma in p.non_unit() for side in ("left", "right")]
     except (EvaluationPole, MissingBlock):
@@ -263,6 +266,13 @@ class LawTable(dict):
         super().__init__()
         self._numbers = {}  # block key() -> its number
         self._blocks = {}   # (candidate, a, b) -> the number of its block
+        self._laws = {}     # presentation -> its exchange laws
+
+    def laws(self, p: Presentation) -> list:
+        """exchange_laws(p), listed once per run."""
+        if p not in self._laws:
+            self._laws[p] = exchange_laws(p)
+        return self._laws[p]
 
     def number(self, c: CandidateR, a: str, b: str) -> int:
         n = self._blocks.get((c, a, b))
@@ -294,7 +304,7 @@ def check_condition2(c: CandidateR, witnesses: Saturation = None,
     family by the callers that classify); it runs only until each block is
     witnessed (see Saturation.contains), and the next block resumes the
     round there.
-    `table` holds the reports already decided in the run.
+    `table` holds the reports already decided in the run, and the laws.
     The laws decided here share one word_R memo, dropped on return.
     """
     p = c.presentation
@@ -305,7 +315,7 @@ def check_condition2(c: CandidateR, witnesses: Saturation = None,
         law.check_id, exchange_defect(
             c, law.relation.matrix, law.relation.source_word,
             law.relation.target_word, law.gamma, law.side, memo)))
-        for law in exchange_laws(p)]
+        for law in (exchange_laws(p) if table is None else table.laws(p))]
     for (a, b), block in sorted(c.blocks.items()):
         cid = f"intertwiner:{a}:{b}"
         reports.append(_decided(table, c, cid, [(a, b)], lambda: CheckReport(

@@ -179,8 +179,12 @@ class FunctionalHom:
     `values` maps letters to size x size tensors; a word evaluates to the
     ordered product of its letter values and the empty word to the identity
     on the legs of the letter values.  Letters are arbitrary hashable keys;
-    presentations use (generator, row, column) triples.  Every word's value
-    is cached, and a one-letter word is its letter value.
+    presentations use (generator, row, column) triples.  Each distinct value
+    is numbered, from its key(), when it first appears (the identity is 0),
+    and a word's number comes from its prefix's and its last letter's: each
+    distinct pair of values is multiplied once, whichever words reach it,
+    and a zero prefix extends with no product.  Equal numbers are equal
+    values, and `value` returns the one tensor kept for a number.
     """
 
     def __init__(self, size: int, values, label: str = ""):
@@ -191,30 +195,38 @@ class FunctionalHom:
             if v.nrows != size or v.ncols != size:
                 raise ShapeError(f"value for letter {k!r} is not {size}x{size}")
         legs = next(iter(self.values.values())).cod if self.values else (size,)
-        self._cache = {(): Tensor.identity(legs)}
-        self._zero = Tensor.zeros(legs, legs)
-        self._cache.update(((k,), v) for k, v in self.values.items())
+        self._numbers, self._tensors = {}, []  # key() -> number -> value
+        self._number(Tensor.identity(legs))
+        self._letters = {k: self._number(v) for k, v in self.values.items()}
+        # (prefix number, letter number) -> the number of their product
+        self._products = {(0, m): m for m in self._letters.values()}
+
+    def _number(self, t: Tensor) -> int:
+        n = self._numbers.setdefault(t.key(), len(self._tensors))
+        if n == len(self._tensors):
+            self._tensors.append(t)
+        return n
+
+    def number(self, word) -> int:
+        """The number of the word's value."""
+        n = 0
+        for letter in word:
+            m = self._letters.get(letter)
+            if m is None:
+                raise MissingRep(f"no value for letter {letter!r}")
+            if (n, m) not in self._products:
+                t = self._tensors[n]
+                self._products[n, m] = (n if t.is_zero() else
+                                        self._number(t @ self._tensors[m]))
+            n = self._products[n, m]
+        return n
 
     def value(self, word) -> Tensor:
-        word = tuple(word)
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        prefix = self.value(word[:-1])
-        try:
-            letter = self.values[word[-1]]
-        except KeyError:
-            raise MissingRep(f"no value for letter {word[-1]!r}") from None
-        # every zero value is one shared tensor, and extends with no product
-        out = prefix if prefix.is_zero() else prefix @ letter
-        if out.is_zero():
-            out = self._zero
-        self._cache[word] = out
-        return out
+        return self._tensors[self.number(word)]
 
     def value_free(self, element) -> Tensor:
         """Evaluate a free element {word: coefficient}."""
-        unit = self._cache[()]
+        unit = self._tensors[0]
         out = Tensor.zeros(unit.cod, unit.dom)
         for word, coef in element.items():
             if coef.num:

@@ -35,18 +35,15 @@ points decide them; the pairing values (B on a c-free column) are at most
 quadratic and the ideal values (l on a free element) affine, so three
 points decide them.
 
-Each distinct defect is decided once, by the rule of `cqt._decided`: keyed
-by the `key()` of every tensor it reads.  At one coefficient point the
-rll defects of a word read only B(word), l(word) and eps(word) (R_Q, the
-R and Z slices and s are fixed per point), the xkx defects only B(word),
-and the pairing defects only B(word) and eps(word) (the invariant columns
-and the leg order are fixed per functional).  So each check keeps one
-table per point, and every word is still fed, in order and under its own
-label, the exact defects of its key: first failures, witnesses and
-evaluation counts are those of a word-by-word loop.  B alone would key
-the same: the bottom row of l is the counit, so by the counit axiom the
-block of B(word) at the translation index in both first slots is l(word),
-whose corner is eps(word).
+Each distinct defect is decided once.  At one coefficient point the rll
+defects of a word read only B(word), l(word) and eps(word) (R_Q, the R and
+Z slices and s are fixed per point), the xkx defects only B(word), and the
+pairing defects only B(word) and eps(word).  The functionals number their
+values (`FunctionalHom.number`), so a check keys each word on the numbers
+and eps it reads: each key is decided once per point, and each class of
+words with one key and length is fed once, under its first word and with
+its word count.  Equal numbers are equal values, so witnesses, first
+failures and evaluation counts are those of a word-by-word loop.
 """
 
 from __future__ import annotations
@@ -93,12 +90,8 @@ class CoproductTable:
         return ZERO
 
     def counit_word(self, word) -> Scalar:
-        out = ONE
-        for letter in word:
-            out = out * self.counit(letter)
-            if not out.num:
-                break
-        return out
+        # every letter's counit is ONE or ZERO
+        return ONE if all(self.counit(x) is ONE for x in word) else ZERO
 
     def letters(self):
         return ([lam(a, b) for a in range(self.N) for b in range(self.N)]
@@ -181,15 +174,11 @@ class ConvTable(FunctionalHom):
     """
 
     def __init__(self, h: FunctionalHom, cop: CoproductTable):
-        ident = Tensor.identity((h.size,))
-        values = {}
-        for letter in cop.letters():
-            acc = Tensor.zeros((h.size, h.size), (h.size, h.size))
-            for u, v in cop.splits(letter):
-                hu = h.values[u] if u is not None else ident
-                hv = h.values[v] if v is not None else ident
-                acc = acc + kron(hu, hv)
-            values[letter] = acc
+        ident = Tensor.identity((h.size,))  # the value of a None side
+        zero = Tensor.zeros((h.size, h.size), (h.size, h.size))
+        values = {letter: sum((kron(h.values.get(u, ident), h.values.get(v, ident))
+                               for u, v in cop.splits(letter)), zero)
+                  for letter in cop.letters()}
         super().__init__(h.size * h.size, values)
 
     def value(self, word) -> Tensor:
@@ -209,21 +198,17 @@ class Functionals:
     def __init__(self, d: InhomDatum):
         self.d = d
         self.cop = CoproductTable(d.N)
-        self._homs = {}
-        self._convs = {}
+        self._homs, self._convs = {}, {}
 
     def hom(self, c: Scalar = None) -> FunctionalHom:
-        h = self._homs.get(c)
-        if h is None:
-            h = build_X(self.d) if c is None else build_l(self.d, c=c)
-            self._homs[c] = h
-        return h
+        if c not in self._homs:
+            self._homs[c] = build_X(self.d) if c is None else build_l(self.d, c)
+        return self._homs[c]
 
     def conv(self, c: Scalar = None) -> ConvTable:
-        table = self._convs.get(c)
-        if table is None:
-            table = self._convs[c] = ConvTable(self.hom(c), self.cop)
-        return table
+        if c not in self._convs:
+            self._convs[c] = ConvTable(self.hom(c), self.cop)
+        return self._convs[c]
 
 
 def _words(cop: CoproductTable, max_len: int):
@@ -237,13 +222,8 @@ def _words(cop: CoproductTable, max_len: int):
 
 
 def _word_label(word) -> str:
-    parts = []
-    for letter in word:
-        if letter[0] == "Lam":
-            parts.append(f"Lam{letter[1]}{letter[2]}")
-        else:
-            parts.append(f"y{letter[1]}")
-    return ".".join(parts) or "1"
+    return ".".join(f"Lam{x[1]}{x[2]}" if x[0] == "Lam" else f"y{x[1]}"
+                    for x in word) or "1"
 
 
 def _sector(B: Tensor, N: int, first_plus: bool, second_plus: bool) -> Tensor:
@@ -270,9 +250,9 @@ class _Merge:
         self.name = name
         self.slots = {}
 
-    def feed(self, cid: str, item, suffix: str, defect: Tensor):
+    def feed(self, cid: str, item, suffix: str, defect: Tensor, count: int = 1):
         slot = self.slots.setdefault(cid, {"fail": None, "checked": 0})
-        slot["checked"] += 1
+        slot["checked"] += count
         if slot["fail"] is None:
             fz = defect.first_nonzero()
             if fz is not None:
@@ -295,6 +275,21 @@ class _Merge:
         return out
 
 
+def _feed_classes(merge: _Merge, words, key, decide, suffix: str = ""):
+    """Feed merge the (check name, defect) pairs decide(word) gives, once
+    per class of words with one key(word) and length, in order of first
+    appearance; decide runs at the first word of a key's first class."""
+    classes = {}
+    for word in words:
+        classes.setdefault((key(word), len(word)), [word, 0])[1] += 1
+    decided = {}
+    for (k, n), (word, count) in classes.items():
+        if k not in decided:
+            decided[k] = decide(word)
+        for name, defect in decided[k]:
+            merge.feed(f"{name}:len{n}", word, suffix, defect, count)
+
+
 RLL_FORMS = ("full", "block-LL", "block-ML", "block-LM", "block-MM")
 
 
@@ -302,51 +297,45 @@ def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
     """Exchange relation of l against R_Q, full and in block form."""
     fns = fns or Functionals(d)
     N = d.N
-    P = N + 1
     cop = fns.cop
-    F = flip(P, P)
+    F = flip(N + 1, N + 1)
     FN = flip(N, N)
     inv = d.invariant
     RF = d.R @ FN
     RZ = d.R @ d.Z
     RT = (d.R - Tensor.identity((N, N))) @ d.T
     merge = _Merge()
+    words = _words(cop, max_len)
     for c, suffix in _samples(d, 4):
         lhom = fns.hom(c)
         rq = build_RQ(d, inv, c)
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
         conv = fns.conv(c)
-        decided = {}
-        for word in _words(cop, max_len):
-            B = conv.value(word)
-            lx = lhom.value(word)
-            eps = cop.counit_word(word)
-            key = (B.key(), lx.key(), eps)
-            found = decided.get(key)
-            if found is None:
-                Lx = lx.slice_legs(((0, N),), ((1, N),))
-                Mx = lx.slice_legs(((0, N),), (), {1: N})
-                C = F @ B
-                Bll = _sector(B, N, False, False)
-                BpN = _sector(B, N, True, False)   # columns (+, vector)
-                BNp = _sector(B, N, False, True)   # columns (vector, +)
-                Bpp = _sector(B, N, True, True)
-                fBf = FN @ Bll @ FN
-                found = decided[key] = (
-                    rq @ C - C @ frqf,
-                    RF @ Bll - fBf @ RF,
-                    RF @ BpN + d.Z @ Lx - fBf @ d.Z - FN @ BNp,
-                    RF @ BNp - RZ @ Lx + fBf @ RZ - FN @ BpN,
-                    RF @ Bpp + d.Z @ Mx - RZ @ Mx + s_col * eps
-                    - fBf @ s_col - FN @ Bpp)
-            for form, defect in zip(RLL_FORMS, found):
-                merge.feed(f"rll:{form}:len{len(word)}", word, suffix, defect)
+
+        def decide(word):
+            B, lx = conv.value(word), lhom.value(word)
+            Lx = lx.slice_legs(((0, N),), ((1, N),))
+            Mx = lx.slice_legs(((0, N),), (), {1: N})
+            C = F @ B
+            Bll = _sector(B, N, False, False)
+            BpN = _sector(B, N, True, False)   # columns (+, vector)
+            BNp = _sector(B, N, False, True)   # columns (vector, +)
+            Bpp = _sector(B, N, True, True)
+            fBf = FN @ Bll @ FN
+            return list(zip((f"rll:{form}" for form in RLL_FORMS), (
+                rq @ C - C @ frqf,
+                RF @ Bll - fBf @ RF,
+                RF @ BpN + d.Z @ Lx - fBf @ d.Z - FN @ BNp,
+                RF @ BNp - RZ @ Lx + fBf @ RZ - FN @ BpN,
+                RF @ Bpp + d.Z @ Mx - RZ @ Mx
+                + s_col * cop.counit_word(word) - fBf @ s_col - FN @ Bpp)))
+        _feed_classes(merge, words, lambda w: (
+            conv.number(w), lhom.number(w), cop.counit_word(w)), decide, suffix)
     reports = merge.reports()
     for n in range(1, max_len + 1):
-        ll = merge.get(f"rll:block-LL:len{n}")
-        ml = merge.get(f"rll:block-ML:len{n}")
-        lm = merge.get(f"rll:block-LM:len{n}")
+        ll, ml, lm = (merge.get(f"rll:block-{kk}:len{n}")
+                      for kk in ("LL", "ML", "LM"))
         if ll is None:
             continue
         cid = f"rll:implied-LM:len{n}"
@@ -381,7 +370,6 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
               fns: Functionals = None):
     """Exchange relation of the X functional against K (and K + row block)."""
     fns = fns or Functionals(d)
-    cop = fns.cop
     conv = fns.conv()
     variants = [("xkx:base", build_K(d))]
     if n is not None:
@@ -389,15 +377,9 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
         # column; its twisted invariance cancels the extra terms
         variants.append(("xkx:with-invariant-row", build_K(d) + build_mP(d, n)))
     merge = _Merge()
-    decided = {}
-    for word in _words(cop, max_len):
-        B = conv.value(word)
-        key = B.key()
-        found = decided.get(key)
-        if found is None:
-            found = decided[key] = [B @ K - K @ B for _, K in variants]
-        for (name, _), defect in zip(variants, found):
-            merge.feed(f"{name}:len{len(word)}", word, "", defect)
+    _feed_classes(merge, _words(fns.cop, max_len), conv.number, lambda word: [
+        (name, conv.value(word) @ K - K @ conv.value(word))
+        for name, K in variants])
     return merge.reports()
 
 
@@ -418,11 +400,13 @@ def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
     # the vector range, applied to the invariant column
     vector = ((0, N), (1, N), (2, N), (3, N))
 
-    def pair(B, cod, dom, col, eps):
-        return (B.slice_legs(tuple(vector[leg] for leg in cod),
-                             tuple(vector[leg] for leg in dom)) @ col
-                - col * eps)
+    def decide(conv, pairings, word):
+        B, eps = conv.value(word), cop.counit_word(word)
+        return [(name, B.slice_legs(tuple(vector[leg] for leg in cod),
+                                    tuple(vector[leg] for leg in dom)) @ col
+                 - col * eps) for name, (cod, dom), col in pairings]
 
+    words = _words(cop, max_len)
     for c, suffix in _sample_functionals(d):
         conv = fns.conv(c)
         tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
@@ -430,17 +414,9 @@ def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
         pairings = [(f"pairing:{side}{tag}", ends, col) for side, ends, col
                     in (("column", legs, k), ("row", legs[::-1], n))
                     if col is not None]
-        decided = {}
-        for word in _words(cop, max_len):
-            B = conv.value(word)
-            eps = cop.counit_word(word)
-            key = (B.key(), eps)
-            found = decided.get(key)
-            if found is None:
-                found = decided[key] = [pair(B, *ends, col, eps)
-                                        for _, ends, col in pairings]
-            for (name, _, _), defect in zip(pairings, found):
-                merge.feed(f"{name}:len{len(word)}", word, suffix, defect)
+        _feed_classes(merge, words, lambda w: (
+            conv.number(w), cop.counit_word(w)),
+            lambda w: decide(conv, pairings, w), suffix)
     return merge.reports()
 
 

@@ -285,6 +285,24 @@ def test_mor_under_eval_stops_at_the_generic_bound(name, value, monkeypatch):
         assert _same_basis(got, full[mel].basis(src, dst)), (src, dst)
 
 
+@pytest.mark.parametrize("argv", [
+    ["mor", "builtin:slq2", "w w w", "w w w"],
+    ["mor", "builtin:lorentz-flip", "w wb", "wb w"]], ids=["slq2", "flip"])
+def test_mor_at_the_bound_point_loads_only_the_datum(argv, monkeypatch):
+    # at t = 3/2 the generic bound is the one at the value: both take the
+    # system there, so mor loads no generic datum and bounds once
+    loads, bounds = [], []
+    load, bound = cli.load_input, cqt.mor_bound
+    monkeypatch.setattr(cli, "load_input",
+                        lambda *args: loads.append(args) or load(*args))
+    monkeypatch.setattr(cqt, "mor_bound",
+                        lambda *args: bounds.append(args) or bound(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--depth", "3", "--eval", "t=3/2"]) == 0
+    assert (len(loads), len(bounds)) == (1, 1)
+    assert cqt.BOUND_POINT == Gaussian(Fraction(3, 2))
+
+
 def test_premise_fails_where_the_relations_differ_at_t0(monkeypatch):
     one = Gaussian(1)
     generic = _datum("slq2", "generic")

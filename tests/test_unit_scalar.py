@@ -41,8 +41,7 @@ def test_uea_convolution_tables_hold_only_the_one_object(monkeypatch):
     monkeypatch.setattr(uea.ConvTable, "__init__", kept)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", "builtin:poincare-classical"]) == 0
-    entries = [v for t in tables for w in t._cache.values()
-               for v in w.nz.values()]
+    entries = [v for t in tables for w in t._tensors for v in w.nz.values()]
     assert tables and any(v is ONE for v in entries)
     assert _stray_units(entries) == 0
     assert len({id(v) for v in entries}) < 100
