@@ -251,7 +251,7 @@ def _inhom_matrices(d):
     out = {"R": d.R, "Z": d.Z, "T": d.T, "RP": inhomog.build_RP(d),
            "K": uea.build_K(d)}
     if not d.abstract:
-        out.update(m0=d.m0, V=inhomog.pauli_basis()[0])
+        out.update(m0=d.invariant, V=inhomog.pauli_basis()[0])
     return out
 
 

@@ -28,12 +28,15 @@ is formed.  A composition a . b has at most as many entries, a's rows
 times b's columns; more is a parse error at the `.`, before the product
 is formed.
 
-Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.
+Parsing and printing round-trip: parse(dumps(doc)) reproduces doc.  dumps
+prints a mat's nonzero cells from its matrix and a param from its value,
+so an explicit zero cell is not printed; a cand line has no value form
+and keeps its text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import isqrt, prod
 
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
@@ -57,30 +60,22 @@ MAX_KRON_NZ = MAX_FLIP_DIM ** 2
 
 
 @dataclass
-class MatDef:
-    name: str
-    source_word: tuple
-    target_word: tuple
-    matrix: Tensor
-    entries: dict = field(default_factory=dict)  # (row, col) 1-based -> Scalar
-
-
-@dataclass
 class Document:
+    """A parsed document: each mat as a `Relation`, whether or not a rel
+    line puts it in the presentation, each param as its value, and each
+    cand line as its blocks and its text, which has no value form."""
+
     mode: ConjMode
     presentation: Presentation
-    mats: dict                  # name -> MatDef
-    relation_names: list
+    mats: dict                  # name -> Relation
     candidate: CandidateR       # or None
     cand_exprs: dict            # (alpha, beta) -> source text
     params: dict                # name -> Scalar
-    param_texts: dict
 
     def subs(self, value) -> "Document":
-        """The document with t specialized at a constant, texts included."""
-        mats = {name: MatDef(name, m.source_word, m.target_word,
-                             m.matrix.subs(value),
-                             {k: v.subs(value) for k, v in m.entries.items()})
+        """The document with t specialized at a constant: its values, and
+        its cand texts rewritten."""
+        mats = {name: replace(m, matrix=m.matrix.subs(value))
                 for name, m in self.mats.items()}
         cands = {} if self.candidate is None else {
             k: m.subs(value) for k, m in self.candidate.blocks.items()}
@@ -88,10 +83,9 @@ class Document:
         return _assemble(
             self.mode,
             [self.presentation.generators[n] for n in self.presentation.non_unit()],
-            mats, self.relation_names, cands,
+            mats, [r.name for r in self.presentation.relations], cands,
             {k: text(v) for k, v in self.cand_exprs.items()},
-            {k: v.subs(value) for k, v in self.params.items()},
-            {k: text(v) for k, v in self.param_texts.items()})
+            {k: v.subs(value) for k, v in self.params.items()})
 
 
 def _subs_text(value):
@@ -111,7 +105,6 @@ class _Parser(TokenParser):
         self.cands = {}
         self.cand_exprs = {}
         self.params = {}
-        self.param_texts = {}
 
     def expect_size(self, limit: int, what: str) -> int:
         """An integer literal that sizes an allocation, at most limit."""
@@ -211,7 +204,7 @@ class _Parser(TokenParser):
         self.expect("arrow")
         target, tdims = self.mat_word(f"mat {name}")
         nrows, ncols = prod(tdims), prod(sdims)
-        entries = {}
+        entries = {}  # the cells read, zeros too, so none is set twice
         self.expect("punct", "{")
         while self.peek().text != "}":
             r = self.expect_int()
@@ -229,9 +222,9 @@ class _Parser(TokenParser):
                 self.expect("punct", ";")
         self.expect("punct", "}")
         flat = {(r - 1) * ncols + (c - 1): v for (r, c), v in entries.items()}
-        self.mats[name] = MatDef(name, source, target,
-                                 Tensor.from_nonzero(tdims or (), sdims or (), flat),
-                                 entries)
+        self.mats[name] = Relation(
+            name, Tensor.from_nonzero(tdims or (), sdims or (), flat),
+            source, target)
 
     def stmt_rel(self):
         self.next()
@@ -251,7 +244,7 @@ class _Parser(TokenParser):
         self.expect("punct", "=")
         start = self.pos
         value = self.tensor_expr()
-        text = self._span_text(start, self.pos)
+        text = " ".join(t.text for t in self.tokens[start:self.pos])
         if (alpha, beta) in self.cands:
             raise DuplicateName(f"cand {alpha} {beta}")
         self.cands[(alpha, beta)] = value
@@ -263,13 +256,7 @@ class _Parser(TokenParser):
         if name in self.params:
             raise DuplicateName(f"param {name!r}")
         self.expect("punct", "=")
-        start = self.pos
-        value = self.scalar_sum()
-        self.params[name] = value
-        self.param_texts[name] = self._span_text(start, self.pos)
-
-    def _span_text(self, start, end):
-        return " ".join(t.text for t in self.tokens[start:end])
+        self.params[name] = self.scalar_sum()
 
     def _starts_scalar(self) -> bool:
         tok = self.peek()
@@ -406,20 +393,13 @@ class _Parser(TokenParser):
 
     def finish(self) -> Document:
         return _assemble(self.mode, self.gens, self.mats, self.rels,
-                         self.cands, self.cand_exprs, self.params,
-                         self.param_texts)
+                         self.cands, self.cand_exprs, self.params)
 
 
-def _assemble(mode, gens, mats, rels, cands, cand_exprs, params,
-              param_texts) -> Document:
-    p = Presentation(
-        gens,
-        [Relation(n, mats[n].matrix, mats[n].source_word, mats[n].target_word)
-         for n in rels],
-    )
+def _assemble(mode, gens, mats, rels, cands, cand_exprs, params) -> Document:
+    p = Presentation(gens, [mats[n] for n in rels])
     candidate = CandidateR(p, cands) if cands else None
-    return Document(mode, p, mats, list(rels), candidate, cand_exprs,
-                    params, param_texts)
+    return Document(mode, p, mats, candidate, cand_exprs, params)
 
 
 def parse_presentation(text: str) -> Document:
@@ -438,15 +418,14 @@ def dumps(doc: Document) -> str:
     for name, m in doc.mats.items():
         src = " ".join(m.source_word)
         tgt = " ".join(m.target_word)
-        cells = []
-        for (r, c) in sorted(m.entries):
-            cells.append(f"{r},{c} = {m.entries[(r, c)]}")
-        body = " ; ".join(cells)
+        cells = m.matrix.with_legs((m.matrix.nrows,), (m.matrix.ncols,))
+        body = " ; ".join(f"{r + 1},{c + 1} = {v}"
+                          for (r, c), v in sorted(cells.items()))
         lines.append(f"mat {name} : [{src}] -> [{tgt}] {{ {body} }}")
-    for name in doc.relation_names:
-        lines.append(f"rel {name}")
+    for r in doc.presentation.relations:
+        lines.append(f"rel {r.name}")
     for (a, b), text in doc.cand_exprs.items():
         lines.append(f"cand {a} {b} = {text}")
-    for name, text in doc.param_texts.items():
-        lines.append(f"param {name} = {text}")
+    for name, value in doc.params.items():
+        lines.append(f"param {name} = {value}")
     return "\n".join(lines) + "\n"

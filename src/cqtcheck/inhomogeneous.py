@@ -78,6 +78,9 @@ class RepEntry:
 
 @dataclass(frozen=True)
 class InhomDatum:
+    """A translation-extended datum.  R_Q takes its one invariant column
+    from `invariant`; on a spinor datum it is m0 (`poincare_from_lorentz`)."""
+
     N: int
     R: Tensor                      # ((N,N),(N,N))
     Z: Tensor                      # ((N,N),(N,))
@@ -92,12 +95,6 @@ class InhomDatum:
     @property
     def abstract(self) -> bool:
         return self.lorentz is None
-
-    @property
-    def m0(self):
-        """The distinguished invariant column of a spinor datum, stored
-        first; None on abstract data."""
-        return None if self.abstract else self.invariants[0]
 
     @property
     def invariant(self):
@@ -251,9 +248,11 @@ def build_mP(d: InhomDatum, m: Tensor) -> Tensor:
     return m.place_legs(sq, sq, (0, 1), {2: d.N, 3: d.N})
 
 
-def build_RQ(d: InhomDatum, m: Tensor, c: Scalar) -> Tensor:
-    """R_Q = R_P + c * m_P at one coefficient c; R_P when m is None."""
+def build_RQ(d: InhomDatum, c: Scalar) -> Tensor:
+    """R_Q = R_P + c * m_P at one coefficient c, m the datum's invariant
+    column; R_P when it has none."""
     rq = build_RP(d)
+    m = d.invariant
     return rq if m is None else rq + build_mP(d, m) * c
 
 
@@ -433,7 +432,7 @@ def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
     the spinor blocks, for the pairs of spinor reps.
     """
     points = coefficient_points(d, 4)
-    table = exchange_table(d, cand, build_RQ(d, d.invariant, points[0]))
+    table = exchange_table(d, cand, build_RQ(d, points[0]))
     p = table.presentation
     laws = poincare_laws(d, p)
     reps = d.hexagon_reps()
@@ -450,7 +449,7 @@ def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
             break
         if i:
             table = CandidateR(p, {**table.blocks,
-                                   (EXT, EXT): build_RQ(d, d.invariant, c)})
+                                   (EXT, EXT): build_RQ(d, c)})
             p.relations = [replace(r, matrix=table.block(EXT, EXT))
                            if r.name == RQ else r for r in p.relations]
         relations = {r.name: r for r in p.relations}
@@ -512,7 +511,7 @@ def check_m_star(d: InhomDatum, m: Tensor, cid: str) -> cqt.CheckReport:
     return cqt.defect_report(cid, m - m.slice_legs((1, 0), ()).conjugate(d.mode))
 
 
-# (coefficient, real): c * m0 is hermitian exactly for real c when m0 is
+# (coefficient, real): c * m is hermitian exactly for real c when m is
 STAR_SAMPLES = ((Scalar.from_int(2), True),
                 (Scalar.from_gaussian(Gaussian(1, 1)), False))
 
@@ -537,35 +536,36 @@ def classify_poincare(d: InhomDatum, structure=None):
     if not cqt.all_pass(structure):
         bad = [r.check_id for r in structure if r.status == "fail"]
         raise StructureViolation(f"structure conditions fail: {', '.join(bad)}")
+    m = d.invariant
     if d.abstract:
         rows = check_braid_hexagons(d)
-        m = d.invariant
         if m is not None:
             rows += [cqt.defect_report(f"invariance:counit:{name}",
                                        counit_invariance_defect(d, name, m))
                      for name in d.reps]
         return list(structure) + rows, [0] if cqt.all_pass(rows) else []
 
-    m0 = d.m0
     # rows that do not depend on the sign k
-    invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m0 - m0)]
+    invariance = [cqt.defect_report("invariance:fixed-by-R", d.R @ m - m)]
     for name in (W, WB):
         invariance.append(cqt.defect_report(
-            f"invariance:counit:{name}", counit_invariance_defect(d, name, m0)))
-    rp, mp = build_RP(d), build_mP(d, m0)
+            f"invariance:counit:{name}", counit_invariance_defect(d, name, m)))
+    rp, mp = build_RP(d), build_mP(d, m)
     rp_squared = rp @ rp - Tensor.identity(rp.cod)
     obstruction = rp @ mp + mp @ rp
+    cands = {k: poincare_candidate(d, k) for k in (-1, 1)}
+    # the k = -1 blocks are minus the k = +1 blocks: a block is singular for
+    # both signs or neither, and each ct defect is minus the other's
+    ct_base = "pass" if cqt.all_pass(cqt.check_ct(cands[1])) else "fail"
     reports, signs, star, ct = list(structure), [], [], []
-    for k in (-1, 1):
-        cand = poincare_candidate(d, k)
+    for k, cand in cands.items():
         rs = check_R_v_Lambda(d, cand) + check_braid_hexagons(d, cand) + invariance
         reports += [cqt.CheckReport(f"k={k:+d}:{r.check_id}", r.status,
                                     r.witness, r.note) for r in rs]
         if cqt.all_pass(rs):
             signs.append(k)
         ct += [
-            cqt.CheckReport(f"ct:base:k={k:+d}", "pass" if cqt.all_pass(
-                cqt.check_ct(cand)) else "fail"),
+            cqt.CheckReport(f"ct:base:k={k:+d}", ct_base),
             cqt.defect_report(f"ct:extended-at-zero:k={k:+d}", rp_squared),
             cqt.CheckReport(
                 f"ct:coefficient-obstruction:k={k:+d}",
@@ -574,10 +574,10 @@ def classify_poincare(d: InhomDatum, structure=None):
         if k == 1:
             star.append(cqt.CheckReport("star:base", "pass" if cqt.all_pass(
                 cqt.check_star(cand, d.mode)) else "fail"))
-    star.append(check_m_star(d, m0, "star:m-hermitian"))
+    star.append(check_m_star(d, m, "star:m-hermitian"))
     for cval, real in STAR_SAMPLES:
         label = f"star:sample-{'real' if real else 'nonreal'}:{cval}"
-        if check_m_star(d, m0 * cval, label).ok() == real:
+        if check_m_star(d, m * cval, label).ok() == real:
             note = ("hermitian as required" if real
                     else "correctly rejected: coefficient not real")
             star.append(cqt.CheckReport(label, "pass", None, note))

@@ -44,16 +44,12 @@ W, WB = "w", "wb"
 class SL2Datum:
     q: Scalar
     qhalf: Scalar      # the square root of q used by the candidate scales
-    case: int
     E: Tensor          # column, legs (2,2) x ()
     Eprime: Tensor     # row, legs () x (2,2)
     presentation: Presentation
 
     def ee(self) -> Tensor:
         return self.E @ self.Eprime
-
-    def subs(self, value) -> "SL2Datum":
-        return make_sl2(self.q.subs(value), self.case)
 
 
 def make_sl2(q: Scalar, case: int = 1) -> SL2Datum:
@@ -77,7 +73,7 @@ def make_sl2(q: Scalar, case: int = 1) -> SL2Datum:
         [GeneratorSpec(W, 2, W)],
         [Relation("E", E, (), (W, W)), Relation("Ep", Eprime, (W, W), ())],
     )
-    return SL2Datum(q, qhalf, case, E, Eprime, p)
+    return SL2Datum(q, qhalf, E, Eprime, p)
 
 
 def candidate_L(d: SL2Datum, i: int) -> Tensor:
@@ -130,10 +126,6 @@ class LorentzDatum:
     @property
     def q(self) -> Scalar:
         return self.base.q
-
-    def subs(self, value) -> "LorentzDatum":
-        return make_lorentz(self.base.subs(value), self.X.subs(value),
-                            self.beta.subs(value), self.mode)
 
 
 def make_lorentz(base: SL2Datum, X: Tensor, beta: Scalar,

@@ -113,7 +113,7 @@ def _sample_functionals(d: InhomDatum):
 
 def build_l(d: InhomDatum, c: Scalar) -> FunctionalHom:
     """The exchange functional sliced from R_Q at one coefficient value."""
-    rq = build_RQ(d, d.invariant, c)
+    rq = build_RQ(d, c)
     N = d.N
     P = N + 1
     values = {}
@@ -308,7 +308,7 @@ def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
     words = _words(cop, max_len)
     for c, suffix in _samples(d, 4):
         lhom = fns.hom(c)
-        rq = build_RQ(d, inv, c)
+        rq = build_RQ(d, c)
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
         conv = fns.conv(c)

@@ -105,7 +105,7 @@ def test_criterion_5_poincare_existence():
 def test_criterion_6_star_and_ct_classification():
     with _Budget("6 star and cotriangular coefficient rules", 10):
         d = make_poincare_classical()
-        m0 = d.m0
+        m0 = d.invariant
         assert inh.check_m_star(d, m0 * Scalar.from_int(2), "c2").status == "pass"
         nonreal = m0 * Scalar.from_gaussian(Gaussian(1, 1))
         assert inh.check_m_star(d, nonreal, "c1i").status == "fail"
@@ -163,8 +163,9 @@ def test_criterion_8_enveloping_functionals():
         for n in (1, 2):
             assert by_id[f"rll:paths-agree:len{n}"].status == "pass"
             assert by_id[f"rll:implied-LM:len{n}"].status == "pass"
-        assert cqt.all_pass(uea.check_xkx(d, max_len=2, n=d.m0))
-        assert cqt.all_pass(uea.check_pairings(d, k=d.m0, n=d.m0, max_len=2))
+        assert cqt.all_pass(uea.check_xkx(d, max_len=2, n=d.invariant))
+        assert cqt.all_pass(uea.check_pairings(d, k=d.invariant,
+                                               n=d.invariant, max_len=2))
         assert cqt.all_pass(uea.check_ideal_killed(d))
 
 

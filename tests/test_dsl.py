@@ -84,6 +84,23 @@ def test_duplicate_names():
             "mat A : [w] -> [w] { 1,1 = 1 }")
 
 
+def test_zero_cell_is_not_printed_and_parses_back():
+    doc = dsl.parse_presentation(
+        "gen w : 2\nmat A : [w] -> [w] { 1,1 = 0 ; 2,2 = t }\n")
+    text = dsl.dumps(doc)
+    assert "mat A : [w] -> [w] { 2,2 = t }" in text.splitlines()
+    again = dsl.parse_presentation(text)
+    assert again.mats["A"].matrix == doc.mats["A"].matrix
+
+
+def test_zero_cell_given_twice_is_a_duplicate():
+    # the matrix drops the zero, so the parser keeps its own record of cells
+    with pytest.raises(DuplicateName) as err:
+        dsl.parse_presentation(
+            "gen w : 2\nmat A : [w] -> [w] { 1,1 = 0 ; 1,1 = 1 }")
+    assert str(err.value) == "mat 'A': entry (1,1) set twice"
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         dsl.parse_presentation("gen w : 2\nrel nothere\n")

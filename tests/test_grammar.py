@@ -4,11 +4,13 @@ Scalar text parses the same through parse_scalar, a param line and a mat
 entry; token soup from the DSL alphabet never escapes the package's error
 types; a bad token in a mat entry is reported at its own line and column,
 and a division by zero at its operator's;
-dumps writes text that parses back to the same document.
+dumps writes text that parses back to the same document, also after subs
+specializes it.
 Integers are single digits and texts short, since exponents and dimensions
 in the input multiply the work the parser does.
 """
 
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -17,8 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from cqtcheck.dsl import Document, dumps, parse_presentation  # noqa: E402
-from cqtcheck.errors import CqtError, DivisionByZero, ParseError  # noqa: E402
-from cqtcheck.scalars import parse_scalar  # noqa: E402
+from cqtcheck.errors import (CqtError, DivisionByZero,  # noqa: E402
+                             EvaluationPole, ParseError)
+from cqtcheck.scalars import G_I, parse_scalar  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None, database=None)
 
@@ -72,7 +75,7 @@ def test_scalar_text_parses_alike_everywhere(text):
         f"param c = {text}\n").params["c"])
     entry = _outcome(lambda: parse_presentation(
         f"gen w : 1\nmat A : [w] -> [w] {{ 1,1 = {text} }}\n"
-    ).mats["A"].entries[(1, 1)])
+    ).mats["A"].matrix[0, 0])
     assert direct == param == entry
 
 
@@ -181,6 +184,26 @@ def documents(draw):
     return "\n".join(lines) + "\n"
 
 
+def _assert_round_trip(doc):
+    """parse(dumps(doc)) reproduces doc, and dumps it to the same text."""
+    text = dumps(doc)
+    doc2 = parse_presentation(text)
+    assert dumps(doc2) == text
+    assert doc2.mode == doc.mode
+    assert doc2.presentation.generators == doc.presentation.generators
+    assert list(doc2.mats) == list(doc.mats)
+    for name, m in doc.mats.items():
+        m2 = doc2.mats[name]
+        assert (m2.source_word, m2.target_word) == (m.source_word, m.target_word)
+        assert m2.matrix == m.matrix
+    assert [r.name for r in doc2.presentation.relations] == \
+        [r.name for r in doc.presentation.relations]
+    assert (doc2.candidate is None) == (doc.candidate is None)
+    if doc.candidate is not None:
+        assert doc2.candidate.blocks == doc.candidate.blocks
+    assert doc2.params == doc.params
+
+
 @PROPS
 @given(documents())
 def test_dumps_then_parse_reproduces_the_document(text):
@@ -188,19 +211,21 @@ def test_dumps_then_parse_reproduces_the_document(text):
         doc = parse_presentation(text)
     except CqtError:
         assume(False)
-    text2 = dumps(doc)
-    doc2 = parse_presentation(text2)
-    assert dumps(doc2) == text2
-    assert doc2.mode == doc.mode
-    assert doc2.presentation.generators == doc.presentation.generators
-    assert list(doc2.mats) == list(doc.mats)
-    for name, m in doc.mats.items():
-        m2 = doc2.mats[name]
-        assert (m2.source_word, m2.target_word) == (m.source_word, m.target_word)
-        assert m2.entries == m.entries
-        assert m2.matrix == m.matrix
-    assert doc2.relation_names == doc.relation_names
-    assert (doc2.candidate is None) == (doc.candidate is None)
-    if doc.candidate is not None:
-        assert doc2.candidate.blocks == doc.candidate.blocks
-    assert doc2.params == doc.params
+    _assert_round_trip(doc)
+
+
+@PROPS
+@given(documents())
+def test_specialized_documents_round_trip(text):
+    # subs rewrites the cand texts and specializes every value, which
+    # dumps prints
+    try:
+        generic = parse_presentation(text)
+    except CqtError:
+        assume(False)
+    for value in (1, G_I, Fraction(3, 2)):
+        try:
+            doc = generic.subs(value)
+        except EvaluationPole:
+            continue
+        _assert_round_trip(doc)

@@ -52,7 +52,7 @@ def test_classical_vector_exchange_is_swap(classical):
 
 
 def test_invariant_column(classical):
-    m0 = classical.m0
+    m0 = classical.invariant
     half = Scalar.normalize((G_ONE,), (Gaussian(2),))
     expect = [ZERO] * 16
     expect[0] = -half
@@ -76,7 +76,7 @@ def test_abstract_datum_rejects_a_table_entry_for_the_vector_rep():
 
 def test_abstract_mode_has_no_distinguished_invariant():
     da = inh.abstract_datum(flip(4, 4))
-    assert da.m0 is None
+    assert da.invariant is None
 
 
 def test_extended_exchange_blocks(classical):
@@ -177,7 +177,7 @@ def test_structure_reports_classical(classical):
 
 
 def test_structure_shift_skew_fails_for_fixed_T(classical):
-    bad = dataclasses.replace(classical, T=classical.m0)
+    bad = dataclasses.replace(classical, T=classical.invariant)
     reports = inh.check_structure(bad)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:shift-skew" in failed
@@ -222,11 +222,10 @@ def test_braid_interpolation_agrees_with_samples(classical):
     # degree-3 interpolation must agree with direct evaluation at many
     # rational coefficients
     rng = random.Random(13)
-    m0 = classical.m0
     for _ in range(10):
         c = Scalar.from_gaussian(Gaussian(
             Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))))
-        rq = inh.build_RQ(classical, m0, c)
+        rq = inh.build_RQ(classical, c)
         assert braid_defect(rq).is_zero()
 
 
@@ -239,7 +238,7 @@ def test_braid_law_is_the_braid_defect(name):
     d = catalog.BUILTINS[name]()
     rq_laws = ("exchange-left:P:P:P", "exchange-right:P:P:P")
     for cval in (0, 2):
-        rq = inh.build_RQ(d, d.invariant, Scalar.from_int(cval))
+        rq = inh.build_RQ(d, Scalar.from_int(cval))
         for r in (rq, rq + rq @ rq):
             table = inh.exchange_table(d, None, r)
             laws = [law for law in cqt.exchange_laws(table.presentation)
@@ -276,7 +275,7 @@ def test_braid_hexagons_take_few_products(monkeypatch):
 
 def test_braid_expansion_identity(classical):
     rp = inh.build_RP(classical)
-    mp = inh.build_mP(classical, classical.m0)
+    mp = inh.build_mP(classical, classical.invariant)
     ident = Tensor.identity((5, 5))
     assert (mp @ mp).is_zero()
     for cval in (0, 1, 3, 7):
@@ -377,7 +376,8 @@ def test_real_coefficient_rule_at_star_samples(classical):
     for (re, im), real in (((2, 0), True), ((5, 0), True), ((1, 1), False),
                            ((0, 3), False)):
         c = Scalar.from_gaussian(Gaussian(re, im))
-        report = inh.check_m_star(classical, classical.m0 * c, f"star:{c}")
+        report = inh.check_m_star(classical, classical.invariant * c,
+                                  f"star:{c}")
         assert (report.status == "pass") == real, c
 
 

@@ -3,7 +3,10 @@
 Every top-level function and every method that is not a dunder must be
 named somewhere in src/cqtcheck outside its own body, as a name, an
 attribute or an imported name.  A definition only tests reach belongs in
-the tests.  ALLOWED lists each exception with its reason.
+the tests.  ALLOWED lists each exception with its reason.  Every
+defaulted parameter is passed by some caller in src, and every field of a
+dataclass or NamedTuple is read as an attribute in src, so that deleting
+its last reader deletes the field too.
 """
 
 import ast
@@ -129,3 +132,27 @@ def test_every_defaulted_parameter_is_passed_in_src():
                            for c in calls.get(called, ())):
                     unpassed.append(f"{module}: {defined}({param})")
     assert sorted(unpassed) == sorted(UNPASSED)
+
+
+def _is_record(node) -> bool:
+    """Whether a class is a @dataclass or a NamedTuple."""
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return getattr(expr, "id", getattr(expr, "attr", None))
+    return (any(name(d) == "dataclass" for d in node.decorator_list)
+            or any(name(b) == "NamedTuple" for b in node.bases))
+
+
+def test_every_record_field_is_read_in_src():
+    package = Path(cqtcheck.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}: {node.name}.{item.target.id}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for item in node.body if isinstance(item, ast.AnnAssign)
+              and item.target.id not in read]
+    assert unread == []

@@ -79,7 +79,7 @@ def scaled_x_datum():
 def imaginary_m_datum():
     """The classical datum with i * m0 as its invariant column."""
     d = classical_datum()
-    m = d.m0 * i_s
+    m = d.invariant * i_s
     return dataclasses.replace(d, invariants=[m])
 
 

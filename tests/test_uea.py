@@ -72,7 +72,7 @@ def test_l_letter_values(classical):
 def test_l_translation_column_is_scaled_invariant(classical):
     c = Scalar.from_int(3)
     lc = uea.build_l(classical, c=c)
-    m0 = classical.m0
+    m0 = classical.invariant
     for a in range(4):
         col = lc.values[uea.y(a)]
         for j in range(4):
@@ -207,13 +207,14 @@ def test_perturbed_translation_column_detected(classical):
     ent = [ZERO] * 16
     ent[0] = ONE
     m_sym = Tensor((4, 4), (), ent)
-    shifted = dataclasses.replace(classical, invariants=[classical.m0 + m_sym])
+    shifted = dataclasses.replace(classical,
+                                  invariants=[classical.invariant + m_sym])
     assert cqt.all_pass(inh.check_structure(shifted))
     assert cqt.all_pass(uea.check_rll(shifted, max_len=1))
 
 
 def test_xkx_classical(classical):
-    reports = uea.check_xkx(classical, max_len=2, n=classical.m0)
+    reports = uea.check_xkx(classical, max_len=2, n=classical.invariant)
     assert cqt.all_pass(reports)
     ids = {r.check_id for r in reports}
     assert "xkx:with-invariant-row:len2" in ids
@@ -238,8 +239,8 @@ def test_xkx_transpose_convention_is_pinned():
 
 
 def test_pairings_classical(classical):
-    reports = uea.check_pairings(classical, k=classical.m0, n=classical.m0,
-                                 max_len=2)
+    reports = uea.check_pairings(classical, k=classical.invariant,
+                                 n=classical.invariant, max_len=2)
     assert cqt.all_pass(reports)
 
 

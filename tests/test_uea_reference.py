@@ -32,7 +32,7 @@ def reference_rll(d, max_len):
     merge = uea._Merge()
     for c, suffix in uea._samples(d, 4):
         lhom = fns.hom(c)
-        rq = build_RQ(d, inv, c)
+        rq = build_RQ(d, c)
         frqf = F @ rq @ F
         s_col = RT if inv is None else RT + inv * c
         conv = fns.conv(c)

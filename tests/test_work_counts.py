@@ -15,6 +15,9 @@ functionals') than the word-by-word tables did: 64 and 100.
 run's `LawTable`, which lists them once; before, a `check
 builtin:lorentz-flip` listed them 65 times, once per `check_condition2`
 call.
+
+`classify_poincare` decides the base cotriangularity of the k = +1
+candidate only, since the k = -1 blocks are its negatives.
 """
 
 import contextlib
@@ -84,3 +87,17 @@ def test_a_lorentz_check_lists_the_exchange_laws_once(monkeypatch):
     monkeypatch.setattr(cqt, "exchange_laws", counted)
     _run(["check", "builtin:lorentz-flip"])
     assert len(calls) == 1
+
+
+def test_a_poincare_check_decides_the_base_cotriangularity_once(monkeypatch):
+    # deciding ct:base for each sign made 13 inverses
+    calls = []
+    inverse = Tensor.inverse
+
+    def counted(t):
+        calls.append(t)
+        return inverse(t)
+
+    monkeypatch.setattr(Tensor, "inverse", counted)
+    _run(["check", "builtin:poincare-classical"])
+    assert len(calls) <= 9
