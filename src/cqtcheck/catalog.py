@@ -24,7 +24,7 @@ from .tensor import Tensor, flip, kron
 
 def make_slq2(value=None) -> lorentz.SL2Datum:
     q = Q if value is None else Q.subs(value)
-    return lorentz.make_sl2(q, 1)
+    return lorentz.make_sl2(q)
 
 
 def make_lorentz_flip(value=None) -> lorentz.LorentzDatum:

@@ -19,10 +19,8 @@ datum, file or parameter errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -48,8 +46,7 @@ MAX_LEN = 3
 MAX_MOR_WORD = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     input: str
     suites: tuple = ()
     eval_expr: str = None
@@ -180,18 +177,16 @@ def load_input(name: str, value):
 # Suites.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Run:
     """One run over a datum: its parameters, summary lines and the results
     suites share, each computed at most once and only when a suite asks;
     `table` holds the cqt, star and ct reports decided (see the cqt module)."""
 
-    datum: object
-    depth: int = 3
-    max_len: int = 2
-    with_row: object = None
-    summary: list = field(default_factory=list)
-    table: cqt.LawTable = field(default_factory=cqt.LawTable)
+    def __init__(self, datum, depth, max_len):
+        self.datum, self.depth, self.max_len = datum, depth, max_len
+        self.with_row = None
+        self.summary = []
+        self.table = cqt.LawTable()
 
     @cached_property
     def witnesses(self):
@@ -403,6 +398,7 @@ def emit_report(rows, datum_name, summary, json_path=None, verbose=False,
 
 
 def _write_json(path, payload):
+    import json  # only --json needs it; a plain run starts without it
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

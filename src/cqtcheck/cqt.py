@@ -79,7 +79,6 @@ defect is a function of the blocks in the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -94,8 +93,7 @@ from .tensor import Tensor, kron, pad_with_identity, tauconj
 BOUND_POINT = Gaussian(Fraction(3, 2))
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     status: str                # "pass" | "fail" | "skipped"
     witness: tuple = None      # ((row multi-index, col multi-index), Scalar)
@@ -410,8 +408,7 @@ def _cotriangular(cid: str, block: Tensor, opposite: Tensor) -> CheckReport:
         return CheckReport(cid, "fail", None, "singular block")
 
 
-@dataclass
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     candidates: list          # deduplicated input family
     passing: list             # indices into candidates that pass the core checks
     star_passing: list

@@ -36,8 +36,8 @@ and keeps its text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .errors import (DuplicateName, NotInvertible, ParseError, ShapeError,
                      UnknownGenerator)
@@ -59,8 +59,7 @@ MAX_WORD_DIM = MAX_GEN_DIM ** 2
 MAX_KRON_NZ = MAX_FLIP_DIM ** 2
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """A parsed document: each mat as a `Relation`, whether or not a rel
     line puts it in the presentation, each param as its value, and each
     cand line as its blocks and its text, which has no value form."""
@@ -75,7 +74,7 @@ class Document:
     def subs(self, value) -> "Document":
         """The document with t specialized at a constant: its values, and
         its cand texts rewritten."""
-        mats = {name: replace(m, matrix=m.matrix.subs(value))
+        mats = {name: m._replace(matrix=m.matrix.subs(value))
                 for name, m in self.mats.items()}
         cands = {} if self.candidate is None else {
             k: m.subs(value) for k, m in self.candidate.blocks.items()}

@@ -42,7 +42,6 @@ in the abstract mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -57,10 +56,14 @@ from .tensor import Tensor, flip, kron, pad_with_identity
 LAM = "Lam"
 
 
-@dataclass(frozen=True)
-class RepEntry:
+class _RepFields(NamedTuple):
     G: Tensor  # legs (N, d) x (d, N)
     H: Tensor  # legs (N, d) x (d,)
+
+
+class RepEntry(_RepFields):
+    """Frozen fields, and a __dict__ for the cached G_inv and N, which a
+    `_replace`d entry computes afresh."""
 
     @cached_property
     def G_inv(self) -> Tensor:
@@ -76,8 +79,7 @@ class RepEntry:
                 + Tensor.identity((dv,)).place_legs(cod, dom, (1, 2), {0: n, 3: n}))
 
 
-@dataclass(frozen=True)
-class InhomDatum:
+class InhomDatum(NamedTuple):
     """A translation-extended datum.  R_Q takes its one invariant column
     from `invariant`; on a spinor datum it is m0 (`poincare_from_lorentz`)."""
 
@@ -450,7 +452,7 @@ def check_braid_hexagons(d: InhomDatum, cand: CandidateR = None):
         if i:
             table = CandidateR(p, {**table.blocks,
                                    (EXT, EXT): build_RQ(d, c)})
-            p.relations = [replace(r, matrix=table.block(EXT, EXT))
+            p.relations = [r._replace(matrix=table.block(EXT, EXT))
                            if r.name == RQ else r for r in p.relations]
         relations = {r.name: r for r in p.relations}
         memo = {}

@@ -26,9 +26,9 @@ reduction in the scalars module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import cqt
 from .errors import AxiomViolation, ForbiddenParameter, NotInvertible
@@ -40,8 +40,7 @@ from .tensor import Tensor, flip, pad_with_identity, tauconj
 W, WB = "w", "wb"
 
 
-@dataclass
-class SL2Datum:
+class SL2Datum(NamedTuple):
     q: Scalar
     qhalf: Scalar      # the square root of q used by the candidate scales
     E: Tensor          # column, legs (2,2) x ()
@@ -52,18 +51,11 @@ class SL2Datum:
         return self.E @ self.Eprime
 
 
-def make_sl2(q: Scalar, case: int = 1) -> SL2Datum:
-    if case == 1:
-        if q.is_constant() and q.constant_value() in (
-                Gaussian(0), Gaussian(0, 1), Gaussian(0, -1)):
-            raise ForbiddenParameter(f"case 1 needs q outside {{0, i, -i}}, got {q}")
-        emat = Tensor.from_rows([[0, 1], [-q, 0]])
-    elif case == 2:
-        if not q.is_one():
-            raise ForbiddenParameter(f"case 2 needs q = 1, got {q}")
-        emat = Tensor.from_rows([[1, 1], [-1, 0]])
-    else:
-        raise ForbiddenParameter(f"case must be 1 or 2, not {case}")
+def make_sl2(q: Scalar) -> SL2Datum:
+    if q.is_constant() and q.constant_value() in (
+            Gaussian(0), Gaussian(0, 1), Gaussian(0, -1)):
+        raise ForbiddenParameter(f"SL_q(2) needs q outside {{0, i, -i}}, got {q}")
+    emat = Tensor.from_rows([[0, 1], [-q, 0]])
     qhalf = q.sqrt()
     if qhalf is None:
         raise ForbiddenParameter(f"q = {q} has no square root in Q(i)(t)")
@@ -109,8 +101,7 @@ def validate_sl2(d: SL2Datum):
     return reports
 
 
-@dataclass(frozen=True)
-class LorentzDatum:
+class _LorentzFields(NamedTuple):
     base: SL2Datum
     X: Tensor
     beta: Scalar
@@ -118,6 +109,12 @@ class LorentzDatum:
     Etilde: Tensor
     Eptilde: Tensor
     presentation: Presentation
+
+
+class LorentzDatum(_LorentzFields):
+    """The fields are frozen; without __slots__ the instance keeps a
+    __dict__ for its cached inverse, and `_replace` makes a LorentzDatum
+    that computes its own."""
 
     @cached_property
     def X_inv(self) -> Tensor:

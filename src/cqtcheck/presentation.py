@@ -27,8 +27,8 @@ The module also hosts:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import (DuplicateName, EvaluationPole, MissingBlock, MissingRep,
                      ShapeError, UnknownGenerator)
@@ -41,15 +41,13 @@ UNIT = "1"
 MAX_SPACE = 400
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     name: str
     dim: int
     conj: str  # name of the conjugate generator; may equal name
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     name: str
     matrix: Tensor
     source_word: tuple

@@ -40,9 +40,9 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import (DivisionByZero, EvaluationPole, NumberTooLong, ParseError,
                      ZeroDivisionInText)
@@ -716,8 +716,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str   # name | int | punct | arrow | eof
     text: str
     line: int

@@ -48,8 +48,6 @@ failures and evaluation counts are those of a word-by-word loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cqt
 from .errors import ForbiddenParameter, ShapeError
 from .inhomogeneous import (InhomDatum, build_mP, build_RQ,
@@ -67,11 +65,11 @@ def y(a: int):
     return ("y", a)
 
 
-@dataclass
 class CoproductTable:
     """Letter-level coproduct and counit for the inhomogeneous letters."""
 
-    N: int
+    def __init__(self, N: int):
+        self.N = N
 
     def splits(self, letter):
         """(left letter or None, right letter or None) pairs of the coproduct."""

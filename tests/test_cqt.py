@@ -11,7 +11,7 @@ t = T
 
 @pytest.fixture(scope="module")
 def slq2():
-    return lorentz.make_sl2(Q, 1)
+    return lorentz.make_sl2(Q)
 
 
 @pytest.fixture(scope="module")
@@ -21,12 +21,12 @@ def slq2_sat(slq2):
 
 @pytest.fixture(scope="module")
 def slq2_classical():
-    return lorentz.make_sl2(Q.subs(1), 1)
+    return lorentz.make_sl2(Q.subs(1))
 
 
 @pytest.fixture(scope="module")
 def lorentz_flip():
-    return lorentz.make_lorentz(lorentz.make_sl2(Q, 1), flip(2, 2), ONE)
+    return lorentz.make_lorentz(lorentz.make_sl2(Q), flip(2, 2), ONE)
 
 
 @pytest.fixture(scope="module")

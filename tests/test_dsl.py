@@ -25,7 +25,7 @@ def test_parse_shipped_fixture():
     doc = dsl.parse_presentation(SLQ2_DOC.read_text())
     assert sorted(doc.presentation.generators) == ["1", "w"]
     assert [r.name for r in doc.presentation.relations] == ["E", "Ep"]
-    d = lorentz.make_sl2(Q, 1)
+    d = lorentz.make_sl2(Q)
     assert doc.mats["E"].matrix == d.E
     assert doc.mats["Ep"].matrix == d.Eprime
     assert doc.candidate.block("w", "w") == lorentz.candidate_L(d, 1)

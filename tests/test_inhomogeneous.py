@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ i_s = Scalar((G_I,), (G_ONE,))
 
 @pytest.fixture(scope="module")
 def classical():
-    base = lorentz.make_sl2(Q.subs(1), 1)
+    base = lorentz.make_sl2(Q.subs(1))
     ld = lorentz.make_lorentz(base, flip(2, 2), ONE)
     return inh.poincare_from_lorentz(ld)
 
@@ -177,7 +176,7 @@ def test_structure_reports_classical(classical):
 
 
 def test_structure_shift_skew_fails_for_fixed_T(classical):
-    bad = dataclasses.replace(classical, T=classical.invariant)
+    bad = classical._replace(T=classical.invariant)
     reports = inh.check_structure(bad)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:shift-skew" in failed
@@ -474,3 +473,6 @@ def test_a_replaced_matrix_brings_its_own_inverse(classical):
     assert w.G_inv @ w.G == Tensor.identity(w.G.dom)
     e = inh.RepEntry(w.G * Scalar.from_int(3), w.H)
     assert e.G_inv == w.G_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 3)))
+    # _replace makes a RepEntry that builds its own N, not w's cached one
+    cached = w.N
+    assert w._replace(G=e.G).N == e.N != cached

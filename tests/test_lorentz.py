@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from cqtcheck import cqt, lorentz
 from cqtcheck.catalog import make_lorentz_beta_minus, make_lorentz_flip
 from cqtcheck.errors import AxiomViolation, ForbiddenParameter
-from cqtcheck.presentation import saturate
+from cqtcheck.presentation import GeneratorSpec, Presentation, Relation, saturate
 from cqtcheck.scalars import ConjMode, Gaussian, I, ONE, Q, Scalar, T, ZERO
 from cqtcheck.tensor import Tensor, flip, kron
 
@@ -16,7 +15,7 @@ t = T
 
 @pytest.fixture(scope="module")
 def generic():
-    return lorentz.make_sl2(Q, 1)
+    return lorentz.make_sl2(Q)
 
 
 @pytest.fixture(scope="module")
@@ -30,21 +29,37 @@ def test_make_sl2_case1(generic):
     assert (generic.Eprime @ generic.E).entries[0] == -(q + q ** -1)
 
 
+def sl2_case2(q):
+    """SL(2) at q = 1 with the pairing E = [[1, 1], [-1, 0]] in place of
+    make_sl2's [[0, 1], [-q, 0]]: a second datum at q = 1, which no
+    built-in makes."""
+    if not q.is_one():
+        raise ForbiddenParameter(f"case 2 needs q = 1, got {q}")
+    emat = Tensor.from_rows([[1, 1], [-1, 0]])
+    E = emat.slice_legs((0, 1), ())
+    Eprime = emat.inverse().slice_legs((), (0, 1))
+    p = Presentation([GeneratorSpec("w", 2, "w")],
+                     [Relation("E", E, (), ("w", "w")),
+                      Relation("Ep", Eprime, ("w", "w"), ())])
+    return lorentz.SL2Datum(q, q.sqrt(), E, Eprime, p)
+
+
 def test_make_sl2_case2():
-    d = lorentz.make_sl2(Q.subs(1), 2)
+    d = sl2_case2(Q.subs(1))
     assert d.E.entries == [ONE, ONE, -ONE, ZERO]
     assert (d.Eprime @ d.E).entries[0] == Scalar.from_int(-2)
+    assert cqt.all_pass(lorentz.validate_sl2(d))
     with pytest.raises(ForbiddenParameter):
-        lorentz.make_sl2(Q, 2)
+        sl2_case2(Q)
 
 
 def test_make_sl2_forbidden_parameters():
     with pytest.raises(ForbiddenParameter):
-        lorentz.make_sl2(Q.subs(Gaussian(0, 1)) * 0, 1)   # q = 0
+        lorentz.make_sl2(Q.subs(Gaussian(0, 1)) * 0)   # q = 0
     with pytest.raises(ForbiddenParameter):
-        lorentz.make_sl2(Scalar.from_gaussian(Gaussian(0, 1)), 1)  # q = i
+        lorentz.make_sl2(Scalar.from_gaussian(Gaussian(0, 1)))  # q = i
     with pytest.raises(ForbiddenParameter):
-        lorentz.make_sl2(Scalar.from_int(2), 1)  # no square root in the field
+        lorentz.make_sl2(Scalar.from_int(2))  # no square root in the field
 
 
 def test_duality_identities(generic):
@@ -85,11 +100,11 @@ def test_classify_sl2_counts(generic):
     assert lorentz.classify_sl2(generic).counts()["cqt"] == 4
     assert lorentz.classify_sl2(generic).counts()["ct"] == 0
 
-    at_one = lorentz.make_sl2(Q.subs(1), 1)
+    at_one = lorentz.make_sl2(Q.subs(1))
     counts = lorentz.classify_sl2(at_one).counts()
     assert counts["cqt"] == 2 and counts["ct"] == 2
 
-    at_i = lorentz.make_sl2(Q.subs(Gaussian(0, 1)), 1)
+    at_i = lorentz.make_sl2(Q.subs(Gaussian(0, 1)))
     counts = lorentz.classify_sl2(at_i).counts()
     assert counts["cqt"] == 2 and counts["ct"] == 0
 
@@ -111,9 +126,9 @@ def test_make_lorentz_validates_invertibility(generic):
 def test_a_replaced_intertwiner_brings_its_own_inverse(lorentz_generic):
     d = lorentz_generic
     assert d.X_inv @ d.X == Tensor.identity((2, 2))
-    e = dataclasses.replace(d, X=d.X * Scalar.from_int(2))
+    e = d._replace(X=d.X * Scalar.from_int(2))
     assert e.X_inv == d.X_inv * Scalar.from_gaussian(Gaussian(Fraction(1, 2)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.X = e.X
 
 

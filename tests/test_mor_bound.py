@@ -39,6 +39,7 @@ from cqtcheck.presentation import (CandidateR, GeneratorSpec, Presentation,
                                    saturate)
 from cqtcheck.scalars import Q, Gaussian, parse_scalar
 from cqtcheck.tensor import Tensor, flip
+from test_lorentz import sl2_case2
 
 SLQ2_DOC = Path(__file__).resolve().parents[1] / "src/cqtcheck/data/slq2.qg"
 POINTS = {"generic": None, "t=1": Gaussian(1), "t=i": Gaussian(0, 1),
@@ -309,7 +310,7 @@ def test_premise_fails_where_the_relations_differ_at_t0(monkeypatch):
     assert generic.presentation.specializes_to(
         _datum("slq2", "t=1").presentation, one)
     # case 2 is SL(2) at q = 1 with another E
-    other = lorentz.make_sl2(Q.subs(one), 2)
+    other = sl2_case2(Q.subs(one))
     assert not generic.presentation.specializes_to(other.presentation, one)
     # a pole of a generic relation at the value
     pole = Presentation([GeneratorSpec("w", 1, "w")], [Relation(

@@ -13,7 +13,6 @@ implementation that still returned a classification object and scanned the
 whole Lorentz sign family, before that object and the scan were removed.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -52,7 +51,7 @@ def extra_rep_datum():
 
 
 def classical_datum():
-    ld = lorentz.make_lorentz(lorentz.make_sl2(Q.subs(1), 1), flip(2, 2), ONE)
+    ld = lorentz.make_lorentz(lorentz.make_sl2(Q.subs(1)), flip(2, 2), ONE)
     return inh.poincare_from_lorentz(ld)
 
 
@@ -64,23 +63,22 @@ def spinor_datum():
     H = Tensor((4, 2), (2,), _ints(rng, -1, 2, 16))
     X = Tensor((2, 2), (2, 2), _ints(rng, -2, 3, 16))
     w = d.reps["w"]
-    return dataclasses.replace(d, reps={**d.reps, "w": inh.RepEntry(w.G, H)},
-                               lorentz=dataclasses.replace(ld, X=X))
+    return d._replace(reps={**d.reps, "w": inh.RepEntry(w.G, H)},
+                      lorentz=ld._replace(X=X))
 
 
 def scaled_x_datum():
     """The classical datum with its Lorentz intertwiner doubled."""
     d = classical_datum()
     ld = d.lorentz
-    return dataclasses.replace(
-        d, lorentz=dataclasses.replace(ld, X=ld.X * Scalar.from_int(2)))
+    return d._replace(lorentz=ld._replace(X=ld.X * Scalar.from_int(2)))
 
 
 def imaginary_m_datum():
     """The classical datum with i * m0 as its invariant column."""
     d = classical_datum()
     m = d.invariant * i_s
-    return dataclasses.replace(d, invariants=[m])
+    return d._replace(invariants=[m])
 
 
 def _reports(case):

@@ -17,12 +17,12 @@ t = T
 
 @pytest.fixture(scope="module")
 def slq2():
-    return lorentz.make_sl2(Q, 1)
+    return lorentz.make_sl2(Q)
 
 
 @pytest.fixture(scope="module")
 def lorentz_flip():
-    return lorentz.make_lorentz(lorentz.make_sl2(Q, 1), flip(2, 2), ONE)
+    return lorentz.make_lorentz(lorentz.make_sl2(Q), flip(2, 2), ONE)
 
 
 def test_presentation_validation():

@@ -11,7 +11,7 @@ from cqtcheck.tensor import Tensor, flip, kron
 
 @pytest.fixture(scope="module")
 def classical():
-    base = lorentz.make_sl2(Q.subs(1), 1)
+    base = lorentz.make_sl2(Q.subs(1))
     ld = lorentz.make_lorentz(base, flip(2, 2), ONE)
     return inh.poincare_from_lorentz(ld)
 
@@ -194,12 +194,11 @@ def test_perturbed_translation_column_detected(classical):
     # every translation column (a symmetric bump is literally another valid
     # invariant), so a corrupted column must be caught by the invariance
     # gate, not by the word identities
-    import dataclasses
     ent = [ZERO] * 16
     ent[0 * 4 + 1] = ONE
     m_bad = Tensor((4, 4), (), ent)
     assert (classical.R @ m_bad) != m_bad
-    bad = dataclasses.replace(classical, invariants=[m_bad])
+    bad = classical._replace(invariants=[m_bad])
     reports = inh.check_structure(bad)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:invariant-fixed:0" in failed
@@ -207,8 +206,7 @@ def test_perturbed_translation_column_detected(classical):
     ent = [ZERO] * 16
     ent[0] = ONE
     m_sym = Tensor((4, 4), (), ent)
-    shifted = dataclasses.replace(classical,
-                                  invariants=[classical.invariant + m_sym])
+    shifted = classical._replace(invariants=[classical.invariant + m_sym])
     assert cqt.all_pass(inh.check_structure(shifted))
     assert cqt.all_pass(uea.check_rll(shifted, max_len=1))
 
