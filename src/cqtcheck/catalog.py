@@ -59,10 +59,8 @@ def make_poincare_classical(value=None) -> InhomDatum:
 
 
 def make_poincare_abstract(value=None) -> InhomDatum:
-    r = flip(4, 4)
-    m = Tensor((4, 4), (), [ONE if i == j else Scalar.from_int(0)
-                            for i in range(4) for j in range(4)])
-    return abstract_datum(r, invariants=[m])
+    m = Tensor.identity((4,)).slice_legs((0, 1), ())
+    return abstract_datum(flip(4, 4), invariant=m)
 
 
 def make_poincare_twisted(value=None) -> InhomDatum:

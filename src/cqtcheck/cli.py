@@ -52,7 +52,6 @@ class RunConfig(NamedTuple):
     eval_expr: str = None
     max_len: int = 2
     depth: int = 3
-    with_n: str = None
 
 
 def main(argv=None) -> int:
@@ -81,12 +80,8 @@ def main(argv=None) -> int:
     p_check.add_argument("--max-len", type=int, default=2,
                          help="word length bound for functional checks "
                               f"(1 to {MAX_LEN})")
-    p_check.add_argument("--with-n", dest="with_n", metavar="NAME",
-                         help="row invariant (a named matrix of the datum) "
-                              "for the twisted exchange variant of the uea "
-                              "suite")
     p_check.add_argument("--verbose", action="store_true",
-                         help="print full notes for failing checks")
+                         help="print every note in full")
     command("classify", run_check, "classification tallies only")
     p_mor = command("mor", run_mor, "print witnessed intertwiner bases")
     p_mor.add_argument("src", help="source word, space-separated generators")
@@ -184,7 +179,6 @@ class _Run:
 
     def __init__(self, datum, depth, max_len):
         self.datum, self.depth, self.max_len = datum, depth, max_len
-        self.with_row = None
         self.summary = []
         self.table = cqt.LawTable()
 
@@ -252,7 +246,7 @@ def _inhom_matrices(d):
 
 class _Kind(NamedTuple):
     candidate: Callable   # datum -> its canonical candidate, or None
-    matrices: Callable    # datum -> {name: matrix}, for show and --with-n
+    matrices: Callable    # datum -> {name: matrix}, for show
     suites: dict          # suite -> runner, in SUITES order
 
 
@@ -289,8 +283,7 @@ SUITE_TABLE = {
         lambda d: None, _inhom_matrices, {
             "validate": lambda run: run.structure,
             "poincare": _poincare,
-            "uea": lambda run: uea.uea_suite(run.datum, max_len=run.max_len,
-                                             with_row=run.with_row),
+            "uea": lambda run: uea.uea_suite(run.datum, max_len=run.max_len),
         }),
     dsl.Document: _Kind(
         lambda d: d.candidate,
@@ -337,18 +330,6 @@ def dispatch(cfg: RunConfig, lenient=False):
             f"--suite {unsupported[0]} does not apply to {cfg.input}; "
             f"supported: {', '.join(kind.suites)}")
     run = _Run(datum, cfg.depth, cfg.max_len)
-    if cfg.with_n:
-        if "uea" not in suites:
-            raise ForbiddenParameter(
-                f"--with-n is read only by the uea suite, which this run of "
-                f"{cfg.input} does not include")
-        named = kind.matrices(datum)
-        if cfg.with_n not in named:
-            raise ForbiddenParameter(
-                f"--with-n {cfg.with_n!r}: no such matrix; available: "
-                f"{', '.join(sorted(named))}")
-        run.with_row = named[cfg.with_n]
-        uea.check_row_shape(datum, run.with_row)
     rows = []
     for suite, runner in kind.suites.items():
         if suite not in suites:
@@ -421,7 +402,6 @@ def run_check(args) -> int:
         eval_expr=args.eval_expr,
         max_len=getattr(args, "max_len", 2),
         depth=args.depth,
-        with_n=getattr(args, "with_n", None),
     )
     _, rows, summary = dispatch(cfg, lenient=classify)
     return emit_report(rows, cfg.input, summary, args.json_path,

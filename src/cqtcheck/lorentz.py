@@ -148,18 +148,27 @@ def make_lorentz(base: SL2Datum, X: Tensor, beta: Scalar,
         d.X_inv  # the invertibility axiom; the inverse stays on the datum
     except NotInvertible as exc:
         raise AxiomViolation("invertibility", witness=exc.witness) from None
-    lhs = (pad_with_identity(X, (), (2,)) @ pad_with_identity(X, (2,), ())
-           @ pad_with_identity(E, (), (2,)))
-    rhs = pad_with_identity(E, (2,), ())
-    defect = lhs - rhs
+    defect = _duality_defect(d)
     if not defect.is_zero():
         raise AxiomViolation("exchange-duality", witness=defect.first_nonzero())
-    if not (beta ** 4).is_one():
+    if not (beta ** 4).is_one():  # before the conjugation defect divides by it
         raise AxiomViolation("beta-quartic", witness=beta)
-    defect = tauconj(X, mode) - X * beta.inverse()
+    defect = _conjugation_defect(d)
     if not defect.is_zero():
         raise AxiomViolation("conjugation", witness=defect.first_nonzero())
     return d
+
+
+def _duality_defect(d: LorentzDatum) -> Tensor:
+    """(X (x) 1)(1 (x) X)(E (x) 1) - 1 (x) E."""
+    X, E = d.X, d.base.E
+    return (pad_with_identity(X, (), (2,)) @ pad_with_identity(X, (2,), ())
+            @ pad_with_identity(E, (), (2,)) - pad_with_identity(E, (2,), ()))
+
+
+def _conjugation_defect(d: LorentzDatum) -> Tensor:
+    """tauconj(X) - X / beta."""
+    return tauconj(d.X, d.mode) - d.X * d.beta.inverse()
 
 
 def family_blocks(d: LorentzDatum):
@@ -226,24 +235,19 @@ def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None,
 
 
 # ---------------------------------------------------------------------------
-# Real forms.  The compact-type forms need hermiticity of L_1 at a real q
-# sample; the split form compares L_1 with its swapped conjugate in the
-# unimodular mode, symbolically or at a phase sample.
+# Real forms.  The compact form needs hermiticity of L_1 at a real q sample;
+# the split form compares L_1 with its swapped conjugate in the unimodular
+# mode at a phase sample.
 # ---------------------------------------------------------------------------
 
 def validate_lorentz(d: LorentzDatum):
     """The axioms of the SL2 base, exchange duality and conjugation of X."""
-    reports = validate_sl2(d.base)
-    lhs = (pad_with_identity(d.X, (), (2,)) @ pad_with_identity(d.X, (2,), ())
-           @ pad_with_identity(d.base.E, (), (2,)))
-    reports.append(cqt.defect_report(
-        "axiom:exchange-duality", lhs - pad_with_identity(d.base.E, (2,), ())))
-    reports.append(cqt.defect_report(
-        "axiom:conjugation", tauconj(d.X, d.mode) - d.X * d.beta.inverse()))
-    return reports
+    return validate_sl2(d.base) + [
+        cqt.defect_report("axiom:exchange-duality", _duality_defect(d)),
+        cqt.defect_report("axiom:conjugation", _conjugation_defect(d))]
 
 
-SUQ2, SUQ11, SLQ2R = "suq2", "suq11", "slq2r"
+SUQ2, SLQ2R = "suq2", "slq2r"
 
 
 def _conj_value_real_q(s: Scalar, positive: bool) -> Scalar:
@@ -261,19 +265,16 @@ def _conj_value_real_q(s: Scalar, positive: bool) -> Scalar:
     return Scalar.normalize(num, den)
 
 
-def real_form_check(d: SL2Datum, form: str, sample=None) -> cqt.CheckReport:
+def real_form_check(d: SL2Datum, form: str, sample) -> cqt.CheckReport:
     """Star-compatibility of the L_1 candidate for one real form.
 
-    For the compact-type forms `sample` is a nonzero rational value of q
-    and the check is hermiticity of L_1 at t = sqrt(sample).  For the split
-    form the check is invariance of L_1 under the swapped unimodular
-    conjugate, symbolic when sample is None, else at q = sample on the unit
-    circle.
+    For the compact form `sample` is a nonzero rational value of q and the
+    check is hermiticity of L_1 at t = sqrt(sample).  For the split form
+    `sample` is a value of q on the unit circle and the check is invariance
+    of L_1 under the swapped unimodular conjugate there.
     """
     L1 = candidate_L(d, 1)
-    if form in (SUQ2, SUQ11):
-        if sample is None:
-            raise ForbiddenParameter("compact forms need a rational q sample")
+    if form == SUQ2:
         q0 = Fraction(sample)
         if q0 == 0:
             raise ForbiddenParameter("q = 0 is excluded")
@@ -288,9 +289,6 @@ def real_form_check(d: SL2Datum, form: str, sample=None) -> cqt.CheckReport:
         return cqt.CheckReport(cid, "pass", None, "hermitian")
     if form == SLQ2R:
         defect = tauconj(L1.with_legs((2, 2), (2, 2)), ConjMode.UNIMODULAR) - L1
-        if sample is None:
-            cid = f"realform:{form}:symbolic"
-            return cqt.defect_report(cid, defect)
         q0 = Gaussian(sample) if not isinstance(sample, Gaussian) else sample
         if q0 * q0.conj() != Gaussian(1):
             raise ForbiddenParameter(f"|q| = 1 required, got {q0}")

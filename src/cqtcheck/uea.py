@@ -49,7 +49,7 @@ failures and evaluation counts are those of a word-by-word loop.
 from __future__ import annotations
 
 from . import cqt
-from .errors import ForbiddenParameter, ShapeError
+from .errors import ShapeError
 from .inhomogeneous import (InhomDatum, build_mP, build_RQ,
                             coefficient_points, corner_frame)
 from .presentation import FunctionalHom
@@ -492,27 +492,18 @@ def letter_span_dim(h: FunctionalHom) -> int:
     return span.dim()
 
 
-def check_row_shape(d: InhomDatum, row: Tensor):
-    """Reject a row invariant that is not an (N, N) -> () column."""
-    if (row.cod, row.dom) != ((d.N, d.N), ()):
-        raise ForbiddenParameter(
-            f"a row invariant needs legs ({d.N}, {d.N}) x (), got "
-            f"{row.cod} x {row.dom}")
-
-
-def uea_suite(d: InhomDatum, max_len: int = 2, with_row: Tensor = None):
-    """All functional checks, plus the span-dimension diagnostic; a
-    with_row must have passed check_row_shape."""
+def uea_suite(d: InhomDatum, max_len: int = 2):
+    """All functional checks, plus the span-dimension diagnostic.  The
+    column invariant k is the datum's invariant; it is also the row
+    invariant n when the transposed exchange matrix fixes it, and there is
+    no row invariant otherwise."""
     fns = Functionals(d)
     reports = []
     reports.extend(check_rll(d, max_len, fns))
     k_col = d.invariant
-    n_row = with_row
-    if n_row is None and k_col is not None:
-        # the invariant column doubles as a row invariant when fixed by the
-        # transposed exchange matrix
-        if d.R.transpose() @ k_col == k_col:
-            n_row = k_col
+    n_row = None
+    if k_col is not None and d.R.transpose() @ k_col == k_col:
+        n_row = k_col
     reports.extend(check_xkx(d, max_len, n=n_row, fns=fns))
     reports.extend(check_pairings(d, k=k_col, n=n_row, max_len=max_len,
                                   fns=fns))

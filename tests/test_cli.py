@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,13 +279,13 @@ def test_mor_word_over_budget_exit_2_before_any_input_is_read(argv):
         f"from 0 to {cli.MAX_MOR_WORD} letters")
 
 
-def test_with_n_of_wrong_shape_exits_2():
-    out = run_cli(["check", "builtin:poincare-twisted", "--suite", "uea",
-                   "--with-n", "R"])
+def test_with_n_is_no_longer_an_option():
+    # the uea suite takes its row invariant from the datum alone
+    out = run_cli(["check", "builtin:poincare-twisted", "--with-n", "T"])
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr.startswith("error: ForbiddenParameter: a row invariant "
-                                 "needs legs (4, 4) x ()")
+    assert "unrecognized arguments: --with-n T" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_mor_unknown_generator_exits_2():
@@ -312,19 +314,6 @@ def test_classify_runs_only_supported_suites():
     assert out.stdout.endswith("5/5 checks passed\n")
 
 
-def test_with_n_shape_is_checked_before_any_suite(monkeypatch, capsys):
-    from cqtcheck import inhomogeneous
-
-    def reached(*args, **kw):
-        raise AssertionError("a suite ran before the --with-n shape check")
-
-    monkeypatch.setattr(inhomogeneous, "check_structure", reached)
-    assert cli.main(["check", "builtin:poincare-twisted", "--with-n", "R"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: ForbiddenParameter: a row invariant ")
-
-
 @pytest.mark.parametrize("where", ["mat", "eval"])
 def test_oversized_integer_literal_is_a_parse_error(tmp_path, where):
     digits = "9" * 5000
@@ -350,19 +339,6 @@ def test_nonconstant_eval_is_a_parse_error_without_a_position(capsys, expr,
     assert out.out == ""
     assert out.err.strip().splitlines() == [
         f"parse error: --eval needs a constant, got {shown}"]
-
-
-@pytest.mark.parametrize("args", [
-    ["builtin:slq2", "--with-n", "E"],
-    ["builtin:poincare-twisted", "--suite", "poincare", "--with-n", "R"],
-], ids=["slq2", "poincare-suite"])
-def test_with_n_without_uea_suite_exits_2(args):
-    out = run_cli(["check", *args])
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr.strip().splitlines() == [
-        f"error: ForbiddenParameter: --with-n is read only by the uea suite, "
-        f"which this run of {args[0]} does not include"]
 
 
 @pytest.mark.parametrize("entry", ["9" * 3000 + "^2", "i/" + "9" * 3000 + "^2"],
@@ -401,3 +377,22 @@ def test_closed_stdout_ends_quietly_with_the_command_status(tmp_path, args, rc,
     if "--json" in args:
         golden = ROOT / "tests" / "golden" / "doc-outside-span-d3.json"
         assert report.read_bytes() == golden.read_bytes()
+
+
+def test_the_readme_names_every_option_and_only_those(monkeypatch):
+    parsers = []
+
+    def grab(self, *args, **kw):  # the parser main builds, before it parses
+        parsers.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", grab)
+    with pytest.raises(SystemExit):
+        cli.main(["check", "builtin:slq2"])
+    commands = next(a for a in parsers[0]._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {opt for p in commands.values() for action in p._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme))
+    assert documented - {"--no-build-isolation"} == options

@@ -386,7 +386,7 @@ def test_classify_abstract_flip_free_invariant():
     m = Tensor((4, 4), (),
                [Scalar.from_int(sym[a][b] + sym[b][a]) for a in range(4)
                 for b in range(4)])
-    d = inh.abstract_datum(flip(4, 4), invariants=[m])
+    d = inh.abstract_datum(flip(4, 4), invariant=m)
     reports, signs = inh.classify_poincare(d)
     assert cqt.all_pass(reports)
     assert signs == [0]

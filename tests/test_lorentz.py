@@ -214,12 +214,10 @@ def test_reference_flag_reports_divergence(lorentz_generic):
 ])
 def test_real_form_compact(generic, sample, expected):
     assert lorentz.real_form_check(generic, lorentz.SUQ2, sample).status == expected
-    assert lorentz.real_form_check(generic, lorentz.SUQ11, sample).status == expected
 
 
 def test_real_form_split(generic):
     assert lorentz.real_form_check(generic, lorentz.SLQ2R, 1).status == "pass"
-    assert lorentz.real_form_check(generic, lorentz.SLQ2R, None).status == "fail"
     assert lorentz.real_form_check(
         generic, lorentz.SLQ2R, Gaussian(0, 1)).status == "fail"
     with pytest.raises(ForbiddenParameter):

@@ -78,7 +78,7 @@ def imaginary_m_datum():
     """The classical datum with i * m0 as its invariant column."""
     d = classical_datum()
     m = d.invariant * i_s
-    return d._replace(invariants=[m])
+    return d._replace(invariant=m)
 
 
 def _reports(case):

@@ -198,7 +198,7 @@ def test_perturbed_translation_column_detected(classical):
     ent[0 * 4 + 1] = ONE
     m_bad = Tensor((4, 4), (), ent)
     assert (classical.R @ m_bad) != m_bad
-    bad = classical._replace(invariants=[m_bad])
+    bad = classical._replace(invariant=m_bad)
     reports = inh.check_structure(bad)
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:invariant-fixed:0" in failed
@@ -206,7 +206,7 @@ def test_perturbed_translation_column_detected(classical):
     ent = [ZERO] * 16
     ent[0] = ONE
     m_sym = Tensor((4, 4), (), ent)
-    shifted = classical._replace(invariants=[classical.invariant + m_sym])
+    shifted = classical._replace(invariant=classical.invariant + m_sym)
     assert cqt.all_pass(inh.check_structure(shifted))
     assert cqt.all_pass(uea.check_rll(shifted, max_len=1))
 

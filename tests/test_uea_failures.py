@@ -34,19 +34,19 @@ K_BAD = column({0 * 4 + 1: 1})                   # not fixed by R
 K_FIXED = column({0 * 4 + 1: 1, 1 * 4 + 0: 2})   # fixed by R, not invariant
 
 
-def incoherent_twist(invariants=()):
+def incoherent_twist(invariant=None):
     """The twisted involution with a Z entry its letters cannot carry."""
     zent = [ZERO] * 64
     zent[(0 * 4 + 1) * 4 + 2] = ONE
     return inh.abstract_datum(twisted_R(), Z=Tensor((4, 4), (4,), zent),
-                              invariants=invariants)
+                              invariant=invariant)
 
 
 DATUMS = {
     "twist": lambda: incoherent_twist(),
     # an R-fixed column as the invariant: the l checks run at several
     # coefficients and label their failures with one
-    "twist-with-invariant": lambda: incoherent_twist([K_FIXED]),
+    "twist-with-invariant": lambda: incoherent_twist(K_FIXED),
     "pairing": lambda: inh.abstract_datum(twisted_R()),
 }
 
