@@ -22,23 +22,23 @@ from .scalars import I, ONE, Q, Scalar
 from .tensor import Tensor, flip, kron
 
 
-def make_slq2(value=None) -> lorentz.SL2Datum:
+def make_slq2(value) -> lorentz.SL2Datum:
     q = Q if value is None else Q.subs(value)
     return lorentz.make_sl2(q)
 
 
-def make_lorentz_flip(value=None) -> lorentz.LorentzDatum:
+def make_lorentz_flip(value) -> lorentz.LorentzDatum:
     return lorentz.make_lorentz(make_slq2(value), flip(2, 2), ONE)
 
 
-def make_lorentz_beta_minus(value=None) -> lorentz.LorentzDatum:
+def make_lorentz_beta_minus(value) -> lorentz.LorentzDatum:
     a = Tensor.from_rows([[I, 0], [0, -I]])
     b = Tensor.from_rows([[-1, 0], [0, 1]])
     x = flip(2, 2) @ kron(a, b)
     return lorentz.make_lorentz(make_slq2(value), x, Scalar.from_int(-1))
 
 
-def make_lorentz_user(path: str, value=None) -> lorentz.LorentzDatum:
+def make_lorentz_user(path: str, value) -> lorentz.LorentzDatum:
     with open(path, encoding="utf-8") as fh:
         doc = dsl.parse_presentation(fh.read())
     if "X" not in doc.mats:
@@ -52,18 +52,18 @@ def make_lorentz_user(path: str, value=None) -> lorentz.LorentzDatum:
     return lorentz.make_lorentz(base, x, beta, doc.mode)
 
 
-def make_poincare_classical(value=None) -> InhomDatum:
+def make_poincare_classical(value) -> InhomDatum:
     if value is not None and Q.subs(value) != ONE:
         raise ForbiddenParameter("the classical datum lives at q = 1")
     return poincare_from_lorentz(make_lorentz_flip(1))
 
 
-def make_poincare_abstract(value=None) -> InhomDatum:
+def make_poincare_abstract(value) -> InhomDatum:
     m = Tensor.identity((4,)).slice_legs((0, 1), ())
     return abstract_datum(flip(4, 4), invariant=m)
 
 
-def make_poincare_twisted(value=None) -> InhomDatum:
+def make_poincare_twisted(value) -> InhomDatum:
     d = Tensor.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     r = (flip(4, 4) @ kron(d, d.inverse())).with_legs((4, 4), (4, 4))
     return abstract_datum(r)
@@ -79,7 +79,7 @@ BUILTINS = {
 }
 
 
-def resolve(name: str, value=None):
+def resolve(name: str, value):
     """Instantiate a built-in, handling the one-argument forms."""
     if name.startswith("lorentz-user(") and name.endswith(")"):
         return make_lorentz_user(name[len("lorentz-user("):-1], value)

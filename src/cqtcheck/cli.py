@@ -197,7 +197,7 @@ class _Run:
 
 def _cqt(run):
     p, cand = run.datum.presentation, run.candidate
-    reports = cqt.check_condition2(cand, run.witnesses, table=run.table)
+    reports = cqt.check_condition2(cand, run.witnesses, run.table)
     for beta in p.generators:
         reports += cqt.check_relations_preserved(cqt.eval_hom(cand, beta), p)
     return reports
@@ -224,7 +224,8 @@ def _classified(run, result: cqt.ClassifyResult, *extra):
 
 
 def _poincare(run):
-    reports, signs = inhomog.classify_poincare(run.datum, run.structure)
+    reports, signs = inhomog.classify_poincare(run.datum, run.structure,
+                                               run.table)
     listed = f" (signs {', '.join(f'{k:+d}' for k in signs)})" if signs else ""
     run.summary.append(
         f"extended structures per coefficient: {len(signs)}{listed}")
@@ -266,10 +267,11 @@ SUITE_TABLE = {
             cqt.CheckReport(f"{r.check_id}:{c.label}", r.status, r.witness)
             for c in lorentz.sl2_family(run.datum) for r in cqt.check_ct(c, run.table)],
         "classify": lambda run: _classified(run, lorentz.classify_sl2(
-            run.datum, run.witnesses, table=run.table)),
+            run.datum, run.witnesses, run.table)),
     }),
     lorentz.LorentzDatum: _Kind(
-        lambda d: lorentz.candidate_blocks(d, 1, 3, 1, 1),
+        lambda d: lorentz.candidate_blocks(d, 1, 3, 1, 1,
+                                           lorentz.family_blocks(d)),
         lambda d: {**_sl2_matrices(d.base), "Et": d.Etilde, "Ept": d.Eptilde,
                    "X": d.X}, {
             "validate": lambda run: lorentz.validate_lorentz(run.datum),
@@ -283,7 +285,7 @@ SUITE_TABLE = {
         lambda d: None, _inhom_matrices, {
             "validate": lambda run: run.structure,
             "poincare": _poincare,
-            "uea": lambda run: uea.uea_suite(run.datum, max_len=run.max_len),
+            "uea": lambda run: uea.uea_suite(run.datum, run.max_len),
         }),
     dsl.Document: _Kind(
         lambda d: d.candidate,
@@ -292,13 +294,11 @@ SUITE_TABLE = {
                 "document:parsed", "pass", None,
                 f"{len(run.datum.presentation.generators) - 1} generators, "
                 f"{len(run.datum.presentation.relations)} relations")],
-            "cqt": lambda run: cqt.check_condition2(
-                run.candidate, run.witnesses, table=run.table),
+            "cqt": _cqt,
             "star": _star,
             "ct": _ct,
             "classify": lambda run: _classified(run, cqt.classify(
-                [run.candidate], mode=run.datum.mode, witnesses=run.witnesses,
-                table=run.table)),
+                [run.candidate], run.datum.mode, run.witnesses, run.table)),
         }),
 }
 

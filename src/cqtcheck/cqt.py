@@ -69,10 +69,11 @@ An exchange law is a value (`Law`): its check id (relation, generator g,
 side) and the block pairs it reads, R[a, g] on the left and R[g, a] on the
 right for each letter a of the relation's words.  A table (`LawTable`),
 kept for one run over one datum, maps a check id and the run's number for
-the key() of each block the check reads to its report; the checks decide
-only the keys they have not seen, so a classification decides each
-distinct law, intertwiner and star/ct comparison once, not once per
-member.  This is exact: a report is a function of its defect (of the
+the key() of each block the check reads to its report; every check takes
+the run's table, and decides only the keys it has not seen, so a
+classification decides each distinct law, intertwiner and star/ct
+comparison once, not once per member, and `distinct` merges the members
+whose blocks have equal numbers.  This is exact: a report is a function of its defect (of the
 saturation's verdict at its fixed depth, for an intertwiner), and the
 defect is a function of the blocks in the key.
 """
@@ -112,7 +113,7 @@ def defect_report(check_id: str, defect: Tensor) -> CheckReport:
     return CheckReport(check_id, "pass" if w is None else "fail", w)
 
 
-def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:
+def word_R(c: CandidateR, word, gamma: str, side: str, memo) -> Tensor:
     """Exchange matrix of a word against a single generator.
 
     side "left" builds R[word, gamma], side "right" builds R[gamma, word];
@@ -137,9 +138,7 @@ def word_R(c: CandidateR, word, gamma: str, side: str, memo=None) -> Tensor:
 
 
 def _recall(memo, c: CandidateR, word, gamma: str, side: str) -> Tensor:
-    """word_R through memo; memo None builds it afresh."""
-    if memo is None:
-        return word_R(c, word, gamma, side)
+    """word_R through memo."""
     key = (tuple(word), gamma, side)
     if key not in memo:
         memo[key] = word_R(c, word, gamma, side, memo)
@@ -147,16 +146,14 @@ def _recall(memo, c: CandidateR, word, gamma: str, side: str) -> Tensor:
 
 
 def exchange_defect(c: CandidateR, W: Tensor, source, target, gamma: str,
-                    side: str, memo=None) -> Tensor:
+                    side: str, memo) -> Tensor:
     """lhs - rhs of one exchange law of W: source -> target against gamma.
 
     side "left":   (1 (x) W) . R[source, gamma] - R[target, gamma] . (W (x) 1)
     side "right":  R[gamma, target] . (1 (x) W) - (W (x) 1) . R[gamma, source]
 
-    `memo` is the word_R memo of the calling check (see word_R); without
-    one the law keeps its own.
+    `memo` is the word_R memo of the calling check (see word_R).
     """
-    memo = {} if memo is None else memo
     dg = (c.presentation.dim(gamma),)
     from_src = _recall(memo, c, source, gamma, side)
     to_tgt = _recall(memo, c, target, gamma, side)
@@ -258,7 +255,8 @@ class LawTable(dict):
     """The reports decided in one run, keyed by check id and the run's
     number of each block the check reads.  A block gets its number once per
     run, from its key(), at the first candidate that reads it, so a lookup
-    hashes small ints, not the blocks' entries."""
+    hashes small ints, not the blocks' entries.  It is the one place that
+    numbers blocks: `distinct` merges members on the same numbers."""
 
     def __init__(self):
         super().__init__()
@@ -276,14 +274,13 @@ class LawTable(dict):
         n = self._blocks.get((c, a, b))
         if n is None:
             n = self._blocks[c, a, b] = self._numbers.setdefault(
-                c.block_key(a, b), len(self._numbers))
+                c.block(a, b).key(), len(self._numbers))
         return n
 
 
 def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
-    """The report of check cid on c's blocks at pairs: table's, or decide()."""
-    if table is None:
-        return decide()
+    """The report of check cid on c's blocks at pairs: table's, or decide()
+    kept in the table."""
     key = (cid, *(table.number(c, a, b) for a, b in pairs))
     report = table.get(key)
     if report is None:
@@ -291,29 +288,25 @@ def _decided(table, c: CandidateR, cid: str, pairs, decide) -> CheckReport:
     return report
 
 
-def check_condition2(c: CandidateR, witnesses: Saturation = None,
-                     table: LawTable = None):
+def check_condition2(c: CandidateR, witnesses: Saturation, table: LawTable):
     """Exchange-law and intertwiner reports for one candidate family, on
     its own presentation.
 
     One report per (relation, generator) pair and side, plus one
-    intertwiner report per stored block.  `witnesses` is a saturation of
-    the presentation (made at the default depth when omitted, and shared across a
-    family by the callers that classify); it runs only until each block is
-    witnessed (see Saturation.contains), and the next block resumes the
-    round there.
-    `table` holds the reports already decided in the run, and the laws.
-    The laws decided here share one word_R memo, dropped on return.
+    intertwiner report per stored block.  `witnesses` is the run's
+    saturation of the presentation, shared by every member a run checks;
+    it runs only until each block is witnessed (see Saturation.contains),
+    and the next block resumes the round there.  `table` is the run's
+    LawTable: the reports already decided, and the laws.  The laws decided
+    here share one word_R memo, dropped on return.
     """
     p = c.presentation
-    if witnesses is None:
-        witnesses = Saturation(p)
     memo = {}
     reports = [_decided(table, c, law.check_id, law.reads, lambda: defect_report(
         law.check_id, exchange_defect(
             c, law.relation.matrix, law.relation.source_word,
             law.relation.target_word, law.gamma, law.side, memo)))
-        for law in (exchange_laws(p) if table is None else table.laws(p))]
+        for law in table.laws(p)]
     for (a, b), block in sorted(c.blocks.items()):
         cid = f"intertwiner:{a}:{b}"
         reports.append(_decided(table, c, cid, [(a, b)], lambda: CheckReport(
@@ -328,13 +321,16 @@ def check_condition2(c: CandidateR, witnesses: Saturation = None,
 def eval_hom(c: CandidateR, beta: str) -> FunctionalHom:
     """Matrix evaluation map against the beta generator of c's presentation.
 
-    The letter (a, i, j) evaluates to the beta-sized matrix whose (k, l)
-    entry is R[a,beta][(k,i),(j,l)]; for beta the unit this is the counit
-    pattern delta_ij.
+    The letter (a, i, j), for each generator a that the relations' words
+    use, evaluates to the beta-sized matrix whose (k, l) entry is
+    R[a,beta][(k,i),(j,l)]; for beta the unit this is the counit pattern
+    delta_ij.  The map reads no block R[a,beta] of another a.
     """
     p = c.presentation
+    used = {a for rel in p.relations for a in (*rel.source_word,
+                                               *rel.target_word)}
     values = {(a, i, j): c.block(a, beta).slice_legs((0,), (3,), {1: i, 2: j})
-              for a in p.non_unit() for i in range(p.dim(a))
+              for a in p.non_unit() if a in used for i in range(p.dim(a))
               for j in range(p.dim(a))}
     return FunctionalHom(p.dim(beta), values, label=f"eval:{beta}")
 
@@ -380,7 +376,7 @@ def _pair_checks(c: CandidateR, name: str, pairs, decide, table):
     return reports
 
 
-def check_star(c: CandidateR, mode: ConjMode, table: LawTable = None):
+def check_star(c: CandidateR, mode: ConjMode, table: LawTable):
     """Compatibility of the family with the star structure.
 
     For each pair (v, w) the block R[v,w] must equal the leg-swapped
@@ -394,7 +390,7 @@ def check_star(c: CandidateR, mode: ConjMode, table: LawTable = None):
             cid, tauconj(partner, mode) - block), table)
 
 
-def check_ct(c: CandidateR, table: LawTable = None):
+def check_ct(c: CandidateR, table: LawTable):
     """Cotriangularity: the inverse of each block is the opposite block, and
     a singular block fails.  `table` as in check_condition2."""
     return _pair_checks(c, "cotriangular", lambda v, w: ((v, w), (w, v)),
@@ -421,32 +417,30 @@ class ClassifyResult(NamedTuple):
                 "ct_star": len(self.ct_star_passing)}
 
 
-def distinct(family) -> list:
-    """The members of a family with pairwise different blocks, in order."""
+def distinct(family, table: LawTable) -> list:
+    """The members of a family with pairwise different blocks, in order:
+    a member whose blocks have the numbers of an earlier one's is dropped."""
     unique = {}
     for cand in family:
-        unique.setdefault(cand.key(), cand)
+        unique.setdefault(tuple((ab, table.number(cand, *ab))
+                                for ab in sorted(cand.blocks)), cand)
     return list(unique.values())
 
 
-def classify(family, mode: ConjMode = None, witnesses: Saturation = None,
-             table: LawTable = None) -> ClassifyResult:
+def classify(family, mode: ConjMode, witnesses: Saturation,
+             table: LawTable) -> ClassifyResult:
     """Run the core, star and cotriangularity checks over a finite family
     of candidates on one presentation.
 
     Duplicate members (equal block families) are merged before counting.
-    The star tally is only computed when a conjugation mode is given and
-    the presentation has a conjugation making the star check meaningful.
-    The members share `witnesses` and `table` (see check_condition2), made
-    here when omitted.
+    The star tally is only computed when mode, a conjugation mode, is not
+    None.  The members share the run's `witnesses` and `table` (see
+    check_condition2).
     """
-    table = LawTable() if table is None else table
-    unique = distinct(family)
-    if witnesses is None and unique:
-        witnesses = Saturation(unique[0].presentation)
+    unique = distinct(family, table)
     passing, star_passing, ct_passing, ct_star = [], [], [], []
     for idx, cand in enumerate(unique):
-        if not all_pass(check_condition2(cand, witnesses, table=table)):
+        if not all_pass(check_condition2(cand, witnesses, table)):
             continue
         passing.append(idx)
         star_ok = mode is not None and all_pass(check_star(cand, mode, table))

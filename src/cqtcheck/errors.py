@@ -26,7 +26,7 @@ class ShapeError(CqtError):
 class NotInvertible(CqtError):
     """Singular matrix; carries a nullspace witness vector when available."""
 
-    def __init__(self, msg, witness=None):
+    def __init__(self, msg, witness):
         super().__init__(msg)
         self.witness = witness
 
@@ -68,7 +68,7 @@ class ForbiddenParameter(CqtError):
 class AxiomViolation(CqtError):
     """A structural axiom of a datum fails; carries the axiom name and a witness."""
 
-    def __init__(self, axiom, witness=None):
+    def __init__(self, axiom, witness):
         super().__init__(f"axiom {axiom} violated")
         self.axiom = axiom
         self.witness = witness

@@ -476,14 +476,14 @@ def check_R_v_Lambda(d: InhomDatum, cand: CandidateR):
     """Candidate word blocks against the vector rep must reproduce G and
     G^(-1); a spinor datum's check."""
     V, Vinv = pauli_basis()
-    reports = []
+    reports, memo = [], {}
     for v in (W, WB):
         e = d.rep(v)
         # R[v, P] reproduces G and R[P, v] its inverse, through V
         for side, cid, ends, want in (
                 ("right", f"vector-normalization:{v}:P", ((), (2,)), e.G),
                 ("left", f"vector-normalization:P:{v}", ((2,), ()), e.G_inv)):
-            word = cqt.word_R(cand, (W, WB), v, side)
+            word = cqt.word_R(cand, (W, WB), v, side, memo)
             got = (pad_with_identity(Vinv, *ends) @ word
                    @ pad_with_identity(V, *reversed(ends)))
             reports.append(cqt.defect_report(cid, got - want))
@@ -516,7 +516,7 @@ STAR_SAMPLES = ((Scalar.from_int(2), True),
                 (Scalar.from_gaussian(Gaussian(1, 1)), False))
 
 
-def classify_poincare(d: InhomDatum, structure=None):
+def classify_poincare(d: InhomDatum, structure, table: cqt.LawTable):
     """Existence and star/cotriangularity classification for one datum.
 
     Returns (reports, signs), as `lorentz.classify_lorentz` returns a
@@ -528,11 +528,10 @@ def classify_poincare(d: InhomDatum, structure=None):
     star test passes exactly for the real coefficients when the datum's
     invariant is hermitian.  Cotriangularity is tested as: base family
     cotriangular and extended block family involutive at c = 0, with the
-    c-linear obstruction reported alongside.  structure takes the reports
-    of check_structure(d) when the caller has them already.
+    c-linear obstruction reported alongside.  structure is the run's
+    check_structure(d) rows, and table its LawTable, which decides the base
+    star and ct rows (see cqt.check_condition2).
     """
-    if structure is None:
-        structure = check_structure(d)
     if not cqt.all_pass(structure):
         bad = [r.check_id for r in structure if r.status == "fail"]
         raise StructureViolation(f"structure conditions fail: {', '.join(bad)}")
@@ -556,7 +555,7 @@ def classify_poincare(d: InhomDatum, structure=None):
     cands = {k: poincare_candidate(d, k) for k in (-1, 1)}
     # the k = -1 blocks are minus the k = +1 blocks: a block is singular for
     # both signs or neither, and each ct defect is minus the other's
-    ct_base = "pass" if cqt.all_pass(cqt.check_ct(cands[1])) else "fail"
+    ct_base = "pass" if cqt.all_pass(cqt.check_ct(cands[1], table)) else "fail"
     reports, signs, star, ct = list(structure), [], [], []
     for k, cand in cands.items():
         rs = check_R_v_Lambda(d, cand) + check_braid_hexagons(d, cand) + invariance
@@ -573,7 +572,7 @@ def classify_poincare(d: InhomDatum, structure=None):
                 "nonzero linear term forces the coefficient to vanish")]
         if k == 1:
             star.append(cqt.CheckReport("star:base", "pass" if cqt.all_pass(
-                cqt.check_star(cand, d.mode)) else "fail"))
+                cqt.check_star(cand, d.mode, table)) else "fail"))
     star.append(check_m_star(d, m, "star:m-hermitian"))
     for cval, real in STAR_SAMPLES:
         label = f"star:sample-{'real' if real else 'nonreal'}:{cval}"

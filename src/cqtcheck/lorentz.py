@@ -80,9 +80,9 @@ def sl2_family(d: SL2Datum):
                        label=f"L{i}") for i in (1, 2, 3, 4)]
 
 
-def classify_sl2(d: SL2Datum, witnesses: Saturation = None,
-                 table: cqt.LawTable = None) -> cqt.ClassifyResult:
-    return cqt.classify(sl2_family(d), witnesses=witnesses, table=table)
+def classify_sl2(d: SL2Datum, witnesses: Saturation,
+                 table: cqt.LawTable) -> cqt.ClassifyResult:
+    return cqt.classify(sl2_family(d), None, witnesses, table)
 
 
 def validate_sl2(d: SL2Datum):
@@ -182,10 +182,10 @@ def family_blocks(d: LorentzDatum):
 
 
 def candidate_blocks(d: LorentzDatum, i: int, j: int, eps_x: int, eps_xp: int,
-                     blocks=None) -> CandidateR:
+                     blocks) -> CandidateR:
     """Blocks (L_i, swapped-conjugate of L_j^(-1), eps_x X, eps_xp X^(-1)),
-    taken from `blocks` (family_blocks(d), built when omitted)."""
-    L, Lt, X, Xi = blocks or family_blocks(d)
+    taken from `blocks`, the family_blocks(d) of the caller."""
+    L, Lt, X, Xi = blocks
     return CandidateR(d.presentation, {
         (W, W): L[i], (WB, WB): Lt[j], (W, WB): X[eps_x], (WB, W): Xi[eps_xp]},
         label=f"L{i}:Lt{j}:x{eps_x:+d}:xi{eps_xp:+d}")
@@ -211,16 +211,16 @@ def reference_counts(d: LorentzDatum) -> dict:
             "ct": 0, "ct_star": 0}
 
 
-def classify_lorentz(d: LorentzDatum, witnesses: Saturation = None,
-                     table: cqt.LawTable = None):
-    """Tallies over the 64 sign/scale candidates (`table` as in cqt).
+def classify_lorentz(d: LorentzDatum, witnesses: Saturation,
+                     table: cqt.LawTable):
+    """Tallies over the 64 sign/scale candidates, sharing the run's
+    `witnesses` and `table` (see cqt.check_condition2).
 
     Returns the classification result together with a report comparing the
     computed counts against the reference tallies for admissible data; a
     divergence is flagged in that report, never suppressed.
     """
-    result = cqt.classify(lorentz_family(d), mode=d.mode,
-                          witnesses=witnesses, table=table)
+    result = cqt.classify(lorentz_family(d), d.mode, witnesses, table)
     ref = reference_counts(d)
     got = result.counts()
     if got == ref:

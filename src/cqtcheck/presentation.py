@@ -131,7 +131,6 @@ class CandidateR:
         self.presentation = p
         self.blocks = {}
         self.label = label
-        self._keys = {}
         for (a, b), m in blocks.items():
             da, db = p.dim(a), p.dim(b)
             if m.nrows != db * da or m.ncols != da * db:
@@ -160,15 +159,6 @@ class CandidateR:
             {k: m.subs(value) for k, m in self.blocks.items()},
             label=self.label,
         )
-
-    def block_key(self, a: str, b: str):
-        """The key() of block (a, b), formed on the first call only."""
-        if (a, b) not in self._keys:
-            self._keys[a, b] = self.block(a, b).key()
-        return self._keys[a, b]
-
-    def key(self):
-        return tuple(sorted((k, self.block_key(*k)) for k in self.blocks))
 
 
 class FunctionalHom:
@@ -345,7 +335,7 @@ class Saturation:
     g h (600 dimensions) fits.
     """
 
-    def __init__(self, p: Presentation, depth: int = 3, max_end_len: int = 2,
+    def __init__(self, p: Presentation, depth: int, max_end_len: int = 2,
                  goal=None):
         self.presentation = p
         self.depth = depth
@@ -388,10 +378,11 @@ class Saturation:
             pass
         return self
 
-    def basis(self, src, dst, bound=None):
+    def basis(self, src, dst, bound):
         """Basis of the span witnessed at `depth`, including the identity on
-        a word.  Given `bound`, an upper bound on that span's dimension, the
-        rounds stop once the span reaches it (see the class docstring)."""
+        a word.  Given `bound` (not None), an upper bound on that span's
+        dimension, the rounds stop once the span reaches it (see the class
+        docstring)."""
         src, dst = key = self._query(src, dst)
         dim = self._dim(key)
         if bound is not None and dim > bound:
@@ -630,8 +621,7 @@ def _factors(word) -> set:
             for j in range(i, len(word) + 1)}
 
 
-def saturate(p: Presentation, depth: int = 3,
-             max_end_len: int = 2) -> Saturation:
+def saturate(p: Presentation, depth: int, max_end_len: int) -> Saturation:
     """The saturation with all `depth` rounds run, for callers that read
     whole bases of any space; `mor` aims one at its space, and the checks
     query a lazy `Saturation` instead.  See `Saturation` for the one bound,
@@ -640,13 +630,12 @@ def saturate(p: Presentation, depth: int = 3,
     return Saturation(p, depth, max_end_len).complete()
 
 
-def mor_saturate(p: Presentation, src, dst, depth: int = 3,
-                 bound: int = None) -> list:
+def mor_saturate(p: Presentation, src, dst, depth: int, bound) -> list:
     """Basis of the witnessed span of Mor(src, dst), from a saturation
     aimed at it: element for element, in order, the basis that `saturate`
     reads at max_end_len the longer of src, dst and 2.  The rounds stop
-    once the span reaches `bound` when given, an upper bound on the span
-    at `depth`: one on dim Mor(src, dst), or at a specialized t the
+    once the span reaches `bound` unless it is None, an upper bound on the
+    span at `depth`: one on dim Mor(src, dst), or at a specialized t the
     generic datum's (see the cqt module).  That changes no element of the
     basis.  See `Saturation` for why."""
     check_mor_words(p, src, dst)

@@ -80,7 +80,7 @@ class Gaussian:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return

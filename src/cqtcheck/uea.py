@@ -21,7 +21,7 @@ over the extended index space and, independently, in the four block forms
 that use R, Z, R.Z and s separately; the two code paths must agree, and
 the block form that is a consequence of two others is asserted to be
 implied rather than assumed.  All identities are evaluated on every free
-word up to a configurable length (default 2); that is exact on those words
+word up to a configurable length (`--max-len`); that is exact on those words
 and a truncation of the full functional identity, and reported as such.
 
 Where the datum's invariant column enters, checks run at its
@@ -31,9 +31,9 @@ bottom row of l is the counit, so a product of letter values stays affine
 in c: l(word) has degree at most 1, and the convolution matrix B(word),
 the sum of kron(l(u), l(v)) over the coproduct splits of the word, at
 most 2.  So the rll defects (B against R_Q) are at most cubic and four
-points decide them; the pairing values (B on a c-free column) are at most
-quadratic and the ideal values (l on a free element) affine, so three
-points decide them.
+points decide them, the pairing values (B on a c-free column) are at most
+quadratic and three points decide them, and the ideal values (l on a free
+element) are affine and two points decide them.
 
 Each distinct defect is decided once.  At one coefficient point the rll
 defects of a word read only B(word), l(word) and eps(word) (R_Q, the R and
@@ -101,12 +101,6 @@ def _samples(d: InhomDatum, n: int):
     points = coefficient_points(d, n)
     return [(c, f" at coefficient {c}" if len(points) > 1 else "")
             for c in points]
-
-
-def _sample_functionals(d: InhomDatum):
-    """(coefficient, label suffix): l at three sample coefficients, then
-    None for the antipode-twisted X."""
-    return _samples(d, 3) + [(None, "")]
 
 
 def build_l(d: InhomDatum, c: Scalar) -> FunctionalHom:
@@ -291,9 +285,8 @@ def _feed_classes(merge: _Merge, words, key, decide, suffix: str = ""):
 RLL_FORMS = ("full", "block-LL", "block-ML", "block-LM", "block-MM")
 
 
-def check_rll(d: InhomDatum, max_len: int = 2, fns: Functionals = None):
+def check_rll(d: InhomDatum, max_len: int, fns: Functionals):
     """Exchange relation of l against R_Q, full and in block form."""
-    fns = fns or Functionals(d)
     N = d.N
     cop = fns.cop
     F = flip(N + 1, N + 1)
@@ -364,10 +357,9 @@ def build_K(d: InhomDatum) -> Tensor:
     return d.R.place_legs(sq, sq, (2, 3, 0, 1)) + corner_frame(d.N)
 
 
-def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
-              fns: Functionals = None):
-    """Exchange relation of the X functional against K (and K + row block)."""
-    fns = fns or Functionals(d)
+def check_xkx(d: InhomDatum, max_len: int, n: Tensor, fns: Functionals):
+    """Exchange relation of the X functional against K (and K + row block
+    of n, unless None)."""
     conv = fns.conv()
     variants = [("xkx:base", build_K(d))]
     if n is not None:
@@ -381,16 +373,15 @@ def check_xkx(d: InhomDatum, max_len: int = 2, n: Tensor = None,
     return merge.reports()
 
 
-def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
-                   max_len: int = 2, fns: Functionals = None):
+def check_pairings(d: InhomDatum, k: Tensor, n: Tensor, max_len: int,
+                   fns: Functionals):
     """Invariance of stored pairings under the convolution action.
 
     k is a column invariant ((vector rep (x) vector rep) k = k) and n a row
-    invariant, both stored as columns of entries.  The direct identities
-    run against l at the sample coefficients; the antipode-twisted versions
-    run against X.
+    invariant, both stored as columns of entries, or None.  The direct
+    identities run against l at three coefficient points; the
+    antipode-twisted versions run against X.
     """
-    fns = fns or Functionals(d)
     N = d.N
     cop = fns.cop
     merge = _Merge()
@@ -405,7 +396,7 @@ def check_pairings(d: InhomDatum, k: Tensor = None, n: Tensor = None,
                  - col * eps) for name, (cod, dom), col in pairings]
 
     words = _words(cop, max_len)
-    for c, suffix in _sample_functionals(d):
+    for c, suffix in _samples(d, 3) + [(None, "")]:  # l, then X
         conv = fns.conv(c)
         tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
                      else ("", ((1, 0), (3, 2))))
@@ -469,13 +460,13 @@ def _acc(elt, word, coef):
     elt[word] = coef if cur is None else cur + coef
 
 
-def check_ideal_killed(d: InhomDatum, fns: Functionals = None):
-    """Both functionals must annihilate every defining relation element."""
-    fns = fns or Functionals(d)
+def check_ideal_killed(d: InhomDatum, fns: Functionals):
+    """Both functionals must annihilate every defining relation element;
+    l, affine in c there, at two coefficient points."""
     elements = {"mixed": ideal_elements_mixed(d),
                 "quadratic": ideal_elements_quadratic(d)}
     merge = _Merge(str)
-    for c, suffix in _sample_functionals(d):
+    for c, suffix in _samples(d, 2) + [(None, "")]:  # l, then X
         h = fns.hom(c)
         for kind, elts in elements.items():
             for key, elt in elts.items():
@@ -492,7 +483,7 @@ def letter_span_dim(h: FunctionalHom) -> int:
     return span.dim()
 
 
-def uea_suite(d: InhomDatum, max_len: int = 2):
+def uea_suite(d: InhomDatum, max_len: int):
     """All functional checks, plus the span-dimension diagnostic.  The
     column invariant k is the datum's invariant; it is also the row
     invariant n when the transposed exchange matrix fixes it, and there is
@@ -504,9 +495,8 @@ def uea_suite(d: InhomDatum, max_len: int = 2):
     n_row = None
     if k_col is not None and d.R.transpose() @ k_col == k_col:
         n_row = k_col
-    reports.extend(check_xkx(d, max_len, n=n_row, fns=fns))
-    reports.extend(check_pairings(d, k=k_col, n=n_row, max_len=max_len,
-                                  fns=fns))
+    reports.extend(check_xkx(d, max_len, n_row, fns))
+    reports.extend(check_pairings(d, k_col, n_row, max_len, fns))
     reports.extend(check_ideal_killed(d, fns))
     reports.append(cqt.CheckReport(
         "uea:letter-span", "pass", None,

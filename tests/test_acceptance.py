@@ -16,7 +16,7 @@ from cqtcheck import inhomogeneous as inh
 from cqtcheck.catalog import (make_lorentz_flip, make_poincare_classical,
                               make_slq2)
 from cqtcheck.errors import AxiomViolation, StructureViolation
-from cqtcheck.presentation import CandidateR, saturate
+from cqtcheck.presentation import CandidateR, Saturation, saturate
 from cqtcheck.scalars import ConjMode, Gaussian, ONE, Q, Scalar, ZERO
 from cqtcheck.tensor import Tensor, flip, kron, pad_with_identity
 
@@ -41,25 +41,36 @@ class _Budget:
         return False
 
 
+def sl2_counts(d):
+    """The tallies of the SL_q(2) family, in a run of their own."""
+    return lorentz.classify_sl2(d, Saturation(d.presentation, 3),
+                                cqt.LawTable()).counts()
+
+
+def condition2(c, witnesses=None):
+    """check_condition2 with a table of its own, and a saturation when
+    none is given."""
+    return cqt.check_condition2(
+        c, witnesses or Saturation(c.presentation, 3), cqt.LawTable())
+
+
 def test_criterion_1_sl2_classification_counts():
     with _Budget("1 two-dimensional classification counts", 5):
-        assert lorentz.classify_sl2(make_slq2()).counts()["cqt"] == 4
-        assert lorentz.classify_sl2(make_slq2(1)).counts()["cqt"] == 2
-        assert lorentz.classify_sl2(
-            make_slq2(Gaussian(0, 1))).counts()["cqt"] == 2
+        assert sl2_counts(make_slq2(None))["cqt"] == 4
+        assert sl2_counts(make_slq2(1))["cqt"] == 2
+        assert sl2_counts(make_slq2(Gaussian(0, 1)))["cqt"] == 2
 
 
 def test_criterion_2_sl2_cotriangularity():
     with _Budget("2 cotriangular subcounts", 5):
-        assert lorentz.classify_sl2(make_slq2(1)).counts()["ct"] == 2
-        assert lorentz.classify_sl2(make_slq2()).counts()["ct"] == 0
-        assert lorentz.classify_sl2(
-            make_slq2(Gaussian(0, 1))).counts()["ct"] == 0
+        assert sl2_counts(make_slq2(1))["ct"] == 2
+        assert sl2_counts(make_slq2(None))["ct"] == 0
+        assert sl2_counts(make_slq2(Gaussian(0, 1)))["ct"] == 0
 
 
 def test_criterion_3_real_forms():
     with _Budget("3 real-form sample checks", 5):
-        d = make_slq2()
+        d = make_slq2(None)
         for sample in (Fraction(1, 2), 1, 4):
             assert lorentz.real_form_check(d, lorentz.SUQ2, sample).status == "pass"
         for sample in (-1, -4):
@@ -73,10 +84,14 @@ def test_criterion_3_real_forms():
 
 def test_criterion_4_lorentz_enumeration():
     with _Budget("4 sixty-four candidate enumeration", 60):
-        generic, flag = lorentz.classify_lorentz(make_lorentz_flip())
+        d = make_lorentz_flip(None)
+        generic, flag = lorentz.classify_lorentz(
+            d, Saturation(d.presentation, 3), cqt.LawTable())
         assert generic.counts()["cqt"] == 64
         assert flag.status == "pass"
-        at_one, flag1 = lorentz.classify_lorentz(make_lorentz_flip(1))
+        d = make_lorentz_flip(1)
+        at_one, flag1 = lorentz.classify_lorentz(
+            d, Saturation(d.presentation, 3), cqt.LawTable())
         assert at_one.counts() == {"cqt": 16, "cqt_star": 8, "ct": 8,
                                    "ct_star": 4}
         assert flag1.status == "pass"
@@ -86,17 +101,18 @@ def test_criterion_4_lorentz_enumeration():
 
 def test_criterion_5_poincare_existence():
     with _Budget("5 translation-extended existence", 120):
-        d = make_poincare_classical()
+        d = make_poincare_classical(None)
         structure = inh.check_structure(d)
         assert cqt.all_pass(structure)
         rp = inh.build_RP(d)
         assert rp @ rp == Tensor.identity((5, 5))
-        reports, signs = inh.classify_poincare(d)
+        reports, signs = inh.classify_poincare(d, structure, cqt.LawTable())
         assert cqt.all_pass(reports)
         assert signs == [-1, 1]
         # the two sign candidates are the only members of the Lorentz
         # family that reproduce the vector representation
-        family = cqt.distinct(lorentz.lorentz_family(d.lorentz))
+        family = cqt.distinct(lorentz.lorentz_family(d.lorentz),
+                              cqt.LawTable())
         survivors = [c.label for c in family
                      if cqt.all_pass(inh.check_R_v_Lambda(d, c))]
         assert survivors == ["L1:Lt1:x+1:xi+1", "L2:Lt2:x-1:xi-1"]
@@ -104,7 +120,7 @@ def test_criterion_5_poincare_existence():
 
 def test_criterion_6_star_and_ct_classification():
     with _Budget("6 star and cotriangular coefficient rules", 10):
-        d = make_poincare_classical()
+        d = make_poincare_classical(None)
         m0 = d.invariant
         assert inh.check_m_star(d, m0 * Scalar.from_int(2), "c2").status == "pass"
         nonreal = m0 * Scalar.from_gaussian(Gaussian(1, 1))
@@ -119,15 +135,15 @@ def test_criterion_6_star_and_ct_classification():
         assert rq0 @ rq0 == Tensor.identity((5, 5))
         for k in (1, -1):
             cand = inh.poincare_candidate(d, k)
-            assert cqt.all_pass(cqt.check_ct(cand))
+            assert cqt.all_pass(cqt.check_ct(cand, cqt.LawTable()))
 
 
 def test_criterion_7_negative_controls():
     with _Budget("7 negative controls", 30):
-        d = make_slq2()
+        d = make_slq2(None)
         scaled = CandidateR(d.presentation,
                             {("w", "w"): lorentz.candidate_L(d, 1) * 2})
-        reports = cqt.check_condition2(scaled)
+        reports = condition2(scaled)
         assert any(r.status == "fail" and r.check_id.startswith("exchange")
                    for r in reports)
         from cqtcheck.scalars import I
@@ -151,22 +167,24 @@ def test_criterion_7_negative_controls():
               - pad_with_identity(Z, (4,), ())) @ T
         assert not (a3 @ zt).is_zero()
         with pytest.raises(StructureViolation):
-            inh.classify_poincare(bad)
+            inh.classify_poincare(bad, inh.check_structure(bad),
+                                  cqt.LawTable())
 
 
 def test_criterion_8_enveloping_functionals():
     with _Budget("8 enveloping functional relations", 60):
-        d = make_poincare_classical()
-        rll = uea.check_rll(d, max_len=2)
+        d = make_poincare_classical(None)
+        fns = uea.Functionals(d)
+        rll = uea.check_rll(d, 2, fns)
         assert cqt.all_pass(rll)
         by_id = {r.check_id: r for r in rll}
         for n in (1, 2):
             assert by_id[f"rll:paths-agree:len{n}"].status == "pass"
             assert by_id[f"rll:implied-LM:len{n}"].status == "pass"
-        assert cqt.all_pass(uea.check_xkx(d, max_len=2, n=d.invariant))
-        assert cqt.all_pass(uea.check_pairings(d, k=d.invariant,
-                                               n=d.invariant, max_len=2))
-        assert cqt.all_pass(uea.check_ideal_killed(d))
+        assert cqt.all_pass(uea.check_xkx(d, 2, d.invariant, fns))
+        assert cqt.all_pass(uea.check_pairings(d, d.invariant, d.invariant,
+                                               2, fns))
+        assert cqt.all_pass(uea.check_ideal_killed(d, fns))
 
 
 def test_criterion_9_property_suites():
@@ -202,14 +220,14 @@ def test_criterion_9_property_suites():
         # trivial candidate family on the commutative datum passes everything
         d1 = make_slq2(1)
         trivial = CandidateR(d1.presentation, {("w", "w"): flip(2, 2)})
-        assert cqt.all_pass(cqt.check_condition2(trivial))
-        assert cqt.all_pass(cqt.check_ct(trivial))
+        assert cqt.all_pass(condition2(trivial))
+        assert cqt.all_pass(cqt.check_ct(trivial, cqt.LawTable()))
         # the two code paths agree on every built-in family
-        for datum in (make_slq2(), d1):
-            sat = saturate(datum.presentation)
+        for datum in (make_slq2(None), d1):
+            sat = saturate(datum.presentation, 3, 2)
             for cand in lorentz.sl2_family(datum):
                 cond2 = cqt.all_pass(
-                    r for r in cqt.check_condition2(cand, sat)
+                    r for r in condition2(cand, sat)
                     if r.check_id.startswith("exchange"))
                 preserved = all(
                     cqt.all_pass(cqt.check_relations_preserved(
@@ -217,11 +235,12 @@ def test_criterion_9_property_suites():
                     for beta in datum.presentation.generators)
                 assert cond2 == preserved
         lf = make_lorentz_flip(1)
-        satl = saturate(lf.presentation)
-        for cand in (lorentz.candidate_blocks(lf, 1, 1, 1, 1),
-                     lorentz.candidate_blocks(lf, 1, 2, -1, 1)):
+        satl = saturate(lf.presentation, 3, 2)
+        blocks = lorentz.family_blocks(lf)
+        for cand in (lorentz.candidate_blocks(lf, 1, 1, 1, 1, blocks),
+                     lorentz.candidate_blocks(lf, 1, 2, -1, 1, blocks)):
             cond2 = cqt.all_pass(
-                r for r in cqt.check_condition2(cand, satl)
+                r for r in condition2(cand, satl)
                 if r.check_id.startswith("exchange"))
             preserved = all(
                 cqt.all_pass(cqt.check_relations_preserved(

@@ -47,8 +47,8 @@ def test_aimed_basis_is_the_unaimed_basis(name, depth, point):
         mel = max(len(src), len(dst), 2)
         if mel not in unaimed:
             unaimed[mel] = saturate(p, depth, max_end_len=mel)
-        assert _same_basis(mor_saturate(p, src, dst, depth),
-                           unaimed[mel].basis(src, dst)), (src, dst)
+        assert _same_basis(mor_saturate(p, src, dst, depth, None),
+                           unaimed[mel].basis(src, dst, None)), (src, dst)
 
 
 def _through_a_big_generator():
@@ -74,9 +74,9 @@ def test_aim_keeps_the_routes_through_smaller_keys(depth):
     # it, and through Mor(a, g) and Mor(g, a), whose src or dst is a
     # factor of "a h" but not all of it
     p, goal = _through_a_big_generator(), ("a", "h")
-    want = saturate(p, depth, max_end_len=2).basis(goal, goal)
+    want = saturate(p, depth, max_end_len=2).basis(goal, goal, None)
     assert len(want) == depth + 1
-    assert _same_basis(mor_saturate(p, goal, goal, depth), want)
+    assert _same_basis(mor_saturate(p, goal, goal, depth, None), want)
 
 
 def test_aimed_saturation_answers_only_for_its_goal():
@@ -84,10 +84,11 @@ def test_aimed_saturation_answers_only_for_its_goal():
     w = ("w",)
     sat = Saturation(p, depth=2, goal=(w * 2, w * 2))
     with pytest.raises(ValueError):
-        sat.basis(w, w)
+        sat.basis(w, w, None)
     with pytest.raises(ValueError):
         sat.contains(w * 2, (), Tensor.zeros((2, 2), ()))
     assert sat.reached == 0  # the refused queries ran no round
     assert sat.contains(w * 2, w * 2, Tensor.identity((2, 2)))
-    assert _same_basis(sat.basis(list(w * 2), list(w * 2)),
-                       saturate(p, depth=2).basis(w * 2, w * 2))
+    assert _same_basis(sat.basis(list(w * 2), list(w * 2), None),
+                       saturate(p, depth=2, max_end_len=2).basis(
+                           w * 2, w * 2, None))

@@ -69,7 +69,11 @@ def reference_ct(c):
 
 
 def reference_classify(p, family, mode, witnesses):
-    unique = cqt.distinct(family)
+    unique = {}  # members with equal blocks merged, on the blocks' key()
+    for cand in family:
+        unique.setdefault(tuple((ab, m.key())
+                                for ab, m in sorted(cand.blocks.items())), cand)
+    unique = list(unique.values())
     passing, star_passing, ct_passing, ct_star = [], [], [], []
     for idx, cand in enumerate(unique):
         if not cqt.all_pass(reference_condition2(p, cand, witnesses)):
@@ -97,12 +101,12 @@ def _agree(p, family, mode):
     """Classify through one table and by the reference; compare the results
     and every report of every member.  Returns the result and the table."""
     table = cqt.LawTable()
-    got = cqt.classify(family, mode, Saturation(p), table=table)
-    ref_sat = Saturation(p)
+    got = cqt.classify(family, mode, Saturation(p, 3), table)
+    ref_sat = Saturation(p, 3)
     assert got == reference_classify(p, family, mode, ref_sat)
     for cand in got.candidates:
         label = cand.label
-        assert cqt.check_condition2(cand, table=table) == \
+        assert cqt.check_condition2(cand, Saturation(p, 3), table) == \
             reference_condition2(p, cand, ref_sat), label
         assert cqt.check_ct(cand, table) == reference_ct(cand), label
         if mode is not None:
@@ -121,13 +125,13 @@ def test_table_is_keyed_by_the_blocks_a_law_reads():
     # the two members differ in the (w, wb) block alone: the second breaks
     # the laws that read it and its cotriangularity, and only those
     d = catalog.resolve("lorentz-flip", Gaussian(1))
-    good = lorentz.candidate_blocks(d, 1, 3, 1, 1)
+    good = lorentz.candidate_blocks(d, 1, 3, 1, 1, lorentz.family_blocks(d))
     bad = CandidateR(d.presentation, {
         **good.blocks, (lorentz.W, lorentz.WB): good.block("w", "wb") * 2})
     result, table = _agree(d.presentation, [good, bad], d.mode)
     assert result.passing == [0]
-    failing = {r.check_id for r in cqt.check_condition2(bad, table=table)
-               if not r.ok()}
+    failing = {r.check_id for r in cqt.check_condition2(
+        bad, Saturation(d.presentation, 3), table) if not r.ok()}
     reading = {law.check_id for law in cqt.exchange_laws(d.presentation)
                if ("w", "wb") in law.reads}
     assert failing and failing <= reading
@@ -137,7 +141,7 @@ def test_a_lorentz_run_decides_each_distinct_law_once(monkeypatch, capsys):
     calls = Counter()
     defect = cqt.exchange_defect
 
-    def counted(c, W, source, target, gamma, side, memo=None):
+    def counted(c, W, source, target, gamma, side, memo):
         reads = sorted({(a, gamma) if side == "left" else (gamma, a)
                         for a in (*source, *target)})
         calls[id(W), gamma, side,
@@ -156,7 +160,8 @@ def test_lorentz_family_distinct_keys():
     # cotriangularity comparisons out of 1,280, 256 and 256
     d = catalog.resolve("lorentz-beta-minus", None)
     table = cqt.LawTable()
-    result, _ = lorentz.classify_lorentz(d, table=table)
+    result, _ = lorentz.classify_lorentz(d, Saturation(d.presentation, 3),
+                                         table)
     assert len(result.passing) == 64
     kinds = Counter(key[0].split(":", 1)[0].split("-")[0] for key in table)
     assert (kinds["exchange"], kinds["intertwiner"], kinds["cotriangular"]) \

@@ -21,7 +21,12 @@ were written by the saturation that ran every round to every key, before
 ``mor`` aimed its last rounds at the one space it prints. The beta-minus
 Lorentz star and ct suites at generic t, which fail with witnesses, were
 written by the member-by-member checks that preceded the per-run table of
-decided laws. Each case reruns
+decided laws. Six files were rewritten on purpose since: the four
+document reports (``doc-*``) when a document's ``cqt`` suite gained the
+``preserved:*`` rows of the evaluation maps, and ``poincare-classical``
+and ``poincare-abstract`` when the ideal rows came to decide l at two
+coefficient points (their ``ideal:*:l`` notes count fewer evaluations).
+Each case reruns
 the CLI from the repository root and compares the report byte for byte.
 Cases that fail on purpose pin their witnesses (the first nonzero entry of
 each defect, in row-major order) too.

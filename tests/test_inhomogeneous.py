@@ -20,6 +20,11 @@ def classical():
     return inh.poincare_from_lorentz(ld)
 
 
+def classified(d):
+    """classify_poincare(d) in a run of its own."""
+    return inh.classify_poincare(d, inh.check_structure(d), cqt.LawTable())
+
+
 def braid_defect(rq):
     """r1 r2 r1 - r2 r1 r2 for r1 = rq (x) 1 and r2 = 1 (x) rq, built from
     explicit paddings: the reference the braid law is played against."""
@@ -199,7 +204,7 @@ def test_antisymmetrized_shift_obstruction():
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "structure:antisym-shift" in failed
     with pytest.raises(StructureViolation):
-        inh.classify_poincare(d)
+        classified(d)
 
 
 def test_braid_and_hexagons_classical(classical):
@@ -234,7 +239,7 @@ def test_braid_law_is_the_braid_defect(name):
     # the left and the right law of R_Q against P, taken from the laws of
     # the extended table, each equal minus the reference, entry for entry,
     # also where the reference does not vanish (R_Q + R_Q^2)
-    d = catalog.BUILTINS[name]()
+    d = catalog.BUILTINS[name](None)
     rq_laws = ("exchange-left:P:P:P", "exchange-right:P:P:P")
     for cval in (0, 2):
         rq = inh.build_RQ(d, Scalar.from_int(cval))
@@ -247,7 +252,8 @@ def test_braid_law_is_the_braid_defect(name):
             for law in laws:
                 rel = law.relation
                 got = cqt.exchange_defect(table, rel.matrix, rel.source_word,
-                                          rel.target_word, law.gamma, law.side)
+                                          rel.target_word, law.gamma, law.side,
+                                          {})
                 assert got == -ref
             if r is not rq:
                 assert not ref.is_zero()
@@ -257,7 +263,7 @@ def test_braid_hexagons_take_few_products(monkeypatch):
     # 228 products on both signs when the braid row was a hand-built product
     # at four points, the one-sided hexagons had tables of their own at two
     # and each law its own word_R memo
-    d = catalog.BUILTINS["poincare-classical"]()
+    d = catalog.BUILTINS["poincare-classical"](None)
     cands = [inh.poincare_candidate(d, k) for k in (-1, 1)]
     calls = []
     matmul = Tensor.__matmul__
@@ -335,18 +341,20 @@ def test_vector_normalization(classical):
     for k in (1, -1):
         cand = inh.poincare_candidate(classical, k)
         assert cqt.all_pass(inh.check_R_v_Lambda(classical, cand))
-    mixed = lorentz.candidate_blocks(classical.lorentz, 1, 1, -1, 1)
+    mixed = lorentz.candidate_blocks(classical.lorentz, 1, 1, -1, 1,
+                                     lorentz.family_blocks(classical.lorentz))
     reports = inh.check_R_v_Lambda(classical, mixed)
     assert any(r.status == "fail" for r in reports)
 
 
 def test_classify_poincare_classical(classical):
-    reports, signs = inh.classify_poincare(classical)
+    reports, signs = classified(classical)
     assert signs == [-1, 1]
     assert cqt.all_pass(reports)
     # of the whole Lorentz sign family, the two candidates of
     # poincare_candidate are the only ones with the vector normalization
-    family = cqt.distinct(lorentz.lorentz_family(classical.lorentz))
+    family = cqt.distinct(lorentz.lorentz_family(classical.lorentz),
+                          cqt.LawTable())
     survivors = [c.label for c in family
                  if cqt.all_pass(inh.check_R_v_Lambda(classical, c))]
     assert survivors == ["L1:Lt1:x+1:xi+1", "L2:Lt2:x-1:xi-1"]
@@ -387,7 +395,7 @@ def test_classify_abstract_flip_free_invariant():
                [Scalar.from_int(sym[a][b] + sym[b][a]) for a in range(4)
                 for b in range(4)])
     d = inh.abstract_datum(flip(4, 4), invariant=m)
-    reports, signs = inh.classify_poincare(d)
+    reports, signs = classified(d)
     assert cqt.all_pass(reports)
     assert signs == [0]
 

@@ -5,12 +5,18 @@ import pytest
 from cqtcheck import cqt, lorentz
 from cqtcheck.catalog import make_lorentz_beta_minus, make_lorentz_flip
 from cqtcheck.errors import AxiomViolation, ForbiddenParameter
-from cqtcheck.presentation import GeneratorSpec, Presentation, Relation, saturate
+from cqtcheck.presentation import (GeneratorSpec, Presentation, Relation,
+                                   Saturation)
 from cqtcheck.scalars import ConjMode, Gaussian, I, ONE, Q, Scalar, T, ZERO
 from cqtcheck.tensor import Tensor, flip, kron
 
 q = Q
 t = T
+
+
+def classified(classify, d):
+    """classify(d) in a run of its own: a saturation and a law table."""
+    return classify(d, Saturation(d.presentation, 3), cqt.LawTable())
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +103,15 @@ def test_candidate_family_inverse_relation(generic):
 
 
 def test_classify_sl2_counts(generic):
-    assert lorentz.classify_sl2(generic).counts()["cqt"] == 4
-    assert lorentz.classify_sl2(generic).counts()["ct"] == 0
+    assert classified(lorentz.classify_sl2, generic).counts()["cqt"] == 4
+    assert classified(lorentz.classify_sl2, generic).counts()["ct"] == 0
 
     at_one = lorentz.make_sl2(Q.subs(1))
-    counts = lorentz.classify_sl2(at_one).counts()
+    counts = classified(lorentz.classify_sl2, at_one).counts()
     assert counts["cqt"] == 2 and counts["ct"] == 2
 
     at_i = lorentz.make_sl2(Q.subs(Gaussian(0, 1)))
-    counts = lorentz.classify_sl2(at_i).counts()
+    counts = classified(lorentz.classify_sl2, at_i).counts()
     assert counts["cqt"] == 2 and counts["ct"] == 0
 
 
@@ -148,13 +154,14 @@ def test_make_lorentz_derives_conjugate_pairings(lorentz_generic):
 
 
 def test_beta_minus_datum_valid():
-    d = make_lorentz_beta_minus()
+    d = make_lorentz_beta_minus(None)
     assert d.beta == Scalar.from_int(-1)
 
 
 def test_candidate_blocks_tilde_consistency(lorentz_generic):
     from cqtcheck.tensor import tauconj
-    c = lorentz.candidate_blocks(lorentz_generic, 1, 2, 1, -1)
+    c = lorentz.candidate_blocks(lorentz_generic, 1, 2, 1, -1,
+                                 lorentz.family_blocks(lorentz_generic))
     L2inv = lorentz.candidate_L(lorentz_generic.base, 2).inverse()
     assert c.block("wb", "wb") == tauconj(
         L2inv.with_legs((2, 2), (2, 2)), ConjMode.REAL)
@@ -178,14 +185,15 @@ def test_candidate_blocks_braid(lorentz_generic):
     (Gaussian(0, 1), {"cqt": 16, "cqt_star": 8, "ct": 0, "ct_star": 0}),
 ])
 def test_classify_lorentz_counts(value, counts):
-    result, flag = lorentz.classify_lorentz(make_lorentz_flip(value))
+    result, flag = classified(lorentz.classify_lorentz,
+                              make_lorentz_flip(value))
     assert result.counts() == counts
     assert flag.status == "pass"
 
 
 def test_classify_lorentz_beta_minus_star_empty():
-    d = make_lorentz_beta_minus()
-    result, flag = lorentz.classify_lorentz(d)
+    d = make_lorentz_beta_minus(None)
+    result, flag = classified(lorentz.classify_lorentz, d)
     assert result.counts()["cqt"] == 64
     assert result.counts()["cqt_star"] == 0
     assert flag.status == "pass"
@@ -196,14 +204,15 @@ def test_classify_lorentz_beta_minus_star_empty():
     (Gaussian(0, 1), {"cqt": 16, "cqt_star": 0, "ct": 0, "ct_star": 0}),
 ])
 def test_classify_lorentz_beta_minus_specialized(value, counts):
-    result, flag = lorentz.classify_lorentz(make_lorentz_beta_minus(value))
+    result, flag = classified(lorentz.classify_lorentz,
+                              make_lorentz_beta_minus(value))
     assert result.counts() == counts
     assert flag.status == "pass"
 
 
 def test_reference_flag_reports_divergence(lorentz_generic):
     # a deliberately wrong reference comparison must be flagged, not hidden
-    result, flag = lorentz.classify_lorentz(lorentz_generic)
+    result, flag = classified(lorentz.classify_lorentz, lorentz_generic)
     assert flag.status == "pass"
     assert "64" in flag.note or "cqt" in flag.note
 
@@ -228,14 +237,14 @@ def test_unimodular_mode_datum(generic):
     d = lorentz.make_lorentz(generic, flip(2, 2), ONE, ConjMode.UNIMODULAR)
     # the conjugate pairing picks up the inverted parameter
     assert d.Etilde.entries == [ZERO, -(q ** -1), ONE, ZERO]
-    result, flag = lorentz.classify_lorentz(d)
+    result, flag = classified(lorentz.classify_lorentz, d)
     assert result.counts()["cqt"] == 64
     assert result.counts()["cqt_star"] == 16
     assert flag.status == "pass"
 
 
 def test_counts_monotone():
-    result, _ = lorentz.classify_lorentz(make_lorentz_flip(1))
+    result, _ = classified(lorentz.classify_lorentz, make_lorentz_flip(1))
     assert set(result.ct_star_passing) <= set(result.ct_passing)
     assert set(result.ct_star_passing) <= set(result.star_passing)
     assert set(result.ct_passing) <= set(result.passing)

@@ -60,6 +60,12 @@ def _words(text):
     return tuple(text.split())
 
 
+def condition2(c):
+    """check_condition2 in a run of its own."""
+    return cqt.check_condition2(c, Saturation(c.presentation, 3),
+                                cqt.LawTable())
+
+
 def _same_basis(got, want):
     return len(got) == len(want) and all(
         a.cod == b.cod and a.dom == b.dom and a == b
@@ -75,7 +81,7 @@ def test_generic_bound_is_the_witnessed_dimension(name, src, dst, dim):
     datum = _datum(name, "generic")
     src, dst = _words(src), _words(dst)
     assert _bound(datum, src, dst) == dim
-    assert len(mor_saturate(datum.presentation, src, dst, 3)) == dim
+    assert len(mor_saturate(datum.presentation, src, dst, 3, None)) == dim
 
 
 UNTIGHT = [("slq2", "w w w", "w w w", "t=1", 64),
@@ -90,7 +96,7 @@ def test_bound_at_t1_and_ti_is_above_the_witnessed_dimension(
     datum = _datum(name, point)
     src, dst = _words(src), _words(dst)
     assert _bound(datum, src, dst) == bound
-    assert len(mor_saturate(datum.presentation, src, dst, 3)) <= bound
+    assert len(mor_saturate(datum.presentation, src, dst, 3, None)) <= bound
 
 
 def test_no_bound_without_a_passing_candidate_or_at_a_pole():
@@ -104,13 +110,13 @@ def test_no_bound_without_a_passing_candidate_or_at_a_pole():
     # twice the block: the laws of E and Ep are quadratic in R on one side
     doubled = dsl.parse_presentation(
         text.replace("cand w w = t *", "cand w w = 2 * t *"))
-    assert not cqt.all_pass(cqt.check_condition2(doubled.candidate))
+    assert not cqt.all_pass(condition2(doubled.candidate))
     assert cqt.mor_bound(doubled.candidate, ww, ww) is None
     # no relation, so no law to fail; the block has a pole at t = 3/2
     pole = dsl.parse_presentation(
         "field { var = t ; conj = real }\ngen w : 1\n"
         "cand w w = 1/(2*t - 3) * flip(1,1)\n")
-    assert cqt.all_pass(cqt.check_condition2(pole.candidate))
+    assert cqt.all_pass(condition2(pole.candidate))
     assert cqt.mor_bound(pole.candidate, ("w",), ("w",)) is None
     # no block for (w, v): the laws against v cannot be formed
     partial = dsl.parse_presentation(
@@ -150,7 +156,7 @@ def test_law_matrix_applies_the_exchange_defect(name, point):
             m = cqt._law_matrix(c, src, dst, gamma, side, {})
             assert m.ncols == n
             assert m @ _column(T) == _column(
-                cqt.exchange_defect(c, T, src, dst, gamma, side))
+                cqt.exchange_defect(c, T, src, dst, gamma, side, {}))
 
 
 def test_a_bound_below_the_witnessed_dimension_is_an_error():
@@ -168,7 +174,7 @@ def test_mor_saturate_rejects_an_unknown_generator(src, dst):
     # checked before any round, the bound's or not
     p = _datum("slq2", "generic").presentation
     with pytest.raises(UnknownGenerator, match="'x' in a Mor word"):
-        mor_saturate(p, src, dst, 3)
+        mor_saturate(p, src, dst, 3, None)
     with pytest.raises(UnknownGenerator, match="'x' in a Mor word"):
         mor_saturate(p, src, dst, 3, 1)
 
@@ -192,7 +198,7 @@ def test_stopped_basis_is_the_full_depth_basis(name, point):
         mel = max(len(src), len(dst), 2)
         if mel not in full:
             full[mel] = saturate(p, 3, max_end_len=mel)
-        want = full[mel].basis(src, dst)
+        want = full[mel].basis(src, dst, None)
         bound = _bound(datum, src, dst)
         # tight on every space of the grid at generic t and at 3/2, where
         # every saturation below stops at its bound
@@ -283,7 +289,7 @@ def test_mor_under_eval_stops_at_the_generic_bound(name, value, monkeypatch):
                                " ".join(dst), "--depth", "3", "--eval",
                                value], monkeypatch)
         assert bound == _bound(generic, src, dst), (src, dst)
-        assert _same_basis(got, full[mel].basis(src, dst)), (src, dst)
+        assert _same_basis(got, full[mel].basis(src, dst, None)), (src, dst)
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,7 +325,7 @@ def test_premise_fails_where_the_relations_differ_at_t0(monkeypatch):
     assert not pole.specializes_to(pole, Gaussian(Fraction(3, 2)))
     # so mor at t = 1 reads the bound of case 2's candidate alone
     monkeypatch.setitem(catalog.BUILTINS, "slq2", lambda value: (
-        catalog.make_slq2() if value is None else other))
+        catalog.make_slq2(None) if value is None else other))
     bounded = []
     real = cqt.mor_bound
 
@@ -333,7 +339,8 @@ def test_premise_fails_where_the_relations_differ_at_t0(monkeypatch):
                            "--eval", "t=1"], monkeypatch)
     assert bounded == [other.presentation]
     assert bound == real(lorentz.sl2_family(other)[0], www, www)
-    assert _same_basis(got, saturate(other.presentation, 3, 3).basis(www, www))
+    assert _same_basis(
+        got, saturate(other.presentation, 3, 3).basis(www, www, None))
 
 
 def test_a_generic_candidate_that_fails_falls_back_to_the_bound_at_t0(
@@ -345,12 +352,13 @@ def test_a_generic_candidate_that_fails_falls_back_to_the_bound_at_t0(
     doc = dsl.parse_presentation(path.read_text())
     at_one = doc.subs(Gaussian(1))
     ww = ("w", "w")
-    assert not cqt.all_pass(cqt.check_condition2(doc.candidate))
-    assert cqt.all_pass(cqt.check_condition2(at_one.candidate))
+    assert not cqt.all_pass(condition2(doc.candidate))
+    assert cqt.all_pass(condition2(at_one.candidate))
     bound, got = _run_mor(["mor", str(path), "w w", "w w", "--eval", "t=1"],
                           monkeypatch)
     assert bound == cqt.mor_bound(at_one.candidate, ww, ww) == 16
-    assert _same_basis(got, saturate(at_one.presentation, 3).basis(ww, ww))
+    assert _same_basis(
+        got, saturate(at_one.presentation, 3, 2).basis(ww, ww, None))
 
 
 LORENTZ_USER = ("gen w : 2 conj wb\ngen wb : 2 conj w\n"
@@ -372,7 +380,8 @@ def test_a_datum_valid_at_t0_only_falls_back_to_the_bound_at_t0(
     bound, got = _run_mor(["mor", name, "w wb", "wb w", "--eval", "t=1"],
                           monkeypatch)
     assert bound == _bound(at_one, src, dst) == 16
-    assert _same_basis(got, saturate(at_one.presentation, 3).basis(src, dst))
+    assert _same_basis(
+        got, saturate(at_one.presentation, 3, 2).basis(src, dst, None))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["mor", name, "w wb", "wb w", "--eval", "t=1"]) == 0

@@ -17,8 +17,8 @@ import random
 
 import pytest
 
+from cqtcheck import cqt, lorentz
 from cqtcheck import inhomogeneous as inh
-from cqtcheck import lorentz
 from cqtcheck.scalars import G_I, G_ONE, ONE, Q, Scalar, ZERO
 from cqtcheck.tensor import Tensor, flip, kron
 
@@ -331,6 +331,8 @@ CLASSIFIED = {"scaled-x": scaled_x_datum, "imaginary-m": imaginary_m_datum}
 
 @pytest.mark.parametrize("case", list(EXPECTED_CLASSIFICATION))
 def test_classification_rows_are_pinned(case):
-    reports, signs = inh.classify_poincare(CLASSIFIED[case]())
+    d = CLASSIFIED[case]()
+    reports, signs = inh.classify_poincare(d, inh.check_structure(d),
+                                           cqt.LawTable())
     got = [(r.check_id, r.status, repr(r.witness), r.note) for r in reports]
     assert (got, signs) == EXPECTED_CLASSIFICATION[case]

@@ -104,7 +104,7 @@ def test_unit_blocks_are_identities(slq2):
 
 
 def test_mor_saturate_contains_pairing_composite(slq2):
-    basis = mor_saturate(slq2.presentation, ("w", "w"), ("w", "w"), depth=2)
+    basis = mor_saturate(slq2.presentation, ("w", "w"), ("w", "w"), 2, None)
     assert len(basis) >= 2
     span = SpanBasis(16)
     for b in basis:
@@ -115,22 +115,22 @@ def test_mor_saturate_contains_pairing_composite(slq2):
 
 
 def test_mor_saturate_empty_words(slq2):
-    basis = mor_saturate(slq2.presentation, (), (), depth=2)
+    basis = mor_saturate(slq2.presentation, (), (), 2, None)
     assert len(basis) == 1
     assert basis[0] == Tensor.identity(())
 
 
 def test_exchange_block_in_depth2_span(slq2):
     # the standard exchange block lies in the depth-2 witnessed span
-    sat = saturate(slq2.presentation, depth=2)
+    sat = saturate(slq2.presentation, depth=2, max_end_len=2)
     assert sat.contains(("w", "w"), ("w", "w"), lorentz.candidate_L(slq2, 1))
 
 
 def test_saturation_monotone_in_depth(slq2):
     dims = []
     for depth in (0, 1, 2):
-        sat = saturate(slq2.presentation, depth=depth)
-        dims.append(len(sat.basis(("w", "w"), ("w", "w"))))
+        sat = saturate(slq2.presentation, depth=depth, max_end_len=2)
+        dims.append(len(sat.basis(("w", "w"), ("w", "w"), None)))
     assert dims == sorted(dims)
 
 
@@ -157,15 +157,15 @@ def test_kron_witnesses_a_product_no_padding_route_fits():
     p, src, dst, t = _kron_only()
     sat = saturate(p, depth=1, max_end_len=3)
     assert sat.contains(src, dst, t)
-    assert len(sat.basis(src, dst)) == 1
+    assert len(sat.basis(src, dst, None)) == 1
 
 
 def test_saturated_elements_are_genuine_intertwiners(slq2):
     # every basis element, inserted as a new relation, stays compatible
     # with a passing candidate family
-    sat = saturate(slq2.presentation, depth=2)
+    sat = saturate(slq2.presentation, depth=2, max_end_len=2)
     cand = lorentz.sl2_family(slq2)[0]
-    basis = sat.basis(("w", "w"), ("w", "w"))
+    basis = sat.basis(("w", "w"), ("w", "w"), None)
     for b in basis:
         stretched = Presentation(
             [GeneratorSpec("w", 2, "w")],
@@ -173,13 +173,13 @@ def test_saturated_elements_are_genuine_intertwiners(slq2):
             + [Relation("probe", b, ("w", "w"), ("w", "w"))],
         )
         probe_cand = CandidateR(stretched, dict(cand.blocks))
-        reports = cqt.check_condition2(probe_cand, sat)
+        reports = cqt.check_condition2(probe_cand, sat, cqt.LawTable())
         exchange = [r for r in reports if r.check_id.startswith("exchange")]
         assert cqt.all_pass(exchange)
 
 
 def test_inverse_exchange_witnessed_for_lorentz(lorentz_flip):
-    sat = saturate(lorentz_flip.presentation, depth=3)
+    sat = saturate(lorentz_flip.presentation, depth=3, max_end_len=2)
     X = lorentz_flip.X
     assert sat.contains(("w", "wb"), ("wb", "w"), X)
     assert sat.contains(("wb", "w"), ("w", "wb"), X.inverse())
@@ -195,7 +195,8 @@ def test_contains_looks_ahead_only_before_the_last_round(depth, witnessed):
     d = catalog.resolve("lorentz-flip", None)
     p, block = d.presentation, lorentz.lorentz_family(d)[0].blocks["wb", "w"]
     src, dst = ("wb", "w"), ("w", "wb")
-    assert saturate(p, depth=depth).contains(src, dst, block) is witnessed
+    assert saturate(p, depth=depth, max_end_len=2).contains(
+        src, dst, block) is witnessed
     sat = Saturation(p, depth=depth)
     assert sat.contains(src, dst, block) is witnessed
     assert sat.reached == 1
@@ -221,7 +222,8 @@ def _padding():
     round 1: no composition is stored at a key with both ends longer than
     max_end_len."""
     p, www = catalog.resolve("slq2", None).presentation, ("w",) * 3
-    return p, 2, 1, www, www, saturate(p, depth=1).elements[www, www][0]
+    return p, 2, 1, www, www, saturate(
+        p, depth=1, max_end_len=2).elements[www, www][0]
 
 
 @pytest.mark.parametrize("pause", [_kron, _padding], ids=["kron", "padding"])
@@ -232,7 +234,7 @@ def test_saturation_stopped_inside_a_round_needs_no_cycle_collector(pause):
     # product or a padding, never by a composition that `contains` forms
     # ahead of the rounds, so the query stops at the element itself.
     p, max_end_len, rounds, src, dst, t = pause()
-    sat = Saturation(p, max_end_len=max_end_len)
+    sat = Saturation(p, 3, max_end_len=max_end_len)
     assert sat.contains(src, dst, t)
     assert sat.reached == rounds
     # stopped inside the round: it stores less than the whole round does

@@ -143,7 +143,8 @@ def _prefix(got, want):
 @pytest.mark.parametrize("name", DATA)
 def test_lazy_contains_gives_the_eager_verdict(name, point):
     p, family = _families(name, POINTS[point])
-    lazy, eager = Saturation(p, depth=DEPTH), saturate(p, depth=DEPTH)
+    lazy = Saturation(p, depth=DEPTH)
+    eager = saturate(p, depth=DEPTH, max_end_len=2)
     for cand in family:
         for (a, b), block in cand.blocks.items():
             assert (lazy.contains((a, b), (b, a), block)
@@ -173,7 +174,8 @@ def test_lazy_contains_gives_the_eager_verdict_outside_the_span(depth):
     with open("tests/data/flip-outside-span.qg", encoding="utf-8") as fh:
         doc = dsl.parse_presentation(fh.read())
     p, ww = doc.presentation, ("w", "w")
-    lazy, eager = Saturation(p, depth=depth), saturate(p, depth=depth)
+    lazy = Saturation(p, depth=depth)
+    eager = saturate(p, depth=depth, max_end_len=2)
     flip = doc.candidate.block("w", "w")
     assert not lazy.contains(ww, ww, flip)
     assert not eager.contains(ww, ww, flip)

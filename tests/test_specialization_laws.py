@@ -29,12 +29,12 @@ SMALL = {"slq2": [(("w",), ("w",)), ((), ("w", "w")),
 
 @functools.cache
 def _generic(name):
-    return catalog.resolve(name).presentation
+    return catalog.resolve(name, None).presentation
 
 
 @functools.cache
 def _generic_dim(name, src, dst, depth):
-    return len(mor_saturate(_generic(name), src, dst, depth))
+    return len(mor_saturate(_generic(name), src, dst, depth, None))
 
 
 @settings(max_examples=12, deadline=None, database=None)
@@ -46,5 +46,5 @@ def test_a_specialization_witnesses_no_more_than_generic_t(name, t0, depth):
     p = catalog.resolve(name, value).presentation
     assume(_generic(name).specializes_to(p, value))
     for src, dst in SMALL[name]:
-        assert (len(mor_saturate(p, src, dst, depth))
+        assert (len(mor_saturate(p, src, dst, depth, None))
                 <= _generic_dim(name, src, dst, depth)), (src, dst)

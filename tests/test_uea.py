@@ -182,7 +182,7 @@ def test_conv_table_matches_generic_convolution(classical, cop):
 
 
 def test_rll_classical_all_pass(classical):
-    reports = uea.check_rll(classical, max_len=2)
+    reports = uea.check_rll(classical, 2, uea.Functionals(classical))
     assert cqt.all_pass(reports)
     ids = {r.check_id for r in reports}
     assert "rll:paths-agree:len2" in ids
@@ -208,11 +208,12 @@ def test_perturbed_translation_column_detected(classical):
     m_sym = Tensor((4, 4), (), ent)
     shifted = classical._replace(invariant=classical.invariant + m_sym)
     assert cqt.all_pass(inh.check_structure(shifted))
-    assert cqt.all_pass(uea.check_rll(shifted, max_len=1))
+    assert cqt.all_pass(uea.check_rll(shifted, 1, uea.Functionals(shifted)))
 
 
 def test_xkx_classical(classical):
-    reports = uea.check_xkx(classical, max_len=2, n=classical.invariant)
+    reports = uea.check_xkx(classical, 2, classical.invariant,
+                            uea.Functionals(classical))
     assert cqt.all_pass(reports)
     ids = {r.check_id for r in reports}
     assert "xkx:with-invariant-row:len2" in ids
@@ -229,7 +230,7 @@ def test_xkx_transpose_convention_is_pinned():
     # vector block by the plain one must break the exchange relation
     d = twisted_datum()
     assert d.R != d.R.transpose().with_legs((4, 4), (4, 4))
-    assert cqt.all_pass(uea.check_xkx(d, max_len=2))
+    assert cqt.all_pass(uea.check_xkx(d, 2, None, uea.Functionals(d)))
     wrong = inh.build_RP(d)  # plain vector block, same elsewhere for Z=T=0
     conv = uea.ConvTable(uea.build_X(d), uea.CoproductTable(4))
     assert any(not (conv.value(w) @ wrong - wrong @ conv.value(w)).is_zero()
@@ -237,15 +238,16 @@ def test_xkx_transpose_convention_is_pinned():
 
 
 def test_pairings_classical(classical):
-    reports = uea.check_pairings(classical, k=classical.invariant,
-                                 n=classical.invariant, max_len=2)
+    reports = uea.check_pairings(classical, classical.invariant,
+                                 classical.invariant, 2,
+                                 uea.Functionals(classical))
     assert cqt.all_pass(reports)
 
 
 def test_pairings_zero_trivially_pass(classical):
     zero = Tensor.zeros((4, 4), ())
-    assert cqt.all_pass(uea.check_pairings(classical, k=zero, n=zero,
-                                           max_len=1))
+    assert cqt.all_pass(uea.check_pairings(classical, zero, zero, 1,
+                                           uea.Functionals(classical)))
 
 
 def test_pairings_reject_non_invariant():
@@ -257,24 +259,25 @@ def test_pairings_reject_non_invariant():
     ent[0 * 4 + 1] = ONE
     k_bad = Tensor((4, 4), (), ent)
     assert (d.R @ k_bad) != k_bad
-    reports = uea.check_pairings(d, k=k_bad, max_len=1)
+    reports = uea.check_pairings(d, k_bad, None, 1, uea.Functionals(d))
     assert any(r.status == "fail" for r in reports)
     ent = [ZERO] * 16
     ent[0 * 4 + 1] = ONE
     ent[1 * 4 + 0] = Scalar.from_int(2)
     k_fixed = Tensor((4, 4), (), ent)
     assert (d.R @ k_fixed) == k_fixed
-    reports = uea.check_pairings(d, k=k_fixed, max_len=1)
+    reports = uea.check_pairings(d, k_fixed, None, 1, uea.Functionals(d))
     assert any(r.status == "fail" for r in reports)
 
 
 def test_ideal_killed_classical(classical):
-    assert cqt.all_pass(uea.check_ideal_killed(classical))
+    assert cqt.all_pass(uea.check_ideal_killed(classical,
+                                               uea.Functionals(classical)))
 
 
 def test_ideal_detects_incoherent_translation_twist():
     d = twisted_datum(with_Z=True)
-    reports = uea.check_ideal_killed(d)
+    reports = uea.check_ideal_killed(d, uea.Functionals(d))
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "ideal:mixed:l" in failed
     assert "ideal:mixed:X" in failed
@@ -282,7 +285,7 @@ def test_ideal_detects_incoherent_translation_twist():
 
 def test_rll_detects_incoherent_translation_twist():
     d = twisted_datum(with_Z=True)
-    reports = uea.check_rll(d, max_len=1)
+    reports = uea.check_rll(d, 1, uea.Functionals(d))
     failed = {r.check_id for r in reports if r.status == "fail"}
     assert "rll:full:len1" in failed
     agree = [r for r in reports if r.check_id == "rll:paths-agree:len1"]

@@ -109,7 +109,7 @@ def reference_pairings(d, k, n, max_len):
                              tuple(vector[leg] for leg in dom)) @ col
                 - col * eps)
 
-    for c, suffix in uea._sample_functionals(d):
+    for c, suffix in uea._samples(d, 3) + [(None, "")]:
         conv = fns.conv(c)
         tag, legs = (("-twisted", ((2, 3), (0, 1))) if c is None
                      else ("", ((1, 0), (3, 2))))
@@ -190,7 +190,7 @@ def test_rll_decides_each_distinct_key_once(monkeypatch):
 
     monkeypatch.setattr(uea, "_sector", counted)
     d = catalog.resolve("poincare-classical", None)
-    reports = uea.check_rll(d, 2)
+    reports = uea.check_rll(d, 2, uea.Functionals(d))
     assert {r.note for r in reports if r.check_id.startswith("rll:full")} \
         == {"80 evaluations", "1600 evaluations"}
     assert sum(calls.values()) == 4 * 50
