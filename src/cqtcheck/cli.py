@@ -270,8 +270,7 @@ SUITE_TABLE = {
             run.datum, run.witnesses, run.table)),
     }),
     lorentz.LorentzDatum: _Kind(
-        lambda d: lorentz.candidate_blocks(d, 1, 3, 1, 1,
-                                           lorentz.family_blocks(d)),
+        lambda d: lorentz.candidate_blocks(d, 1, 3, 1, 1, d.blocks),
         lambda d: {**_sl2_matrices(d.base), "Et": d.Etilde, "Ept": d.Eptilde,
                    "X": d.X}, {
             "validate": lambda run: lorentz.validate_lorentz(run.datum),

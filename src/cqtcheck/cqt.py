@@ -25,21 +25,25 @@ of the conjugate pair, and the cotriangularity check compares each block's
 inverse with the opposite block.
 
 The exchange laws also bound each intertwiner space from above
-(`mor_bound`).  A map T: src -> dst obeys the left law against g when
-(1 (x) T) . R[src, g] = R[dst, g] . (T (x) 1), and the right law likewise.
-This is the naturality of the braiding on comodule maps (Kassel, Quantum
-Groups, GTM 155, ch. VIII): the left laws of the candidate, holding on
-every relation, make its evaluation map against g (see eval_hom) well
-defined on the algebra, and applied to T u^src = u^dst T it gives T's left
-law; so with the right laws.  Directly: identities obey the laws; so does
-a composite of maps that obey them, and by the recursions above a tensor
-product; and the relation matrices obey them exactly when the candidate's
-exchange laws hold.  So every element a saturation can store obeys both
-laws against every generator.  The laws are linear in T, so Mor(src, dst)
-lies in the nullspace of their system, and its nullity is an upper bound.
-The bound needs every exchange law of the candidate on both sides, decided
-exactly at the candidate's own t, and nothing else: not the intertwiner
-rows, nor star or ct.
+(`mor_bound`), through their right side alone.  A map T: src -> dst obeys
+the right law against g when R[g, dst] . (1 (x) T) = (T (x) 1) . R[g, src].
+Once the right exchange laws of the candidate hold, every relation matrix
+obeys the right law against every g: that is what those laws say.
+Identities obey it; so does a composite S . T of maps that obey it, since
+R[g, c] . (1 (x) S) . (1 (x) T) = (S (x) 1) . R[g, b] . (1 (x) T)
+= (S (x) 1) . (T (x) 1) . R[g, a]; and by the second recursion above so
+does a tensor product, a padding with an identity included.  So every
+element a saturation can store obeys the right law against every
+generator.  So does every T in Mor(src, dst), by the naturality of the
+braiding on comodule maps (Kassel, Quantum Groups, GTM 155, ch. VIII): the
+right laws, holding on every relation, make the evaluation of each letter
+(a, i, j) against R[g, a] well defined on the algebra, and applied to
+T u^src = u^dst T it gives T's right law.  The law is linear in T, so
+Mor(src, dst) lies in the nullspace of its system, and the nullity is an
+upper bound.  The bound needs the right exchange laws of the candidate,
+decided exactly at the candidate's own t, and nothing else: not its left
+laws, so a candidate that fails only a left law still gets a bound, nor
+the intertwiner rows, nor star or ct.
 The system is taken at t = 3/2.  Its entries are polynomials in the
 entries of the blocks, so where no block has a pole at 3/2 it is the
 system at the candidate's t with 3/2 put for t.  A specialization can only
@@ -186,21 +190,21 @@ def mor_bound(c: CandidateR, src, dst):
     """An upper bound on dim Mor(src, dst), or None.
 
     The bound is the nullity of the equations exchange_defect(c(3/2), T,
-    src, dst, gamma, side) = 0 in the entries of T, over every generator
-    gamma and both sides.  Once every exchange law of c holds, on both
-    sides, every T in Mor(src, dst) solves them at c's own t: the braiding
-    is natural on comodule maps (Kassel, GTM 155, ch. VIII).  The
+    src, dst, gamma, "right") = 0 in the entries of T, over every generator
+    gamma.  Once every right exchange law of c holds, every T in
+    Mor(src, dst) solves them at c's own t: the braiding is natural on
+    comodule maps (Kassel, GTM 155, ch. VIII).  The left laws and the
     intertwiner rows of c are not needed.  Putting 3/2 for t can only lower
     the rank, so the nullity at 3/2 bounds the one at c's t.  For generic
     c it also bounds the span a saturation of any specialization of c's
     presentation witnesses.  The module docstring gives the argument in
     full.
 
-    None when there is no candidate, when an exchange law of c fails (either
-    side, exactly, at c's own t), when c lacks a block the laws read, when a
-    block of c has a pole at t = 3/2, or when the equations of one gamma and
-    side, dense, would have more entries than MAX_SPACE^2, the largest
-    matrix a saturation forms.
+    None when there is no candidate, when a right exchange law of c fails
+    (exactly, at c's own t), when c lacks a block those laws read, when a
+    block of c has a pole at t = 3/2, or when the equations of one gamma,
+    dense, would have more entries than MAX_SPACE^2, the largest matrix a
+    saturation forms.
     """
     if c is None:
         return None
@@ -210,15 +214,14 @@ def mor_bound(c: CandidateR, src, dst):
         return None
     memo = {}
     try:
-        for law in exchange_laws(p):
-            rel = law.relation
+        for rel, gamma in product(p.relations, p.non_unit()):
             if not exchange_defect(c, rel.matrix, rel.source_word,
-                                   rel.target_word, law.gamma, law.side,
+                                   rel.target_word, gamma, "right",
                                    memo).is_zero():
                 return None
         at, memo = c.subs(BOUND_POINT), {}
-        laws = [_law_matrix(at, src, dst, gamma, side, memo)
-                for gamma in p.non_unit() for side in ("left", "right")]
+        laws = [_law_matrix(at, src, dst, gamma, memo)
+                for gamma in p.non_unit()]
     except (EvaluationPole, MissingBlock):
         return None
     k, r = len(laws), max(m.nrows for m in laws)
@@ -227,27 +230,19 @@ def mor_bound(c: CandidateR, src, dst):
     return n - system.rank()
 
 
-def _law_matrix(c: CandidateR, src, dst, gamma: str, side: str,
-                memo) -> Tensor:
-    """The matrix of T -> exchange_defect(c, T, src, dst, gamma, side), for
-    T: src -> dst: one row per entry of the defect, one column per entry of
-    T, each in the flat order of its tensor."""
+def _law_matrix(c: CandidateR, src, dst, gamma: str, memo) -> Tensor:
+    """The matrix of T -> exchange_defect(c, T, src, dst, gamma, "right"),
+    for T: src -> dst: one row per entry of the defect, one column per
+    entry of T, each in the flat order of its tensor."""
     p = c.presentation
     S, D, g = p.word_dim(src), p.word_dim(dst), p.dim(gamma)
-    a = word_R(c, src, gamma, side, memo)
-    b = word_R(c, dst, gamma, side, memo)
-    if side == "left":
-        # (1 (x) T) . a - b . (T (x) 1): rows (gamma, D) x (S, gamma)
-        m = (kron(Tensor.identity((D,)), a.with_legs((g, S), (S, g)).slice_legs(
-                (0, 2, 3), (1,))).slice_legs((1, 0, 2, 3), (4, 5))
-             - kron(b.with_legs((g, D), (D, g)).slice_legs((0, 1, 3), (2,)),
-                    Tensor.identity((S,))).slice_legs((0, 1, 3, 2), (4, 5)))
-    else:
-        # b . (1 (x) T) - (T (x) 1) . a: rows (D, gamma) x (gamma, S)
-        m = (kron(b.with_legs((D, g), (g, D)).slice_legs((0, 1, 2), (3,)),
-                  Tensor.identity((S,)))
-             - kron(Tensor.identity((D,)), a.with_legs((S, g), (g, S)).slice_legs(
-                 (1, 2, 3), (0,))))
+    a = word_R(c, src, gamma, "right", memo)
+    b = word_R(c, dst, gamma, "right", memo)
+    # b . (1 (x) T) - (T (x) 1) . a: rows (D, gamma) x (gamma, S)
+    m = (kron(b.with_legs((D, g), (g, D)).slice_legs((0, 1, 2), (3,)),
+              Tensor.identity((S,)))
+         - kron(Tensor.identity((D,)), a.with_legs((S, g), (g, S)).slice_legs(
+             (1, 2, 3), (0,))))
     return m.with_legs((m.nrows,), (D * S,))
 
 

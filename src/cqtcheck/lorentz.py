@@ -12,7 +12,7 @@ Candidate exchange blocks come in the one-parameter family
 
 which is closed under inverses (L_3 = L_1^(-1), L_4 = L_2^(-1)); the blocks
 on mixed pairs are sign multiples of X and X^(-1).  The 64 members pick
-one of 4 x 4 x 2 x 2 blocks per pair, built once each (family_blocks).
+one of 4 x 4 x 2 x 2 blocks per pair, built once each (LorentzDatum.blocks).
 Classification runs the family through the core engine, which decides its
 1,280 laws as 80 distinct ones (see the cqt module), and tallies which
 members are also star-compatible or cotriangular, deduplicating coincident
@@ -113,12 +113,17 @@ class _LorentzFields(NamedTuple):
 
 class LorentzDatum(_LorentzFields):
     """The fields are frozen; without __slots__ the instance keeps a
-    __dict__ for its cached inverse, and `_replace` makes a LorentzDatum
-    that computes its own."""
+    __dict__ for its cached inverse and family blocks, and `_replace` makes
+    a LorentzDatum that computes its own."""
 
     @cached_property
     def X_inv(self) -> Tensor:
         return self.X.inverse()
+
+    @cached_property
+    def blocks(self):
+        """family_blocks(self), built once per datum."""
+        return family_blocks(self)
 
     @property
     def q(self) -> Scalar:
@@ -184,7 +189,7 @@ def family_blocks(d: LorentzDatum):
 def candidate_blocks(d: LorentzDatum, i: int, j: int, eps_x: int, eps_xp: int,
                      blocks) -> CandidateR:
     """Blocks (L_i, swapped-conjugate of L_j^(-1), eps_x X, eps_xp X^(-1)),
-    taken from `blocks`, the family_blocks(d) of the caller."""
+    taken from `blocks`, the family_blocks(d) of the caller (d.blocks)."""
     L, Lt, X, Xi = blocks
     return CandidateR(d.presentation, {
         (W, W): L[i], (WB, WB): Lt[j], (W, WB): X[eps_x], (WB, W): Xi[eps_xp]},
@@ -192,8 +197,7 @@ def candidate_blocks(d: LorentzDatum, i: int, j: int, eps_x: int, eps_xp: int,
 
 
 def lorentz_family(d: LorentzDatum):
-    blocks = family_blocks(d)
-    return [candidate_blocks(d, i, j, ex, exp, blocks)
+    return [candidate_blocks(d, i, j, ex, exp, d.blocks)
             for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)
             for ex in (1, -1) for exp in (1, -1)]
 

@@ -18,13 +18,21 @@ call.
 
 `classify_poincare` decides the base cotriangularity of the k = +1
 candidate only, since the k = -1 blocks are its negatives.
+
+A Lorentz datum builds its family blocks once (`LorentzDatum.blocks`), for
+the cqt suite's candidate and the classify suite's family both; each built
+them before, inverting L_1..L_4 twice.
+
+`cqt.mor_bound` decides the right exchange laws alone and builds one law
+matrix per generator; with both sides it made twice the `exchange_defect`
+and `_law_matrix` calls.
 """
 
 import contextlib
 import io
 from collections import Counter
 
-from cqtcheck import cli, cqt, uea
+from cqtcheck import cli, cqt, lorentz, uea
 from cqtcheck.presentation import FunctionalHom
 from cqtcheck.tensor import Tensor
 
@@ -101,3 +109,38 @@ def test_a_poincare_check_decides_the_base_cotriangularity_once(monkeypatch):
     monkeypatch.setattr(Tensor, "inverse", counted)
     _run(["check", "builtin:poincare-classical"])
     assert len(calls) <= 9
+
+
+def _counted(monkeypatch, targets):
+    """Patch each owner.name in targets to count its calls, by name."""
+    counts = Counter()
+    for owner, name in targets:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_a_lorentz_check_builds_the_family_blocks_once(monkeypatch):
+    # 2 and 26 when the cqt and classify suites each built them
+    counts = _counted(monkeypatch, [(lorentz, "family_blocks"),
+                                    (Tensor, "inverse")])
+    _run(["check", "builtin:lorentz-flip"])
+    assert counts["family_blocks"] <= 1
+    assert counts["inverse"] <= 22
+
+
+def test_the_mor_bound_decides_and_ranks_one_side(monkeypatch):
+    # 4 and 2, 20 and 4 with both sides
+    for argv, defects, matrices in (
+            (["mor", "builtin:slq2", "w w w", "w w w", "--depth", "3",
+              "--eval", "t=1"], 2, 1),
+            (["mor", "builtin:lorentz-flip", "w wb", "wb w", "--depth", "3"],
+             10, 2)):
+        with monkeypatch.context() as m:
+            counts = _counted(m, [(cqt, "exchange_defect"),
+                                  (cqt, "_law_matrix")])
+            _run(argv)
+        assert (counts["exchange_defect"], counts["_law_matrix"]) == (
+            defects, matrices), argv
